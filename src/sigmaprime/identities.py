@@ -17,16 +17,18 @@ never run on an unqualified f.
 
 from __future__ import annotations
 
+import os
 import re
-from concurrent.futures import ProcessPoolExecutor
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from random import Random
 
 from .arith import divisors, sigma_k
-from .lattice import brute_convolution, quadruples
-from .powersums import ClosedForm
+from .lattice import brute_convolution, enumerate_quadruples
+from .powersums import ClosedForm, _form
 
 __all__ = [
     "Poly4",
@@ -194,6 +196,72 @@ def symmetry_holds(f: Poly4) -> bool:
     return f - swapped == f.negated_front() - swapped.negated_front()
 
 
+# Five equal-length int columns (w, a, b, x, y); row r stands for the term
+# w[r] * f(a[r], b[r], x[r], y[r]).  Arguments are bounded by n and weights
+# by six times the size of the solution set, so typecode "i" holds them.
+Columns = tuple[array, array, array, array, array]
+
+
+def _merge(weights: dict[tuple[int, int, int, int], int], sign: int, terms) -> None:
+    for args in terms:
+        weights[args] = weights.get(args, 0) + sign
+
+
+def _columns(weights: dict[tuple[int, int, int, int], int]) -> Columns:
+    kept = [args for args, w in weights.items() if w]
+    return (
+        array("i", filter(None, weights.values())),
+        *(array("i", [args[c] for args in kept]) for c in range(4)),
+    )
+
+
+@lru_cache(maxsize=128)
+def _argument_table(n: int, which: str) -> tuple[Columns, Columns]:
+    """Merged signed argument tuples of both identity sides at (n, which).
+
+    Each side of the identity is Σ w * f(a, b, x, y) over a multiset of
+    argument tuples that does not depend on f.  The solution set is
+    enumerated once; identical tuples are merged by summing their signs and
+    zero weights are dropped.  Each side comes back as five columns
+    (w, a, b, x, y).  The cache size is fixed: it holds every table of the
+    full acceptance sweep (polynomial outer, n <= 60 inner, two sets), which
+    a smaller cache would evict just before reuse.
+    """
+    lhs: dict[tuple[int, int, int, int], int] = {}
+    get = lhs.get
+
+    # _merge inlined: this runs once per quadruple and dominates a cold call
+    def visit(a: int, b: int, x: int, y: int) -> None:
+        for args in ((a, b, x, -y), (a, a - b, x + y, y), (b - a, b, x, x + y)):
+            lhs[args] = get(args, 0) + 1
+        for args in ((a, -b, x, y), (a, a + b, y - x, y), (a + b, b, x, x - y)):
+            lhs[args] = get(args, 0) - 1
+
+    enumerate_quadruples(n, which, visit)
+    rhs: dict[tuple[int, int, int, int], int] = {}
+    if which == "Bprime":
+        for t in range(1, n):
+            if gcd(t, n) != 1:
+                continue
+            _merge(rhs, 1, ((1, 0, n, t), (0, 1, t, n), (1, 1, n - t, -t)))
+            _merge(rhs, -1, ((n, t, 1, 0), (t, n, 0, 1), (n - t, -t, 1, 1)))
+    else:
+        for d in divisors(n):
+            nd = n // d
+            for x in range(1, d):
+                _merge(rhs, 1, ((0, nd, x, d), (nd, 0, d, x), (nd, nd, d - x, -x)))
+                _merge(rhs, -1, ((x, x - d, nd, nd), (x, d, 0, nd), (d, x, nd, 0)))
+    return _columns(lhs), _columns(rhs)
+
+
+def _weighted_sum(f: Poly4, table: Columns) -> int:
+    """Σ_e c_e Σ_rows w * a**i * b**j * x**k * y**l over f's monomials."""
+    total = 0
+    for (i, j, k, l), c in f._terms.items():
+        total += c * sum(w * a**i * b**j * x**k * y**l for w, a, b, x, y in zip(*table))
+    return total
+
+
 def main_identity_sides(f: Poly4, n: int, which: str = "Bprime") -> tuple[int, int]:
     """Evaluate both sides of the six-term identity for f at n; return (lhs, rhs).
 
@@ -204,50 +272,18 @@ def main_identity_sides(f: Poly4, n: int, which: str = "Bprime") -> tuple[int, i
         + f(b-a,b,x,x+y) - f(a+b,b,x,x-y).
 
     Over B'(n) the right side runs over the totatives t of n; over B(n) it
-    is the divisor double sum with six boundary terms.  Composite arguments
-    are evaluated numerically per quadruple.  Raises if f fails the
-    symmetry hypothesis or n < 2.
+    is the divisor double sum with six boundary terms.  Both sides are
+    linear in f, so each is evaluated as one weighted sum, monomial by
+    monomial, over the merged argument table of (n, which); f is never
+    called per quadruple.  Raises if f fails the symmetry hypothesis or
+    n < 2.
     """
     if not symmetry_holds(f):
         raise ValueError("polynomial does not satisfy the symmetry hypothesis")
     if n < 2:
         raise ValueError(f"identity sides need n >= 2, got {n}")
-    lhs = 0
-    for a, b, x, y in quadruples(n, which):
-        lhs += (
-            f(a, b, x, -y)
-            - f(a, -b, x, y)
-            + f(a, a - b, x + y, y)
-            - f(a, a + b, y - x, y)
-            + f(b - a, b, x, x + y)
-            - f(a + b, b, x, x - y)
-        )
-    rhs = 0
-    if which == "Bprime":
-        for t in range(1, n):
-            if gcd(t, n) != 1:
-                continue
-            rhs += (
-                f(1, 0, n, t)
-                - f(n, t, 1, 0)
-                + f(0, 1, t, n)
-                - f(t, n, 0, 1)
-                + f(1, 1, n - t, -t)
-                - f(n - t, -t, 1, 1)
-            )
-    else:
-        for d in divisors(n):
-            nd = n // d
-            for x in range(1, d):
-                rhs += (
-                    f(0, nd, x, d)
-                    + f(nd, 0, d, x)
-                    + f(nd, nd, d - x, -x)
-                    - f(x, x - d, nd, nd)
-                    - f(x, d, 0, nd)
-                    - f(d, x, nd, 0)
-                )
-    return lhs, rhs
+    lhs, rhs = _argument_table(n, which)
+    return _weighted_sum(f, lhs), _weighted_sum(f, rhs)
 
 
 def random_symmetric_poly(
@@ -352,10 +388,6 @@ THEOREM_RS: dict[str, tuple[int, int]] = {
 THEOREM_BY_RS: dict[tuple[int, int], str] = {rs: tag for tag, rs in THEOREM_RS.items()}
 
 
-def _form(*terms: tuple[int, int, int, int]) -> ClosedForm:
-    return ClosedForm(tuple((Fraction(a, b), p, s) for a, b, p, s in terms))
-
-
 _FORMS: dict[tuple[str, str], ClosedForm] = {
     ("t11", "printed"): _form((5, 12, 3, -1), (-6, 12, 1, -1), (1, 12, 1, 1)),
     ("t13", "printed"): _form((7, 10, 5, -1), (-10, 10, 1, -1), (1, 3, 3, 1), (-1, 30, 1, 3)),
@@ -381,7 +413,9 @@ _FORMS: dict[tuple[str, str], ClosedForm] = {
 
 def theorem_form(tid: TheoremId) -> ClosedForm:
     """The stored ClosedForm for a theorem id (variant resolved)."""
-    return _FORMS.get((tid.name, tid.variant)) or _FORMS[(tid.name, "printed")]
+    # a tag with a single stored form keeps it under "printed" alone
+    variant = tid.variant if (tid.name, "corrected") in _FORMS else "printed"
+    return _FORMS[(tid.name, variant)]
 
 
 def eval_theorem(tid: TheoremId | str, n: int) -> Fraction:
@@ -416,12 +450,19 @@ def _verify_row(args: tuple[str, str, int]) -> VerifyRow:
     return VerifyRow(n, oracle, closed, closed == oracle)
 
 
+def _worker_count(jobs: int, rows: int) -> int:
+    """Worker processes for a verification: no more than the CPUs or the rows."""
+    return min(jobs, os.cpu_count() or 1, rows)
+
+
 def verify_theorem(tid: TheoremId | str, lo: int, hi: int, jobs: int = 1) -> VerifyReport:
     """Compare a stored closed form against the enumeration oracle on [lo, hi].
 
     Every n is checked for exact equality; rows are always reported in
     ascending n, whatever the worker count, so output is deterministic.
-    Raises on an empty or out-of-domain range (lo < 2 or hi < lo).
+    At most min(jobs, CPU count, rows) worker processes start; when that is
+    1 the rows run in this process.  Raises on an empty or out-of-domain
+    range (lo < 2 or hi < lo).
     """
     if isinstance(tid, str):
         tid = parse_theorem_id(tid)
@@ -430,11 +471,16 @@ def verify_theorem(tid: TheoremId | str, lo: int, hi: int, jobs: int = 1) -> Ver
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     args = [(tid.name, tid.variant, n) for n in range(lo, hi + 1)]
-    if jobs == 1:
+    workers = _worker_count(jobs, len(args))
+    if workers == 1:
         rows = tuple(map(_verify_row, args))
     else:
-        chunk = max(1, len(args) // (jobs * 4))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # imported on use: the pool machinery is the heaviest import in the
+        # package, and only multi-worker runs need it
+        from concurrent.futures import ProcessPoolExecutor
+
+        chunk = max(1, len(args) // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = tuple(pool.map(_verify_row, args, chunksize=chunk))
     bad = next((row for row in rows if not row.ok), None)
     return VerifyReport(tid, rows, bad is None, bad)

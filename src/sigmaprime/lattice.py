@@ -70,9 +70,11 @@ def enumerate_quadruples(
 def quadruples(n: int, which: str = "Bprime") -> tuple[tuple[int, int, int, int], ...]:
     """Materialized, cached tuple of the quadruples in enumeration order.
 
-    Convenient for the identity checks, which revisit the same small-n sets
-    for many polynomials.  Large-n sums should stream via
-    enumerate_quadruples or brute_convolution.
+    Convenient for check_pre_identity, which revisits the same small-n sets
+    for many exponent pairs.  The identity engine does not read this memo:
+    it enumerates each set once into its own merged argument table.
+    Large-n sums should stream via enumerate_quadruples or
+    brute_convolution.
     """
     out: list[tuple[int, int, int, int]] = []
     enumerate_quadruples(n, which, lambda a, b, x, y: out.append((a, b, x, y)))

@@ -83,14 +83,12 @@ def count_fast(spec: CountSpec) -> int:
     return total
 
 
-def _raw_budget_estimate(spec: CountSpec) -> int:
+def _raw_budget_estimate(spec: CountSpec, quads: list[tuple[int, int]]) -> int:
     # Conservative upper bound on tuple visits, cheap to compute and free of
     # the phi collapse: L visits exactly u**r * v**s tuples per quadruple,
     # M scans at most sigma(u**r) * (1 + sigma(v**s)) candidates.
     est = 0
     coprime_splits = spec.which in ("M", "Mprime")
-    quads: list[tuple[int, int]] = []
-    enumerate_quadruples(spec.n, spec.solution_set, lambda u, v, x, y: quads.append((u, v)))
     for u, v in quads:
         ur, vs = u**spec.r, v**spec.s
         if coprime_splits:
@@ -111,14 +109,14 @@ def count_raw(spec: CountSpec, budget: int = DEFAULT_BUDGET) -> int:
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    est = _raw_budget_estimate(spec)
+    quads: list[tuple[int, int]] = []
+    enumerate_quadruples(spec.n, spec.solution_set, lambda u, v, x, y: quads.append((u, v)))
+    est = _raw_budget_estimate(spec, quads)
     if est > budget:
         raise BudgetExceededError(
             f"raw enumeration of {spec.which}({spec.r},{spec.s};{spec.n}) needs about "
             f"{est} tuple visits, budget is {budget}"
         )
-    quads: list[tuple[int, int]] = []
-    enumerate_quadruples(spec.n, spec.solution_set, lambda u, v, x, y: quads.append((u, v)))
     total = 0
     if spec.which in ("L", "Lprime"):
         for u, v in quads:

@@ -1,10 +1,15 @@
 """Polynomial symmetry machinery, the main identity, and the named theorems."""
 
+import concurrent.futures
+import os
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from sigmaprime import identities
+from sigmaprime.arith import divisors
 from sigmaprime.identities import (
     PROOF_POLYNOMIALS,
     THEOREM_BY_RS,
@@ -21,7 +26,51 @@ from sigmaprime.identities import (
     theorem_form,
     verify_theorem,
 )
-from sigmaprime.lattice import brute_convolution, quadruples
+from sigmaprime.lattice import SOLUTION_SETS, brute_convolution, quadruples
+
+
+def six_term_oracle(f, n, which):
+    """Both identity sides by calling f at six argument tuples per quadruple.
+
+    The literal evaluation, kept as the independent reference that the
+    weighted-sum engine is checked against.
+    """
+    lhs = 0
+    for a, b, x, y in quadruples(n, which):
+        lhs += (
+            f(a, b, x, -y)
+            - f(a, -b, x, y)
+            + f(a, a - b, x + y, y)
+            - f(a, a + b, y - x, y)
+            + f(b - a, b, x, x + y)
+            - f(a + b, b, x, x - y)
+        )
+    rhs = 0
+    if which == "Bprime":
+        for t in range(1, n):
+            if gcd(t, n) != 1:
+                continue
+            rhs += (
+                f(1, 0, n, t)
+                - f(n, t, 1, 0)
+                + f(0, 1, t, n)
+                - f(t, n, 0, 1)
+                + f(1, 1, n - t, -t)
+                - f(n - t, -t, 1, 1)
+            )
+    else:
+        for d in divisors(n):
+            nd = n // d
+            for x in range(1, d):
+                rhs += (
+                    f(0, nd, x, d)
+                    + f(nd, 0, d, x)
+                    + f(nd, nd, d - x, -x)
+                    - f(x, x - d, nd, nd)
+                    - f(x, d, 0, nd)
+                    - f(d, x, nd, 0)
+                )
+    return lhs, rhs
 
 
 def test_parser_round_trip():
@@ -109,6 +158,26 @@ def test_main_identity_random_polynomials():
             assert lhs == rhs, (poly.to_text(), n)
 
 
+@pytest.mark.parametrize("which", SOLUTION_SETS)
+def test_main_identity_sides_match_per_quadruple_oracle(which):
+    rng = random.Random(2357)
+    family = list(PROOF_POLYNOMIALS) + [random_symmetric_poly(rng) for _ in range(25)]
+    for n in range(2, 31):
+        for f in family:
+            expected = six_term_oracle(f, n, which)
+            identities._argument_table.cache_clear()
+            assert main_identity_sides(f, n, which) == expected, (f.to_text(), n, "cold")
+            assert main_identity_sides(f, n, which) == expected, (f.to_text(), n, "warm")
+
+
+def test_argument_table_merges_rows_and_is_bounded():
+    weights = identities._argument_table(26, "Bprime")[0][0]
+    assert len(weights) == 320 and 0 not in weights
+    weights = identities._argument_table(20, "B")[0][0]
+    assert len(weights) == 540 and 0 not in weights
+    assert identities._argument_table.cache_info().maxsize is not None
+
+
 def test_main_identity_rejects_unqualified_poly():
     with pytest.raises(ValueError):
         main_identity_sides(Poly4.from_text("1a"), 6, "B")
@@ -129,6 +198,7 @@ def test_theorem_id_parsing():
     # only t13 has genuinely distinct variants; elsewhere both names
     # resolve to the same stored form
     assert theorem_form(parse_theorem_id("t11:printed")) == theorem_form(parse_theorem_id("t11"))
+    assert theorem_form(parse_theorem_id("t13:printed")) != theorem_form(parse_theorem_id("t13"))
 
 
 def test_theorem_rs_table():
@@ -178,6 +248,26 @@ def test_verify_theorem_parallel_matches_serial():
     serial = verify_theorem(parse_theorem_id("t15"), 2, 30, jobs=1)
     parallel = verify_theorem(parse_theorem_id("t15"), 2, 30, jobs=2)
     assert serial == parallel
+
+
+def test_worker_count_is_capped(monkeypatch):
+    # computed only: no test here may start the processes it counts
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert identities._worker_count(10**6, 10**6) == 4
+    assert identities._worker_count(10**6, 3) == 3
+    assert identities._worker_count(2, 100) == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert identities._worker_count(10**6, 100) == 1
+
+
+def test_verify_theorem_single_worker_runs_in_process(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert verify_theorem("t11", 2, 2, jobs=10**6).all_pass
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert verify_theorem("t11", 2, 30, jobs=10**6).all_pass
 
 
 def test_verify_theorem_rejects_bad_range():

@@ -5,7 +5,8 @@ from math import gcd
 import pytest
 
 from sigmaprime.arith import sigma_k, totient
-from sigmaprime.lattice import brute_convolution, sigma_prime
+from sigmaprime import representations
+from sigmaprime.lattice import brute_convolution, enumerate_quadruples, sigma_prime
 from sigmaprime.representations import (
     BudgetExceededError,
     CountSpec,
@@ -81,6 +82,26 @@ def test_budget_error():
     assert "budget" in str(info.value)
     # generous budget succeeds and agrees with the product route
     assert count_raw(spec, budget=10**7) == count_fast(spec)
+
+
+def test_count_raw_enumerates_once(monkeypatch):
+    spec = CountSpec("Mprime", 2, 1, 9)
+    expected = count_fast(spec)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_quadruples(*args)
+
+    monkeypatch.setattr(representations, "enumerate_quadruples", counted)
+    assert count_raw(spec) == expected
+    assert len(calls) == 1
+    with pytest.raises(BudgetExceededError) as info:
+        count_raw(CountSpec("M", 3, 3, 12), budget=1000)
+    assert str(info.value) == (
+        "raw enumeration of M(3,3;12) needs about 1082784 tuple visits, budget is 1000"
+    )
+    assert len(calls) == 2
 
 
 def test_count_spec_validation():
