@@ -450,6 +450,11 @@ def _verify_row(args: tuple[str, str, int]) -> VerifyRow:
     return VerifyRow(n, oracle, closed, closed == oracle)
 
 
+# Largest accepted ``jobs``: far above any CPU count the clamp would allow,
+# low enough that a mistyped value is refused rather than silently clamped.
+_MAX_JOBS = 256
+
+
 def _worker_count(jobs: int, rows: int) -> int:
     """Worker processes for a verification: no more than the CPUs or the rows."""
     return min(jobs, os.cpu_count() or 1, rows)
@@ -461,15 +466,16 @@ def verify_theorem(tid: TheoremId | str, lo: int, hi: int, jobs: int = 1) -> Ver
     Every n is checked for exact equality; rows are always reported in
     ascending n, whatever the worker count, so output is deterministic.
     At most min(jobs, CPU count, rows) worker processes start; when that is
-    1 the rows run in this process.  Raises on an empty or out-of-domain
-    range (lo < 2 or hi < lo).
+    1 the rows run in this process.  Raises ValueError, before any worker
+    starts, on an empty or out-of-domain range (lo < 2 or hi < lo) and on
+    jobs outside 1..256.
     """
     if isinstance(tid, str):
         tid = parse_theorem_id(tid)
     if lo < 2 or hi < lo:
         raise ValueError(f"need 2 <= lo <= hi, got {lo}..{hi}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if not 1 <= jobs <= _MAX_JOBS:
+        raise ValueError(f"jobs must be between 1 and {_MAX_JOBS}, got {jobs}")
     args = [(tid.name, tid.variant, n) for n in range(lo, hi + 1)]
     workers = _worker_count(jobs, len(args))
     if workers == 1:

@@ -66,13 +66,16 @@ def enumerate_quadruples(
     return count
 
 
-@lru_cache(maxsize=None)
+# 64 entries: the full pre-identity grid sweeps the 59 values 2 <= n <= 60
+# inside each exponent pair, so every revisit of the grid hits.
+@lru_cache(maxsize=64)
 def quadruples(n: int, which: str = "Bprime") -> tuple[tuple[int, int, int, int], ...]:
     """Materialized, cached tuple of the quadruples in enumeration order.
 
     Convenient for check_pre_identity, which revisits the same small-n sets
-    for many exponent pairs.  The identity engine does not read this memo:
-    it enumerates each set once into its own merged argument table.
+    for many exponent pairs.  The memo holds at most 64 sets, dropping the
+    least recently used.  The identity engine does not read it: it
+    enumerates each set once into its own merged argument table.
     Large-n sums should stream via enumerate_quadruples or
     brute_convolution.
     """
@@ -117,34 +120,44 @@ def brute_convolution(r: int, s: int, n: int, which: str = "Bprime") -> int:
 
     For B'(n) this returns Σ x**r y**s over the quadruples; for B(n) it
     returns Σ a**r b**s, which equals the classical convolution
-    Σ_m sigma_r(m) sigma_s(n - m).  The loop is fused rather than going
-    through the visitor so range verifications over a few hundred n stay
-    quick.
+    Σ_m sigma_r(m) sigma_s(n - m).  Both sets are closed under
+    (a, b, x, y) -> (x, y, a, b), so one loop sums x**r y**s for either.
+    It walks the pairs (a, x) and takes the inner sum of y**s over the
+    divisors y of m = n - ax from a memo that lives for one call.  On B'(n)
+    the coprimality tests are hoisted to the classes gcd(a, n) and
+    gcd(x, n), so the memo key is m with those two classes; on B(n) both
+    classes are 1 and the key is m alone.
     """
     coprime = _check_set(which)
     if n < 2:
         raise ValueError(f"solution sets are defined for n >= 2, got {n}")
     if r < 0 or s < 0:
         raise ValueError(f"brute_convolution requires r, s >= 0, got ({r}, {s})")
+    # gcd(a, b) divides ax + by = n, so gcd(a, b) == gcd(gcd(a, n), b); likewise
+    # gcd(x, y) == gcd(gcd(x, n), y).
+    cls = [gcd(j, n) for j in range(n)] if coprime else [1] * n
+    pow_s = [j**s for j in range(n)]
+    pow_r = pow_s if r == s else [j**r for j in range(n)]
+    memo: dict[int, int] = {}  # (cls[a] * n + cls[x]) * n + m -> inner sum
     total = 0
-    if coprime:
-        for a in range(1, n):
-            for x in range(1, (n - 1) // a + 1):
-                m = n - a * x
-                xr = x**r
-                for b in divisors(m):
-                    if gcd(a, b) != 1:
-                        continue
-                    y = m // b
-                    if gcd(x, y) == 1:
-                        total += xr * y**s
-    else:
-        for a in range(1, n):
-            ar = a**r
-            for x in range(1, (n - 1) // a + 1):
-                m = n - a * x
-                for b in divisors(m):
-                    total += ar * b**s
+    for a in range(1, n):
+        ga = cls[a]
+        for x in range(1, (n - 1) // a + 1):
+            m = n - a * x
+            gx = cls[x]
+            key = (ga * n + gx) * n + m
+            inner = memo.get(key)
+            if inner is None:
+                if ga == gx == 1:
+                    inner = sum(map(pow_s.__getitem__, divisors(m)))
+                else:
+                    inner = sum(
+                        pow_s[y]
+                        for y in divisors(m)
+                        if gcd(gx, y) == 1 and gcd(ga, m // y) == 1
+                    )
+                memo[key] = inner
+            total += pow_r[x] * inner
     return total
 
 

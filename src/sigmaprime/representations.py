@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .arith import divisors, sigma_k
-from .lattice import enumerate_quadruples, sigma_prime
+from .lattice import SOLUTION_SETS, enumerate_quadruples, sigma_prime
 
 __all__ = [
     "COUNTERS",
@@ -98,6 +98,13 @@ def _raw_budget_estimate(spec: CountSpec, quads: list[tuple[int, int]]) -> int:
     return est
 
 
+def _uv_pairs(n: int, which: str) -> list[tuple[int, int]]:
+    # the (u, v) = (a, b) of every quadruple of the solution set, in order
+    pairs: list[tuple[int, int]] = []
+    enumerate_quadruples(n, which, lambda u, v, x, y: pairs.append((u, v)))
+    return pairs
+
+
 def count_raw(spec: CountSpec, budget: int = DEFAULT_BUDGET) -> int:
     """Literal tuple enumeration of the counter, independent of count_fast.
 
@@ -109,8 +116,11 @@ def count_raw(spec: CountSpec, budget: int = DEFAULT_BUDGET) -> int:
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    quads: list[tuple[int, int]] = []
-    enumerate_quadruples(spec.n, spec.solution_set, lambda u, v, x, y: quads.append((u, v)))
+    return _raw_count(spec, _uv_pairs(spec.n, spec.solution_set), budget)
+
+
+def _raw_count(spec: CountSpec, quads: list[tuple[int, int]], budget: int) -> int:
+    # count_raw over an already enumerated (u, v) list, budget check first
     est = _raw_budget_estimate(spec, quads)
     if est > budget:
         raise BudgetExceededError(
@@ -164,21 +174,26 @@ def verify_lm(r: int, s: int, lo: int, hi: int, budget: int = DEFAULT_BUDGET) ->
     Asserts raw == fast for each counter (budget permitting; blown budgets
     are recorded as skips, never failures), that L equals the classical
     convolution Σ sigma_r(m) sigma_s(n - m), and that Lprime equals
-    Σ sigma_prime(r, s, m, n - m).
+    Σ sigma_prime(r, s, m, n - m).  Each solution set is enumerated once
+    per n; its fast sum and all its raw counts share that enumeration.
     """
     if lo < 2 or hi < lo:
         raise ValueError(f"need 2 <= lo <= hi, got {lo}..{hi}")
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     rows: list[LMRow] = []
     for n in range(lo, hi + 1):
+        pairs = {ss: _uv_pairs(n, ss) for ss in SOLUTION_SETS}
+        sums = {ss: sum(u**r * v**s for u, v in uv) for ss, uv in pairs.items()}
         fast: dict[str, int] = {}
         raw: dict[str, int] = {}
         skipped: list[str] = []
         ok = True
         for which in COUNTERS:
             spec = CountSpec(which, r, s, n)
-            fast[which] = count_fast(spec)
+            fast[which] = sums[spec.solution_set]
             try:
-                raw[which] = count_raw(spec, budget)
+                raw[which] = _raw_count(spec, pairs[spec.solution_set], budget)
             except BudgetExceededError:
                 skipped.append(which)
                 continue

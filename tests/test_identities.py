@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from sigmaprime import identities
+from sigmaprime import cli, identities
 from sigmaprime.arith import divisors
 from sigmaprime.identities import (
     PROOF_POLYNOMIALS,
@@ -265,9 +265,25 @@ def test_verify_theorem_single_worker_runs_in_process(monkeypatch):
         raise AssertionError("a process pool was started")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    assert verify_theorem("t11", 2, 2, jobs=10**6).all_pass
+    assert verify_theorem("t11", 2, 2, jobs=identities._MAX_JOBS).all_pass
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert verify_theorem("t11", 2, 30, jobs=10**6).all_pass
+    assert verify_theorem("t11", 2, 30, jobs=identities._MAX_JOBS).all_pass
+
+
+def test_verify_theorem_rejects_jobs_over_ceiling(monkeypatch, capsys):
+    # the library and the CLI refuse before any pool exists, so nothing starts
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    for jobs in (0, identities._MAX_JOBS + 1, 10**6):
+        with pytest.raises(ValueError, match="jobs must be between 1 and"):
+            verify_theorem("t11", 2, 30, jobs=jobs)
+        argv = ["verify", "--theorem", "t11", "--range", "2..30", "--jobs", str(jobs)]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: jobs must be between 1 and {identities._MAX_JOBS}, got {jobs}\n"
 
 
 def test_verify_theorem_rejects_bad_range():

@@ -3,11 +3,12 @@
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sigmaprime.arith import sigma_k
+from sigmaprime.arith import divisors, sigma_k
 from sigmaprime.lattice import (
+    SOLUTION_SETS,
     brute_convolution,
     check_pre_identity,
     enumerate_quadruples,
@@ -30,6 +31,30 @@ def oracle_set(n, coprime):
                         continue
                     out.add((a, b, x, y))
     return out
+
+
+def fused_brute_convolution(r, s, n, which):
+    # reference: the per-quadruple loop with both gcd tests on every divisor
+    total = 0
+    if which == "Bprime":
+        for a in range(1, n):
+            for x in range(1, (n - 1) // a + 1):
+                m = n - a * x
+                xr = x**r
+                for b in divisors(m):
+                    if gcd(a, b) != 1:
+                        continue
+                    y = m // b
+                    if gcd(x, y) == 1:
+                        total += xr * y**s
+    else:
+        for a in range(1, n):
+            ar = a**r
+            for x in range(1, (n - 1) // a + 1):
+                m = n - a * x
+                for b in divisors(m):
+                    total += ar * b**s
+    return total
 
 
 def test_enumerate_examples():
@@ -109,6 +134,45 @@ def test_brute_convolution_examples():
     assert brute_convolution(3, 3, 3, "Bprime") == 18
 
 
+def test_brute_convolution_matches_fused_loop():
+    for n in range(2, 61):
+        for r in range(6):
+            for s in range(6):
+                for which in SOLUTION_SETS:
+                    expected = fused_brute_convolution(r, s, n, which)
+                    assert brute_convolution(r, s, n, which) == expected, (r, s, n, which)
+
+
+def test_brute_convolution_matches_literal_grid():
+    for n in range(2, 21):
+        grids = {which: oracle_set(n, which == "Bprime") for which in SOLUTION_SETS}
+        for r in range(6):
+            for s in range(6):
+                xy = sum(x**r * y**s for _, _, x, y in grids["Bprime"])
+                ab = sum(a**r * b**s for a, b, _, _ in grids["B"])
+                assert brute_convolution(r, s, n, "Bprime") == xy
+                assert brute_convolution(r, s, n, "B") == ab
+
+
+# gcd(a, n) and gcd(x, n) take many values when n is a prime power or a
+# primorial, so these n exercise every branch of the hoisted coprimality test
+GCD_RICH_N = (64, 81, 125, 128, 243, 256, 289, 343, 361, 210, 2310)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(st.integers(2, 400), st.sampled_from(GCD_RICH_N)),
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.sampled_from(SOLUTION_SETS),
+)
+@example(210, 1, 3, "Bprime")
+@example(2310, 0, 5, "Bprime")
+@example(2310, 2, 2, "B")
+def test_brute_convolution_property(n, r, s, which):
+    assert brute_convolution(r, s, n, which) == fused_brute_convolution(r, s, n, which)
+
+
 def test_brute_convolution_plain_equals_classical():
     for n in range(2, 60):
         for r, s in ((1, 1), (1, 3), (2, 2)):
@@ -123,6 +187,18 @@ def test_pre_identity_examples():
     report = check_pre_identity(1, 1, 2)
     assert report.all_equal
     assert report.values() == (1, 1, 1, 1, 1, 1)
+
+
+def test_quadruples_memo_is_bounded():
+    # the bound must hold the full pre-identity grid, 2 <= n <= 60
+    maxsize = quadruples.cache_info().maxsize
+    assert maxsize is not None and maxsize >= 59
+    quadruples.cache_clear()
+    for _ in range(2):
+        for n in range(2, 61):
+            quadruples(n, "Bprime")
+    info = quadruples.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (59, 59, 59)
 
 
 def test_pre_identity_small_grid():

@@ -104,6 +104,24 @@ def test_count_raw_enumerates_once(monkeypatch):
     assert len(calls) == 2
 
 
+def test_verify_lm_enumerates_each_set_once_per_n(monkeypatch):
+    expected = verify_lm(2, 1, 2, 12)
+    calls = []
+
+    def counted(n, which, visit=None):
+        calls.append((n, which))
+        return enumerate_quadruples(n, which, visit)
+
+    monkeypatch.setattr(representations, "enumerate_quadruples", counted)
+    assert verify_lm(2, 1, 2, 12) == expected
+    assert calls == [(n, which) for n in range(2, 13) for which in ("B", "Bprime")]
+    calls.clear()
+    assert verify_lm(2, 1, 2, 12, budget=1).skipped_any
+    assert calls == [(n, which) for n in range(2, 13) for which in ("B", "Bprime")]
+    with pytest.raises(ValueError):
+        verify_lm(2, 1, 2, 12, budget=0)
+
+
 def test_count_spec_validation():
     with pytest.raises(ValueError):
         CountSpec("K", 1, 1, 5)
