@@ -28,7 +28,7 @@ from .identities import (
     random_symmetric_poly,
     verify_theorem,
 )
-from .lattice import brute_convolution, check_pre_identity
+from .lattice import check_pre_identity
 from .patternfit import (
     DEFAULT_TEST_NS,
     DEFAULT_TRAIN_NS,

@@ -20,6 +20,7 @@ __all__ = [
     "mobius",
     "totient",
     "sigma_k",
+    "sigma_convolution",
     "bernoulli",
     "faulhaber_sum",
 ]
@@ -108,6 +109,12 @@ def sigma_k(k: int, n: int) -> int:
         else:
             total *= (p ** (k * (e + 1)) - 1) // (p**k - 1)
     return total
+
+
+def sigma_convolution(r: int, s: int, n: int) -> int:
+    """Classical divisor convolution: sum of sigma_k(r, m) * sigma_k(s, n - m)
+    over 1 <= m < n.  It is 0 for n < 2 (an empty sum)."""
+    return sum(sigma_k(r, m) * sigma_k(s, n - m) for m in range(1, n))
 
 
 @lru_cache(maxsize=None)

@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import gcd
 from random import Random
 
-from .arith import divisors, sigma_k
+from .arith import divisors, sigma_convolution, sigma_k
 from .lattice import brute_convolution, enumerate_quadruples
 from .powersums import ClosedForm, _form
 
@@ -496,7 +496,7 @@ def besge_check(n: int) -> bool:
     """Exact check of the classical sigma*sigma convolution evaluation at n."""
     if n < 2:
         raise ValueError(f"besge_check requires n >= 2, got {n}")
-    lhs = sum(sigma_k(1, m) * sigma_k(1, n - m) for m in range(1, n))
+    lhs = sigma_convolution(1, 1, n)
     rhs = Fraction(5 * sigma_k(3, n) + (1 - 6 * n) * sigma_k(1, n), 12)
     return lhs == rhs
 
@@ -505,7 +505,7 @@ def glaisher_check(n: int) -> bool:
     """Exact check of the classical sigma*sigma_3 convolution evaluation at n."""
     if n < 2:
         raise ValueError(f"glaisher_check requires n >= 2, got {n}")
-    lhs = sum(sigma_k(1, m) * sigma_k(3, n - m) for m in range(1, n))
+    lhs = sigma_convolution(1, 3, n)
     rhs = Fraction(
         21 * sigma_k(5, n) + (10 - 30 * n) * sigma_k(3, n) - sigma_k(1, n), 240
     )

@@ -1,10 +1,12 @@
 """Enumeration of the solution sets B(n) and B'(n) and the sums over them.
 
 B(n) is the set of quadruples (a, b, x, y) of positive integers with
-ax + by = n.  B'(n) is the subset with gcd(a, b) = gcd(x, y) = 1.  On top
-of the enumerator sit the two-variable divisor sum sigma_prime, the brute
-convolution oracle used to verify every closed form in this package, and
-the six-way pre-identity consistency check.
+ax + by = n.  B'(n) is the subset with gcd(a, b) = gcd(x, y) = 1.  Beside
+the enumerator sit the two-variable divisor sum sigma_prime, the six-way
+pre-identity consistency check, and brute_convolution, the exact oracle
+that every closed form in this package is verified against.  It sums over
+B(n) from per-call divisor power-sum tables and reaches B'(n) by Möbius
+inversion of the two coprimality conditions, so it never walks the set.
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from operator import mul
 from typing import Callable
 
-from .arith import divisors
+from .arith import divisors, mobius
 
 __all__ = [
     "SOLUTION_SETS",
@@ -84,7 +87,9 @@ def quadruples(n: int, which: str = "Bprime") -> tuple[tuple[int, int, int, int]
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+# 2048 entries: the full pre-identity grid, 2 <= n <= 60, reads the 1770 keys
+# (m, n - m), so every revisit of the grid hits.
+@lru_cache(maxsize=2048)
 def _coprime_divisor_pairs(m: int, n: int) -> tuple[tuple[int, int], ...]:
     # index set of sigma_prime: divisor pairs (d, e) of (m, n) with both
     # gcd(d, e) = 1 and gcd(m/d, n/e) = 1
@@ -116,48 +121,49 @@ def sigma_prime(r: int, s: int, m: int, n: int) -> int:
 
 
 def brute_convolution(r: int, s: int, n: int, which: str = "Bprime") -> int:
-    """Direct enumeration sum over a solution set; the oracle for everything.
+    """Exact sum over a solution set; the oracle for every closed form.
 
     For B'(n) this returns Σ x**r y**s over the quadruples; for B(n) it
-    returns Σ a**r b**s, which equals the classical convolution
-    Σ_m sigma_r(m) sigma_s(n - m).  Both sets are closed under
-    (a, b, x, y) -> (x, y, a, b), so one loop sums x**r y**s for either.
-    It walks the pairs (a, x) and takes the inner sum of y**s over the
-    divisors y of m = n - ax from a memo that lives for one call.  On B'(n)
-    the coprimality tests are hoisted to the classes gcd(a, n) and
-    gcd(x, n), so the memo key is m with those two classes; on B(n) both
-    classes are 1 and the key is m alone.
+    returns Σ a**r b**s.  Both sets are closed under (a, b, x, y) ->
+    (x, y, a, b), so either is Σ x**r y**s over its set.  Over B(n) that is
+    the classical convolution P(n) = Σ_{0<m<n} sigma_r(m) sigma_s(n - m).
+    The divisor power sums come from tables built once per call from a
+    power table and the divisor lists, not from sigma_k, so the classical
+    identity stays an independent check.  Over B'(n) the sum is
+    Σ_{de | n} μ(d) μ(e) e**(r + s) P(n / de), by Möbius inversion of the
+    two coprimality conditions.  It keeps no memo of its own between calls.
     """
     coprime = _check_set(which)
     if n < 2:
         raise ValueError(f"solution sets are defined for n >= 2, got {n}")
     if r < 0 or s < 0:
         raise ValueError(f"brute_convolution requires r, s >= 0, got ({r}, {s})")
-    # gcd(a, b) divides ax + by = n, so gcd(a, b) == gcd(gcd(a, n), b); likewise
-    # gcd(x, y) == gcd(gcd(x, n), y).
-    cls = [gcd(j, n) for j in range(n)] if coprime else [1] * n
-    pow_s = [j**s for j in range(n)]
-    pow_r = pow_s if r == s else [j**r for j in range(n)]
-    memo: dict[int, int] = {}  # (cls[a] * n + cls[x]) * n + m -> inner sum
+
+    def sigma_table(k: int) -> list[int]:
+        # [sigma_k(1), ..., sigma_k(n - 1)]
+        pow_k = [j**k for j in range(n)]
+        return [sum(map(pow_k.__getitem__, divisors(m))) for m in range(1, n)]
+
+    sig_s = sigma_table(s)
+    sig_r = sig_s if r == s else sigma_table(r)
+
+    def plain(big_n: int) -> int:
+        # Σ x**r y**s over B(big_n) = Σ_{m < big_n} sigma_r(m) sigma_s(big_n - m)
+        return sum(map(mul, sig_r[: big_n - 1], reversed(sig_s[: big_n - 1])))
+
+    if not coprime:
+        return plain(n)
+    # [gcd(a, b) = 1] = Σ_{d | gcd(a, b)} μ(d), and likewise with e for (x, y).
+    # Writing a, b, x, y = d·a', d·b', e·x', e·y' puts (a', b', x', y') in
+    # B(n / de) with weight e**(r + s), hence Σ_{de | n} μ(d) μ(e) e**(r+s) P(n/de).
     total = 0
-    for a in range(1, n):
-        ga = cls[a]
-        for x in range(1, (n - 1) // a + 1):
-            m = n - a * x
-            gx = cls[x]
-            key = (ga * n + gx) * n + m
-            inner = memo.get(key)
-            if inner is None:
-                if ga == gx == 1:
-                    inner = sum(map(pow_s.__getitem__, divisors(m)))
-                else:
-                    inner = sum(
-                        pow_s[y]
-                        for y in divisors(m)
-                        if gcd(gx, y) == 1 and gcd(ga, m // y) == 1
-                    )
-                memo[key] = inner
-            total += pow_r[x] * inner
+    for d in divisors(n):
+        mu_d = mobius(d)
+        if mu_d:
+            for e in divisors(n // d):
+                mu_e = mobius(e)
+                if mu_e:
+                    total += mu_d * mu_e * e ** (r + s) * plain(n // (d * e))
     return total
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import divisors, sigma_k
+from .arith import divisors, sigma_convolution, sigma_k
 from .lattice import SOLUTION_SETS, enumerate_quadruples, sigma_prime
 
 __all__ = [
@@ -199,7 +199,7 @@ def verify_lm(r: int, s: int, lo: int, hi: int, budget: int = DEFAULT_BUDGET) ->
                 continue
             if raw[which] != fast[which]:
                 ok = False
-        conv_plain = sum(sigma_k(r, m) * sigma_k(s, n - m) for m in range(1, n))
+        conv_plain = sigma_convolution(r, s, n)
         conv_coprime = sum(sigma_prime(r, s, m, n - m) for m in range(1, n))
         if fast["L"] != conv_plain or fast["Lprime"] != conv_coprime:
             ok = False

@@ -13,6 +13,7 @@ from sigmaprime.arith import (
     factorize,
     faulhaber_sum,
     mobius,
+    sigma_convolution,
     sigma_k,
     totient,
 )
@@ -97,6 +98,20 @@ def test_sigma_k_oracle():
     for n in range(1, 300):
         for k in range(4):
             assert sigma_k(k, n) == sum(d**k for d in range(1, n + 1) if n % d == 0)
+
+
+def test_sigma_convolution_oracle():
+    # oracle: count the splits n = u*x + v*y literally, weighted by x**r y**s
+    for n in range(1, 25):
+        for r, s in ((0, 0), (1, 1), (1, 3), (2, 0)):
+            expected = sum(
+                x**r * ((n - u * x) // v) ** s
+                for u in range(1, n)
+                for x in range(1, n)
+                for v in range(1, n)
+                if n - u * x > 0 and (n - u * x) % v == 0
+            )
+            assert sigma_convolution(r, s, n) == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sigmaprime.arith import divisors, sigma_k
 from sigmaprime.lattice import (
     SOLUTION_SETS,
+    _coprime_divisor_pairs,
     brute_convolution,
     check_pre_identity,
     enumerate_quadruples,
@@ -144,7 +145,8 @@ def test_brute_convolution_matches_fused_loop():
 
 
 def test_brute_convolution_matches_literal_grid():
-    for n in range(2, 21):
+    # 30 reaches d * e = n with mu(d) mu(e) != 0; 36 has divisors with mu = 0
+    for n in (*range(2, 21), 30, 36):
         grids = {which: oracle_set(n, which == "Bprime") for which in SOLUTION_SETS}
         for r in range(6):
             for s in range(6):
@@ -154,9 +156,10 @@ def test_brute_convolution_matches_literal_grid():
                 assert brute_convolution(r, s, n, "B") == ab
 
 
-# gcd(a, n) and gcd(x, n) take many values when n is a prime power or a
-# primorial, so these n exercise every branch of the hoisted coprimality test
-GCD_RICH_N = (64, 81, 125, 128, 243, 256, 289, 343, 361, 210, 2310)
+# The Moebius inversion sums over pairs (d, e) with d * e | n.  On a prime power
+# every d past the first prime has mu(d) = 0; the square-rich n mix zero and
+# nonzero mu; on squarefree n every pair counts, including d * e = n (P(1) = 0).
+GCD_RICH_N = (64, 81, 125, 128, 243, 256, 289, 343, 361, 36, 72, 100, 360, 900, 6, 30, 210, 2310)
 
 
 @settings(max_examples=40, deadline=None)
@@ -169,6 +172,10 @@ GCD_RICH_N = (64, 81, 125, 128, 243, 256, 289, 343, 361, 210, 2310)
 @example(210, 1, 3, "Bprime")
 @example(2310, 0, 5, "Bprime")
 @example(2310, 2, 2, "B")
+@example(72, 0, 0, "Bprime")
+@example(100, 5, 1, "Bprime")
+@example(360, 2, 2, "Bprime")
+@example(900, 3, 1, "Bprime")
 def test_brute_convolution_property(n, r, s, which):
     assert brute_convolution(r, s, n, which) == fused_brute_convolution(r, s, n, which)
 
@@ -199,6 +206,19 @@ def test_quadruples_memo_is_bounded():
             quadruples(n, "Bprime")
     info = quadruples.cache_info()
     assert (info.misses, info.hits, info.currsize) == (59, 59, 59)
+
+
+def test_coprime_divisor_pairs_memo_is_bounded():
+    # the bound must hold every key (m, n - m) of the pre-identity grid, n <= 60
+    maxsize = _coprime_divisor_pairs.cache_info().maxsize
+    assert maxsize is not None and maxsize >= 1770
+    _coprime_divisor_pairs.cache_clear()
+    for _ in range(2):
+        for n in range(2, 61):
+            for m in range(1, n):
+                sigma_prime(1, 2, m, n - m)
+    info = _coprime_divisor_pairs.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1770, 1770, 1770)
 
 
 def test_pre_identity_small_grid():
