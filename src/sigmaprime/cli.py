@@ -8,8 +8,8 @@ consumers never face 64-bit overflow.  Identical invocations produce
 byte-identical stdout.
 
 Exit codes: 0 success or verified, 1 verification failure or inconsistent
-fit, 2 usage error, 3 enumeration budget exceeded.  Errors print a
-one-line diagnostic on stderr.
+fit, 2 usage error, 3 enumeration or oracle work budget exceeded.  Errors
+print a one-line diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -122,7 +122,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="check a stored closed form against the oracle")
     p.add_argument("--theorem", required=True, metavar="ID[:printed|:corrected]")
     p.add_argument("--range", required=True, metavar="LO..HI", dest="range_")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1, help="accepted for compatibility; rows run in one process"
+    )
     p.add_argument("--csv", action="store_true")
 
     p = sub.add_parser("count", help="representation counter")

@@ -17,7 +17,6 @@ never run on an unqualified f.
 
 from __future__ import annotations
 
-import os
 import re
 from array import array
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from math import gcd
 from random import Random
 
 from .arith import divisors, sigma_convolution, sigma_k
-from .lattice import brute_convolution, enumerate_quadruples
+from .lattice import _convolutions, enumerate_quadruples
 from .powersums import ClosedForm, _form
 
 __all__ = [
@@ -441,34 +440,21 @@ class VerifyReport:
     first_counterexample: VerifyRow | None
 
 
-def _verify_row(args: tuple[str, str, int]) -> VerifyRow:
-    name, variant, n = args
-    tid = TheoremId(name, variant)
-    r, s = THEOREM_RS[name]
-    oracle = brute_convolution(r, s, n, "Bprime")
-    closed = eval_theorem(tid, n)
-    return VerifyRow(n, oracle, closed, closed == oracle)
-
-
-# Largest accepted ``jobs``: far above any CPU count the clamp would allow,
-# low enough that a mistyped value is refused rather than silently clamped.
+# Largest accepted ``jobs``: the option is kept for compatibility, and a
+# mistyped value is still refused rather than silently accepted.
 _MAX_JOBS = 256
 
 
-def _worker_count(jobs: int, rows: int) -> int:
-    """Worker processes for a verification: no more than the CPUs or the rows."""
-    return min(jobs, os.cpu_count() or 1, rows)
-
-
 def verify_theorem(tid: TheoremId | str, lo: int, hi: int, jobs: int = 1) -> VerifyReport:
-    """Compare a stored closed form against the enumeration oracle on [lo, hi].
+    """Compare a stored closed form against the convolution oracle on [lo, hi].
 
-    Every n is checked for exact equality; rows are always reported in
-    ascending n, whatever the worker count, so output is deterministic.
-    At most min(jobs, CPU count, rows) worker processes start; when that is
-    1 the rows run in this process.  Raises ValueError, before any worker
-    starts, on an empty or out-of-domain range (lo < 2 or hi < lo) and on
-    jobs outside 1..256.
+    Every n is checked for exact equality, and rows are reported in
+    ascending n.  One oracle call covers the whole range, so one pair of σ
+    tables, built up to hi, serves every row.  All rows run in this
+    process; ``jobs`` is accepted for compatibility and must lie in 1..256.
+    Raises ValueError, before any work, on an empty or out-of-domain range
+    (lo < 2 or hi < lo) and on jobs outside 1..256, and BudgetExceededError
+    when the range is beyond the oracle's work limit.
     """
     if isinstance(tid, str):
         tid = parse_theorem_id(tid)
@@ -476,20 +462,14 @@ def verify_theorem(tid: TheoremId | str, lo: int, hi: int, jobs: int = 1) -> Ver
         raise ValueError(f"need 2 <= lo <= hi, got {lo}..{hi}")
     if not 1 <= jobs <= _MAX_JOBS:
         raise ValueError(f"jobs must be between 1 and {_MAX_JOBS}, got {jobs}")
-    args = [(tid.name, tid.variant, n) for n in range(lo, hi + 1)]
-    workers = _worker_count(jobs, len(args))
-    if workers == 1:
-        rows = tuple(map(_verify_row, args))
-    else:
-        # imported on use: the pool machinery is the heaviest import in the
-        # package, and only multi-worker runs need it
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = max(1, len(args) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(_verify_row, args, chunksize=chunk))
+    r, s = THEOREM_RS[tid.name]
+    ns = range(lo, hi + 1)
+    rows = []
+    for n, oracle in zip(ns, _convolutions(r, s, ns, "Bprime")):
+        closed = eval_theorem(tid, n)
+        rows.append(VerifyRow(n, oracle, closed, closed == oracle))
     bad = next((row for row in rows if not row.ok), None)
-    return VerifyReport(tid, rows, bad is None, bad)
+    return VerifyReport(tid, tuple(rows), bad is None, bad)
 
 
 def besge_check(n: int) -> bool:

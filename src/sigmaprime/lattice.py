@@ -7,6 +7,11 @@ pre-identity consistency check, and brute_convolution, the exact oracle
 that every closed form in this package is verified against.  It sums over
 B(n) from per-call divisor power-sum tables and reaches B'(n) by Möbius
 inversion of the two coprimality conditions, so it never walks the set.
+One private core serves a whole collection of n at once: verify_theorem,
+fit and validate hand it their range or point set, so one pair of σ tables,
+built up to the largest n, serves every row, and all of it runs in this
+process.  The core refuses, with BudgetExceededError, any call whose
+estimated work is above a fixed limit, before it allocates anything.
 """
 
 from __future__ import annotations
@@ -15,12 +20,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from operator import mul
-from typing import Callable
+from typing import Callable, Collection
 
 from .arith import divisors, mobius
 
 __all__ = [
     "SOLUTION_SETS",
+    "BudgetExceededError",
     "enumerate_quadruples",
     "quadruples",
     "sigma_prime",
@@ -30,6 +36,10 @@ __all__ = [
 ]
 
 SOLUTION_SETS = ("B", "Bprime")
+
+
+class BudgetExceededError(RuntimeError):
+    """Raised, before any work starts, when a call would exceed its work budget."""
 
 
 def _check_set(which: str) -> bool:
@@ -120,6 +130,84 @@ def sigma_prime(r: int, s: int, m: int, n: int) -> int:
     return sum(d**r * e**s for d, e in _coprime_divisor_pairs(m, n))
 
 
+# One oracle call may do at most this much work.  A product in a P(N) counts
+# one unit; a σ-table index counts _TABLE_ENTRY_COST, as its divisor lookup
+# takes some 100 products' time on a cold cache and leaves about 0.8 KB in the
+# divisors and factorize caches.  The limit admits single n up to about 150000
+# (about 2 s and 135 MB) and verify ranges up to about 2..4400 (about 1 s).
+# The largest calls of the tests, selftest and benchmark, B'(2310) and a few
+# sparse points up to 2310, cost under 2e5 units.
+_WORK_LIMIT = 10**7
+_TABLE_ENTRY_COST = 64
+
+
+def _oracle_work(ns: Collection[int]) -> int:
+    """Estimated work of _convolutions over ns, checking each n >= 2 on the way.
+
+    It counts the σ-table indices up to max(ns), weighted, plus N products for
+    each P(n); the smaller P(n / de) that B'(n) adds stay within a few times
+    that.  Counting stops once past _WORK_LIMIT, so a huge range costs a few
+    thousand steps and no allocation, and above the limit the value is a
+    lower bound.
+    """
+    top = products = work = 0
+    for n in ns:
+        if n < 2:
+            raise ValueError(f"solution sets are defined for n >= 2, got {n}")
+        top = max(top, n)
+        products += n
+        work = _TABLE_ENTRY_COST * top + products
+        if work > _WORK_LIMIT:
+            break
+    return work
+
+
+def _convolutions(r: int, s: int, ns: Collection[int], which: str) -> list[int]:
+    # brute_convolution for every n of ns, in order; one pair of σ tables up to
+    # max(ns) and one memo of P(N) serve them all
+    coprime = _check_set(which)
+    work = _oracle_work(ns)
+    if r < 0 or s < 0:
+        raise ValueError(f"brute_convolution requires r, s >= 0, got ({r}, {s})")
+    if work > _WORK_LIMIT:
+        raise BudgetExceededError(
+            f"the convolution oracle needs at least {work} units of work, "
+            f"the limit is {_WORK_LIMIT}"
+        )
+    top = max(ns)
+
+    def sigma_table(k: int) -> list[int]:
+        # [sigma_k(1), ..., sigma_k(top - 1)]
+        pow_k = [j**k for j in range(top)]
+        return [sum(map(pow_k.__getitem__, divisors(m))) for m in range(1, top)]
+
+    sig_s = sigma_table(s)
+    sig_r = sig_s if r == s else sigma_table(r)
+    memo: dict[int, int] = {}
+
+    def plain(big_n: int) -> int:
+        # Σ x**r y**s over B(big_n) = Σ_{m < big_n} sigma_r(m) sigma_s(big_n - m)
+        if big_n not in memo:
+            memo[big_n] = sum(map(mul, sig_r[: big_n - 1], reversed(sig_s[: big_n - 1])))
+        return memo[big_n]
+
+    def coprime_sum(n: int) -> int:
+        # [gcd(a, b) = 1] = Σ_{d | gcd(a, b)} μ(d), and likewise with e for (x, y).
+        # Writing a, b, x, y = d·a', d·b', e·x', e·y' puts (a', b', x', y') in
+        # B(n / de) with weight e**(r + s), hence Σ_{de | n} μ(d) μ(e) e**(r+s) P(n/de).
+        total = 0
+        for d in divisors(n):
+            mu_d = mobius(d)
+            if mu_d:
+                for e in divisors(n // d):
+                    mu_e = mobius(e)
+                    if mu_e:
+                        total += mu_d * mu_e * e ** (r + s) * plain(n // (d * e))
+        return total
+
+    return list(map(coprime_sum if coprime else plain, ns))
+
+
 def brute_convolution(r: int, s: int, n: int, which: str = "Bprime") -> int:
     """Exact sum over a solution set; the oracle for every closed form.
 
@@ -132,39 +220,13 @@ def brute_convolution(r: int, s: int, n: int, which: str = "Bprime") -> int:
     identity stays an independent check.  Over B'(n) the sum is
     Σ_{de | n} μ(d) μ(e) e**(r + s) P(n / de), by Möbius inversion of the
     two coprimality conditions.  It keeps no memo of its own between calls.
+
+    This is the one-n case of the private range core that verify_theorem,
+    fit and validate call once per range or point set, so one pair of σ
+    tables serves every n they check.  A call whose estimated work exceeds
+    a fixed limit raises BudgetExceededError before it allocates anything.
     """
-    coprime = _check_set(which)
-    if n < 2:
-        raise ValueError(f"solution sets are defined for n >= 2, got {n}")
-    if r < 0 or s < 0:
-        raise ValueError(f"brute_convolution requires r, s >= 0, got ({r}, {s})")
-
-    def sigma_table(k: int) -> list[int]:
-        # [sigma_k(1), ..., sigma_k(n - 1)]
-        pow_k = [j**k for j in range(n)]
-        return [sum(map(pow_k.__getitem__, divisors(m))) for m in range(1, n)]
-
-    sig_s = sigma_table(s)
-    sig_r = sig_s if r == s else sigma_table(r)
-
-    def plain(big_n: int) -> int:
-        # Σ x**r y**s over B(big_n) = Σ_{m < big_n} sigma_r(m) sigma_s(big_n - m)
-        return sum(map(mul, sig_r[: big_n - 1], reversed(sig_s[: big_n - 1])))
-
-    if not coprime:
-        return plain(n)
-    # [gcd(a, b) = 1] = Σ_{d | gcd(a, b)} μ(d), and likewise with e for (x, y).
-    # Writing a, b, x, y = d·a', d·b', e·x', e·y' puts (a', b', x', y') in
-    # B(n / de) with weight e**(r + s), hence Σ_{de | n} μ(d) μ(e) e**(r+s) P(n/de).
-    total = 0
-    for d in divisors(n):
-        mu_d = mobius(d)
-        if mu_d:
-            for e in divisors(n // d):
-                mu_e = mobius(e)
-                if mu_e:
-                    total += mu_d * mu_e * e ** (r + s) * plain(n // (d * e))
-    return total
+    return _convolutions(r, s, (n,), which)[0]
 
 
 @dataclass(frozen=True)

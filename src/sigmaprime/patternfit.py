@@ -11,7 +11,10 @@ replays a fitted ansatz against the oracle on fresh n, and probe_weight10()
 runs the machinery at the unproven weight-10 exponent pairs, labeling the
 outcome as numerical evidence rather than a theorem.
 
-The oracle is always brute_convolution over B'(n), never a stored form.
+The oracle is always the convolution oracle behind brute_convolution over
+B'(n), never a stored form.  fit() and validate() each call it once for
+their whole point set, so one pair of σ tables serves every point, in this
+process.
 When r == s the two psi columns coincide; the fit then collapses them, C
 carries the combined coefficient and D is fixed at 0.
 """
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .identities import THEOREM_RS, TheoremId, theorem_form
-from .lattice import brute_convolution
+from .lattice import _convolutions
 from .powersums import psi
 
 __all__ = [
@@ -136,7 +139,8 @@ def fit(r: int, s: int, train_ns: tuple[int, ...] | list[int]) -> FitReport:
     unknowns and at least two spare equations).  A training set mixing
     primes, a proper prime power and composite radicals keeps the system
     well conditioned; what fit() actually enforces is full column rank,
-    raising a usage error when the basis degenerates.
+    raising a usage error when the basis degenerates.  The oracle values of
+    all points come from one call, which shares one pair of σ tables.
     """
     if r < 1 or s < 1:
         raise ValueError(f"fit requires r, s >= 1, got ({r}, {s})")
@@ -147,7 +151,7 @@ def fit(r: int, s: int, train_ns: tuple[int, ...] | list[int]) -> FitReport:
         raise ValueError(f"training points must be >= 2, got {ns[0]}")
     degenerate = r == s
     rows = [_design_row(r, s, n, degenerate) for n in ns]
-    rhs = [Fraction(brute_convolution(r, s, n, "Bprime")) for n in ns]
+    rhs = list(map(Fraction, _convolutions(r, s, ns, "Bprime")))
     solution, _rank = _solve_exact(rows, rhs)
     if solution is None:
         return FitReport(r, s, None, ns, (), (), "inconsistent")
@@ -171,7 +175,8 @@ def validate(
 
     Residuals are oracle minus ansatz, exact; the verdict is "consistent"
     only when every residual is zero.  An empty test set or any overlap
-    with the training set is a usage error.
+    with the training set is a usage error.  The oracle values of all
+    points come from one call, which shares one pair of σ tables.
     """
     ns = tuple(sorted(set(test_ns)))
     if not ns:
@@ -182,8 +187,8 @@ def validate(
     if overlap:
         raise ValueError(f"test points {sorted(overlap)} overlap the training set")
     residuals = tuple(
-        Fraction(brute_convolution(r, s, n, "Bprime")) - pattern_value(coeffs, r, s, n)
-        for n in ns
+        oracle - pattern_value(coeffs, r, s, n)
+        for n, oracle in zip(ns, _convolutions(r, s, ns, "Bprime"))
     )
     verdict = "consistent" if all(res == 0 for res in residuals) else "inconsistent"
     return FitReport(r, s, coeffs, tuple(sorted(set(train_ns))), ns, residuals, verdict)

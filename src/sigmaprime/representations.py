@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .arith import divisors, sigma_convolution, sigma_k
-from .lattice import SOLUTION_SETS, enumerate_quadruples, sigma_prime
+from .lattice import SOLUTION_SETS, BudgetExceededError, enumerate_quadruples, sigma_prime
 
 __all__ = [
     "COUNTERS",
@@ -37,10 +37,6 @@ __all__ = [
 
 COUNTERS = ("L", "M", "Lprime", "Mprime")
 DEFAULT_BUDGET = 10**8
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised when a raw enumeration would visit more tuples than allowed."""
 
 
 @dataclass(frozen=True)

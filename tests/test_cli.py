@@ -125,6 +125,24 @@ def test_count_budget_exit_3():
     assert len(proc.stderr.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        # each just over the oracle's work limit, so nothing large runs if the check broke
+        ("conv", "--r", "1", "--s", "3", "--n", "200000"),
+        ("conv", "--r", "2", "--s", "2", "--n", "200000", "--set", "B"),
+        ("verify", "--theorem", "t15", "--range", "2..5000"),
+        ("fit", "--r", "1", "--s", "3", "--train", "2,3,4,5,7,200000", "--test", "11"),
+    ],
+)
+def test_oracle_budget_exit_3(args):
+    proc = run(*args)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: the convolution oracle needs at least ")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
 def test_fit_consistent():
     doc = run_json("fit", "--r", "1", "--s", "1", "--train", "2,3,4,5,7,9", "--test", "11,13,16")
     assert doc["verdict"] == "consistent"

@@ -1,10 +1,12 @@
 """Polynomial symmetry machinery, the main identity, and the named theorems."""
 
+import ast
 import concurrent.futures
 import os
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -250,24 +252,43 @@ def test_verify_theorem_parallel_matches_serial():
     assert serial == parallel
 
 
-def test_worker_count_is_capped(monkeypatch):
-    # computed only: no test here may start the processes it counts
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert identities._worker_count(10**6, 10**6) == 4
-    assert identities._worker_count(10**6, 3) == 3
-    assert identities._worker_count(2, 100) == 2
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert identities._worker_count(10**6, 100) == 1
-
-
 def test_verify_theorem_single_worker_runs_in_process(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
+    # every accepted jobs value runs the rows here, and gives the jobs=1 report
+    serial = {hi: verify_theorem("t11", 2, hi, jobs=1) for hi in (2, 30)}
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    assert verify_theorem("t11", 2, 2, jobs=identities._MAX_JOBS).all_pass
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert verify_theorem("t11", 2, 30, jobs=identities._MAX_JOBS).all_pass
+    def no_process(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_process)
+    monkeypatch.setattr(os, "fork", no_process)
+    for jobs in (2, identities._MAX_JOBS):
+        for hi, report in serial.items():
+            assert verify_theorem("t11", 2, hi, jobs=jobs) == report
+
+
+PROCESS_MODULES = ("concurrent.futures", "multiprocessing", "subprocess")
+
+
+def test_package_starts_no_process():
+    # fork-storm guard: no module imports process machinery or calls os.fork
+    def banned(name):
+        return name == "os.fork" or any(
+            name == mod or name.startswith(mod + ".") for mod in PROCESS_MODULES
+        )
+
+    offenders = []
+    for path in sorted(Path(identities.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in names if banned(name)]
+    assert offenders == []
 
 
 def test_verify_theorem_rejects_jobs_over_ceiling(monkeypatch, capsys):

@@ -6,10 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sigmaprime import lattice
 from sigmaprime.arith import divisors, sigma_k
+from sigmaprime.identities import THEOREM_RS
 from sigmaprime.lattice import (
     SOLUTION_SETS,
+    BudgetExceededError,
+    _convolutions,
     _coprime_divisor_pairs,
+    _oracle_work,
     brute_convolution,
     check_pre_identity,
     enumerate_quadruples,
@@ -178,6 +183,59 @@ GCD_RICH_N = (64, 81, 125, 128, 243, 256, 289, 343, 361, 36, 72, 100, 360, 900, 
 @example(900, 3, 1, "Bprime")
 def test_brute_convolution_property(n, r, s, which):
     assert brute_convolution(r, s, n, which) == fused_brute_convolution(r, s, n, which)
+
+
+RANGE_PAIRS = (*THEOREM_RS.values(), (0, 2), (2, 0))
+
+
+def test_range_route_matches_per_n_route():
+    # one call over 2..300 shares its tables; it must give the per-n values
+    ns = range(2, 301)
+    for r, s in RANGE_PAIRS:
+        for which in SOLUTION_SETS:
+            values = _convolutions(r, s, ns, which)
+            assert values == [brute_convolution(r, s, n, which) for n in ns], (r, s, which)
+            assert values[:59] == [fused_brute_convolution(r, s, n, which) for n in range(2, 61)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.integers(2, 400), st.sampled_from((2, *GCD_RICH_N))), min_size=1, max_size=8
+    ),
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.sampled_from(SOLUTION_SETS),
+)
+@example([2310, 2, 210, 2, 2310], 1, 3, "Bprime")
+@example([210, 7, 2, 210], 2, 2, "B")
+def test_range_route_property(ns, r, s, which):
+    # the point sets fit and validate pass: sparse, unsorted, with repeats
+    assert _convolutions(r, s, ns, which) == [brute_convolution(r, s, n, which) for n in ns]
+
+
+def test_oracle_work_estimate():
+    assert _oracle_work([5, 3]) == lattice._TABLE_ENTRY_COST * 5 + 5 + 3
+    # huge inputs are only estimated, never run: counting stops past the limit
+    assert _oracle_work(range(2, 10**8 + 1)) > lattice._WORK_LIMIT
+    assert _oracle_work([10**9]) > lattice._WORK_LIMIT
+    assert _oracle_work([2, 10**9, 3]) > lattice._WORK_LIMIT
+    # the largest calls of the tests, selftest and benchmark stay 10x below it
+    for ns in ([2310], range(2, 301), [2310] * 8):
+        assert 10 * _oracle_work(ns) <= lattice._WORK_LIMIT
+
+
+def test_oracle_refuses_over_budget_before_building_tables(monkeypatch):
+    def no_tables(m):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(lattice, "_WORK_LIMIT", 1000)
+    monkeypatch.setattr(lattice, "divisors", no_tables)
+    for which in SOLUTION_SETS:
+        with pytest.raises(BudgetExceededError, match="limit is 1000"):
+            brute_convolution(1, 3, 100, which)
+        with pytest.raises(BudgetExceededError):
+            _convolutions(1, 3, range(2, 40), which)
 
 
 def test_brute_convolution_plain_equals_classical():
