@@ -26,7 +26,7 @@ from math import gcd
 from random import Random
 
 from .arith import divisors, sigma_convolution, sigma_k
-from .lattice import _convolutions, enumerate_quadruples
+from .lattice import BudgetExceededError, _convolutions, enumerate_quadruples
 from .powersums import ClosedForm, _form
 
 __all__ = [
@@ -261,6 +261,15 @@ def _weighted_sum(f: Poly4, table: Columns) -> int:
     return total
 
 
+# main_identity_sides refuses any n above this, before it enumerates.  The
+# cold table of B(n) is the costly one, with O(|B(n)|) rows: B(2000) merges
+# 309,560 left rows in 1.3 s at a peak RSS of 115 MB, B(2016) 361,616 rows in
+# 1.4 s at 128 MB, and B'(2000) takes 0.3 s at 42 MB (one process, Python
+# 3.11, 2-core container).  That is in line with the convolution oracle's work
+# limit (about 2 s and 135 MB).  The tests, selftest and benchmark stay at n <= 60.
+_IDENTITY_N_LIMIT = 2000
+
+
 def main_identity_sides(f: Poly4, n: int, which: str = "Bprime") -> tuple[int, int]:
     """Evaluate both sides of the six-term identity for f at n; return (lhs, rhs).
 
@@ -274,13 +283,16 @@ def main_identity_sides(f: Poly4, n: int, which: str = "Bprime") -> tuple[int, i
     is the divisor double sum with six boundary terms.  Both sides are
     linear in f, so each is evaluated as one weighted sum, monomial by
     monomial, over the merged argument table of (n, which); f is never
-    called per quadruple.  Raises if f fails the symmetry hypothesis or
-    n < 2.
+    called per quadruple.  Raises ValueError if f fails the symmetry
+    hypothesis or n < 2, and BudgetExceededError, before any enumeration,
+    if n is above a fixed ceiling of 2000.
     """
     if not symmetry_holds(f):
         raise ValueError("polynomial does not satisfy the symmetry hypothesis")
     if n < 2:
         raise ValueError(f"identity sides need n >= 2, got {n}")
+    if n > _IDENTITY_N_LIMIT:
+        raise BudgetExceededError(f"identity sides are limited to n <= {_IDENTITY_N_LIMIT}, got {n}")
     lhs, rhs = _argument_table(n, which)
     return _weighted_sum(f, lhs), _weighted_sum(f, rhs)
 

@@ -10,9 +10,12 @@ Four counting problems share one shape: attach to every quadruple
                gcd(b, d) = 1, with gcd(0, c) = c), which collapses to the
                same totals because the coprime splits of e number phi(e).
 
-count_fast computes the collapsed sum; count_raw enumerates the tuples
-one by one, independent of the collapsing step, so the two routes check
-each other.  Raw enumeration is guarded by a tuple budget.
+count_fast is the collapsed sum, Σ u**r v**s over the counter's set,
+which is exactly the convolution oracle brute_convolution; it walks no
+set.  count_raw is the only route here that enumerates: it visits the
+tuples one by one, independent of the collapsing step and of the oracle,
+so the two routes check each other.  Raw enumeration is guarded by a tuple
+budget, the oracle by its own work limit.
 """
 
 from __future__ import annotations
@@ -21,7 +24,14 @@ from dataclasses import dataclass
 from math import gcd
 
 from .arith import divisors, sigma_convolution, sigma_k
-from .lattice import SOLUTION_SETS, BudgetExceededError, enumerate_quadruples, sigma_prime
+from .lattice import (
+    SOLUTION_SETS,
+    BudgetExceededError,
+    _convolutions,
+    brute_convolution,
+    enumerate_quadruples,
+    sigma_prime,
+)
 
 __all__ = [
     "COUNTERS",
@@ -64,19 +74,14 @@ class CountSpec:
 def count_fast(spec: CountSpec) -> int:
     """Collapsed count: Σ u**r v**s over the quadruples of the counter's set.
 
-    The L and M problems have the same collapsed total (the coprime splits
-    of e number phi(e), and Σ_{e | w} phi(e) = w); the distinction only
-    matters for the raw route.
+    That sum is the convolution oracle brute_convolution over B(n) or
+    B'(n), so this enumerates nothing and, like the oracle, raises
+    BudgetExceededError above the oracle's work limit.  The L and M
+    problems have the same collapsed total (the coprime splits of e number
+    phi(e), and Σ_{e | w} phi(e) = w); the distinction only matters for
+    the raw route.
     """
-    total = 0
-    r, s = spec.r, spec.s
-
-    def visit(u: int, v: int, x: int, y: int) -> None:
-        nonlocal total
-        total += u**r * v**s
-
-    enumerate_quadruples(spec.n, spec.solution_set, visit)
-    return total
+    return brute_convolution(spec.r, spec.s, spec.n, spec.solution_set)
 
 
 def _raw_budget_estimate(spec: CountSpec, quads: list[tuple[int, int]]) -> int:
@@ -170,24 +175,26 @@ def verify_lm(r: int, s: int, lo: int, hi: int, budget: int = DEFAULT_BUDGET) ->
     Asserts raw == fast for each counter (budget permitting; blown budgets
     are recorded as skips, never failures), that L equals the classical
     convolution Σ sigma_r(m) sigma_s(n - m), and that Lprime equals
-    Σ sigma_prime(r, s, m, n - m).  Each solution set is enumerated once
-    per n; its fast sum and all its raw counts share that enumeration.
+    Σ sigma_prime(r, s, m, n - m).  The fast values come from one oracle
+    call per solution set over the whole range.  Each solution set is
+    enumerated once per n, and all its raw counts share that enumeration.
     """
     if lo < 2 or hi < lo:
         raise ValueError(f"need 2 <= lo <= hi, got {lo}..{hi}")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     rows: list[LMRow] = []
-    for n in range(lo, hi + 1):
+    ns = range(lo, hi + 1)
+    sums = {ss: dict(zip(ns, _convolutions(r, s, ns, ss))) for ss in SOLUTION_SETS}
+    for n in ns:
         pairs = {ss: _uv_pairs(n, ss) for ss in SOLUTION_SETS}
-        sums = {ss: sum(u**r * v**s for u, v in uv) for ss, uv in pairs.items()}
         fast: dict[str, int] = {}
         raw: dict[str, int] = {}
         skipped: list[str] = []
         ok = True
         for which in COUNTERS:
             spec = CountSpec(which, r, s, n)
-            fast[which] = sums[spec.solution_set]
+            fast[which] = sums[spec.solution_set][n]
             try:
                 raw[which] = _raw_count(spec, pairs[spec.solution_set], budget)
             except BudgetExceededError:

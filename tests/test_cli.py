@@ -133,13 +133,19 @@ def test_count_budget_exit_3():
         ("conv", "--r", "2", "--s", "2", "--n", "200000", "--set", "B"),
         ("verify", "--theorem", "t15", "--range", "2..5000"),
         ("fit", "--r", "1", "--s", "3", "--train", "2,3,4,5,7,200000", "--test", "11"),
+        ("count", "--which", "Lp", "--r", "1", "--s", "3", "--n", "200000"),
+        # check-main has its own ceiling on n, not the oracle's work limit
+        ("check-main", "--poly", "1x^2y^2", "--n", "200000"),
     ],
 )
 def test_oracle_budget_exit_3(args):
     proc = run(*args)
     assert proc.returncode == 3
     assert proc.stdout == ""
-    assert proc.stderr.startswith("error: the convolution oracle needs at least ")
+    if args[0] == "check-main":
+        assert proc.stderr == "error: identity sides are limited to n <= 2000, got 200000\n"
+    else:
+        assert proc.stderr.startswith("error: the convolution oracle needs at least ")
     assert len(proc.stderr.strip().splitlines()) == 1
 
 

@@ -28,7 +28,7 @@ from sigmaprime.identities import (
     theorem_form,
     verify_theorem,
 )
-from sigmaprime.lattice import SOLUTION_SETS, brute_convolution, quadruples
+from sigmaprime.lattice import SOLUTION_SETS, BudgetExceededError, brute_convolution, quadruples
 
 
 def six_term_oracle(f, n, which):
@@ -178,6 +178,24 @@ def test_argument_table_merges_rows_and_is_bounded():
     weights = identities._argument_table(20, "B")[0][0]
     assert len(weights) == 540 and 0 not in weights
     assert identities._argument_table.cache_info().maxsize is not None
+
+
+def test_main_identity_ceiling_refuses_before_enumerating(monkeypatch):
+    class Enumerated(Exception):
+        pass
+
+    def refuse(*args):
+        raise Enumerated
+
+    monkeypatch.setattr(identities, "enumerate_quadruples", refuse)
+    f = Poly4.from_text("1x^2y^2")
+    for which in SOLUTION_SETS:
+        with pytest.raises(BudgetExceededError) as info:
+            main_identity_sides(f, 2001, which)
+        assert str(info.value) == "identity sides are limited to n <= 2000, got 2001"
+        # at the ceiling the call gets as far as enumerating
+        with pytest.raises(Enumerated):
+            main_identity_sides(f, 2000, which)
 
 
 def test_main_identity_rejects_unqualified_poly():

@@ -1,13 +1,14 @@
-"""Representation counters: raw enumeration vs the closed product route."""
+"""Representation counters: raw enumeration vs the convolution oracle."""
 
 from math import gcd
 
 import pytest
 
 from sigmaprime.arith import sigma_k, totient
-from sigmaprime import representations
-from sigmaprime.lattice import brute_convolution, enumerate_quadruples, sigma_prime
+from sigmaprime import lattice, representations
+from sigmaprime.lattice import enumerate_quadruples, sigma_prime
 from sigmaprime.representations import (
+    COUNTERS,
     BudgetExceededError,
     CountSpec,
     count_fast,
@@ -55,7 +56,48 @@ def test_fast_equals_convolutions():
             coprime = sum(sigma_prime(r, s, m, n - m) for m in range(1, n))
             assert count_fast(CountSpec("Lprime", r, s, n)) == coprime
             assert count_fast(CountSpec("Mprime", r, s, n)) == coprime
-            assert count_fast(CountSpec("Lprime", r, s, n)) == brute_convolution(r, s, n, "Bprime")
+
+
+def test_fast_matches_literal_quadruple_sum():
+    # count_fast is the convolution oracle; this differential check sums
+    # u**r v**s over the enumerated quadruples instead
+    for n in range(2, 61):
+        for which in COUNTERS:
+            spec = CountSpec(which, 1, 1, n)
+            quads = []
+            enumerate_quadruples(n, spec.solution_set, lambda u, v, x, y: quads.append((u, v)))
+            for r in (1, 2, 3):
+                for s in (1, 2, 3):
+                    expected = sum(u**r * v**s for u, v in quads)
+                    assert count_fast(CountSpec(which, r, s, n)) == expected, (which, r, s, n)
+
+
+def test_counting_does_not_enumerate(monkeypatch):
+    specs = [
+        CountSpec(which, r, s, n) for which in COUNTERS for r, s in ((1, 1), (2, 3)) for n in (2, 12, 60)
+    ]
+    expected = [count_fast(spec) for spec in specs]
+    expected_lm = verify_lm(2, 1, 2, 12, budget=1)
+
+    def refuse(*args):
+        raise AssertionError("enumerate_quadruples was called")
+
+    monkeypatch.setattr(representations, "enumerate_quadruples", refuse)
+    monkeypatch.setattr(lattice, "enumerate_quadruples", refuse)
+    assert [count_fast(spec) for spec in specs] == expected
+
+    # an enumerator that visits nothing: the raw route sees empty sets, while
+    # the fast column must not notice
+    calls = []
+
+    def empty(n, which, visit=None):
+        calls.append((n, which))
+        return 0
+
+    monkeypatch.setattr(representations, "enumerate_quadruples", empty)
+    report = verify_lm(2, 1, 2, 12, budget=1)
+    assert [row.fast for row in report.rows] == [row.fast for row in expected_lm.rows]
+    assert calls == [(n, which) for n in range(2, 13) for which in ("B", "Bprime")]
 
 
 def test_verify_lm_report():
@@ -80,7 +122,7 @@ def test_budget_error():
     with pytest.raises(BudgetExceededError) as info:
         count_raw(spec, budget=1000)
     assert "budget" in str(info.value)
-    # generous budget succeeds and agrees with the product route
+    # generous budget succeeds and agrees with the convolution oracle
     assert count_raw(spec, budget=10**7) == count_fast(spec)
 
 
