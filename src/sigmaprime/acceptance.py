@@ -40,6 +40,7 @@ from .patternfit import (
     theorem_pattern,
     validate,
 )
+from .powersums import coprime_power_sum
 from .representations import verify_lm
 
 __all__ = ["CriterionResult", "Criterion", "CRITERIA", "run_all"]
@@ -66,8 +67,6 @@ class Criterion:
 
 
 def _c01_power_sum_methods(hi: int) -> tuple[bool, str]:
-    from .powersums import coprime_power_sum
-
     for n in range(2, hi + 1):
         for k in range(13):
             direct = coprime_power_sum(k, n, "direct")
@@ -118,8 +117,8 @@ def _c06_main_identity(hi_coprime: int, hi_plain: int, n_random: int) -> tuple[b
     rng = Random(20250819)
     family = list(PROOF_POLYNOMIALS) + [random_symmetric_poly(rng) for _ in range(n_random)]
     for which, hi in (("Bprime", hi_coprime), ("B", hi_plain)):
-        for idx, f in enumerate(family):
-            for n in range(2, hi + 1):
+        for n in range(2, hi + 1):
+            for idx, f in enumerate(family):
                 lhs, rhs = main_identity_sides(f, n, which)
                 if lhs != rhs:
                     return (

@@ -83,9 +83,9 @@ def mobius(n: int) -> int:
 def totient(n: int) -> int:
     """Euler phi.  phi(1) == 1; for n > 1 this equals n times the product of
     (1 - 1/p) over the primes p dividing n."""
-    phi = n if n >= 1 else 0
     if n < 1:
         raise ValueError(f"totient requires n >= 1, got {n}")
+    phi = n
     for p, _ in factorize(n):
         phi = phi // p * (p - 1)
     return phi

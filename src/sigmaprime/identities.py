@@ -18,7 +18,6 @@ never run on an unqualified f.
 from __future__ import annotations
 
 import re
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -195,10 +194,9 @@ def symmetry_holds(f: Poly4) -> bool:
     return f - swapped == f.negated_front() - swapped.negated_front()
 
 
-# Five equal-length int columns (w, a, b, x, y); row r stands for the term
-# w[r] * f(a[r], b[r], x[r], y[r]).  Arguments are bounded by n and weights
-# by six times the size of the solution set, so typecode "i" holds them.
-Columns = tuple[array, array, array, array, array]
+# One side of the identity as merged rows ((a, b, x, y), w); a row stands for
+# the term w * f(a, b, x, y).
+Rows = tuple[tuple[tuple[int, int, int, int], int], ...]
 
 
 def _merge(weights: dict[tuple[int, int, int, int], int], sign: int, terms) -> None:
@@ -206,25 +204,16 @@ def _merge(weights: dict[tuple[int, int, int, int], int], sign: int, terms) -> N
         weights[args] = weights.get(args, 0) + sign
 
 
-def _columns(weights: dict[tuple[int, int, int, int], int]) -> Columns:
-    kept = [args for args, w in weights.items() if w]
-    return (
-        array("i", filter(None, weights.values())),
-        *(array("i", [args[c] for args in kept]) for c in range(4)),
-    )
-
-
-@lru_cache(maxsize=128)
-def _argument_table(n: int, which: str) -> tuple[Columns, Columns]:
+@lru_cache(maxsize=1)
+def _argument_table(n: int, which: str) -> tuple[Rows, Rows]:
     """Merged signed argument tuples of both identity sides at (n, which).
 
     Each side of the identity is Σ w * f(a, b, x, y) over a multiset of
     argument tuples that does not depend on f.  The solution set is
     enumerated once; identical tuples are merged by summing their signs and
-    zero weights are dropped.  Each side comes back as five columns
-    (w, a, b, x, y).  The cache size is fixed: it holds every table of the
-    full acceptance sweep (polynomial outer, n <= 60 inner, two sets), which
-    a smaller cache would evict just before reuse.
+    zero weights are dropped.  Each side comes back as rows
+    ((a, b, x, y), w).  Only the table of the (n, which) being swept is
+    kept, so callers sweep n outer and polynomials inner.
     """
     lhs: dict[tuple[int, int, int, int], int] = {}
     get = lhs.get
@@ -250,23 +239,24 @@ def _argument_table(n: int, which: str) -> tuple[Columns, Columns]:
             for x in range(1, d):
                 _merge(rhs, 1, ((0, nd, x, d), (nd, 0, d, x), (nd, nd, d - x, -x)))
                 _merge(rhs, -1, ((x, x - d, nd, nd), (x, d, 0, nd), (d, x, nd, 0)))
-    return _columns(lhs), _columns(rhs)
+    return tuple(tuple(row for row in side.items() if row[1]) for side in (lhs, rhs))
 
 
-def _weighted_sum(f: Poly4, table: Columns) -> int:
+def _weighted_sum(f: Poly4, rows: Rows) -> int:
     """Σ_e c_e Σ_rows w * a**i * b**j * x**k * y**l over f's monomials."""
     total = 0
     for (i, j, k, l), c in f._terms.items():
-        total += c * sum(w * a**i * b**j * x**k * y**l for w, a, b, x, y in zip(*table))
+        total += c * sum(w * a**i * b**j * x**k * y**l for (a, b, x, y), w in rows)
     return total
 
 
 # main_identity_sides refuses any n above this, before it enumerates.  The
 # cold table of B(n) is the costly one, with O(|B(n)|) rows: B(2000) merges
-# 309,560 left rows in 1.3 s at a peak RSS of 115 MB, B(2016) 361,616 rows in
-# 1.4 s at 128 MB, and B'(2000) takes 0.3 s at 42 MB (one process, Python
-# 3.11, 2-core container).  That is in line with the convolution oracle's work
-# limit (about 2 s and 135 MB).  The tests, selftest and benchmark stay at n <= 60.
+# 309,560 left rows in 1.1-1.2 s at a peak RSS of 129 MB, and B'(2000) takes
+# 0.3 s at 46 MB (one process, Python 3.11, 2-core container).  The one table
+# kept afterwards holds 56 MB at B(2000) (tracemalloc).  That is in line with
+# the convolution oracle's work limit (about 2 s and 135 MB).  The tests,
+# selftest and benchmark stay at n <= 60.
 _IDENTITY_N_LIMIT = 2000
 
 

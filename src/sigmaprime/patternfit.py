@@ -21,10 +21,10 @@ carries the combined coefficient and D is fixed at 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .identities import THEOREM_RS, TheoremId, theorem_form
+from .identities import THEOREM_RS, TheoremId, parse_theorem_id, theorem_form
 from .lattice import _convolutions
 from .powersums import psi
 
@@ -85,17 +85,15 @@ def pattern_value(coeffs: PatternCoeffs, r: int, s: int, n: int) -> Fraction:
     )
 
 
-def _solve_exact(
-    rows: list[list[Fraction]], rhs: list[Fraction]
-) -> tuple[list[Fraction] | None, int]:
+def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
     """Solve an overdetermined exact linear system by Gaussian elimination.
 
     Pivoting picks the largest-magnitude entry in the column (Fraction
     comparison is exact cross multiplication), rows are eliminated in
-    place, and leftover rows decide consistency.  Returns (solution, rank);
-    solution is None when some leftover row reads 0 == nonzero.  A rank
-    below the number of unknowns raises, naming the deficiency, since the
-    caller then supplied a structurally degenerate training set.
+    place, and leftover rows decide consistency.  Returns the solution, or
+    None when some leftover row reads 0 == nonzero.  A rank below the
+    number of unknowns raises, naming the deficiency, since the caller then
+    supplied a structurally degenerate training set.
     """
     m, k = len(rows), len(rows[0])
     aug = [row[:] + [val] for row, val in zip(rows, rhs)]
@@ -117,8 +115,8 @@ def _solve_exact(
         rank += 1
     for i in range(rank, m):
         if aug[i][k] != 0:
-            return None, rank
-    return [aug[i][k] for i in range(k)], rank
+            return None
+    return [aug[i][k] for i in range(k)]
 
 
 def _design_row(r: int, s: int, n: int, degenerate: bool) -> list[Fraction]:
@@ -150,9 +148,10 @@ def fit(r: int, s: int, train_ns: tuple[int, ...] | list[int]) -> FitReport:
     if ns[0] < 2:
         raise ValueError(f"training points must be >= 2, got {ns[0]}")
     degenerate = r == s
-    rows = [_design_row(r, s, n, degenerate) for n in ns]
+    # the oracle first: it refuses over-budget points before psi factorizes them
     rhs = list(map(Fraction, _convolutions(r, s, ns, "Bprime")))
-    solution, _rank = _solve_exact(rows, rhs)
+    rows = [_design_row(r, s, n, degenerate) for n in ns]
+    solution = _solve_exact(rows, rhs)
     if solution is None:
         return FitReport(r, s, None, ns, (), (), "inconsistent")
     if degenerate:
@@ -221,17 +220,7 @@ def probe_weight10(
     """
     if tuple(sorted((r, s))) not in WEIGHT10_PAIRS:
         raise ValueError(f"weight-10 probes cover {WEIGHT10_PAIRS}, got ({r}, {s})")
-    report = fit_and_validate(r, s, train_ns, test_ns)
-    return FitReport(
-        report.r,
-        report.s,
-        report.coefficients,
-        report.train_ns,
-        report.test_ns,
-        report.residuals,
-        report.verdict,
-        label=EVIDENCE_LABEL,
-    )
+    return replace(fit_and_validate(r, s, train_ns, test_ns), label=EVIDENCE_LABEL)
 
 
 def theorem_pattern(tid: TheoremId | str) -> PatternCoeffs:
@@ -242,8 +231,6 @@ def theorem_pattern(tid: TheoremId | str) -> PatternCoeffs:
     (r, s).
     """
     if isinstance(tid, str):
-        from .identities import parse_theorem_id
-
         tid = parse_theorem_id(tid)
     r, s = THEOREM_RS[tid.name]
     degenerate = r == s

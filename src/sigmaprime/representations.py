@@ -111,12 +111,20 @@ def count_raw(spec: CountSpec, budget: int = DEFAULT_BUDGET) -> int:
 
     For L the loop ranges over every split pair (a, c), (b, d); for M it
     additionally ranges over the divisor factorizations and filters splits
-    by coprimality, one gcd at a time.  Before touching the loops the visit
-    count is estimated; anything above ``budget`` raises
-    BudgetExceededError rather than grinding for hours.
+    by coprimality, one gcd at a time.  Before enumerating, the fast count,
+    a lower bound on the visits, is checked against ``budget``; before
+    touching the loops the visit count is estimated.  Either one above
+    ``budget`` raises BudgetExceededError rather than grinding for hours.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
+    # every counted tuple is visited, so the fast count bounds the work below
+    fast = count_fast(spec)
+    if fast > budget:
+        raise BudgetExceededError(
+            f"raw enumeration of {spec.which}({spec.r},{spec.s};{spec.n}) needs at least "
+            f"{fast} tuple visits, budget is {budget}"
+        )
     return _raw_count(spec, _uv_pairs(spec.n, spec.solution_set), budget)
 
 

@@ -8,7 +8,9 @@ there is no floating point anywhere, so the tolerance is zero.
 
 import pytest
 
+from sigmaprime import acceptance
 from sigmaprime.acceptance import CRITERIA
+from sigmaprime.identities import _argument_table
 
 
 @pytest.mark.parametrize("criterion", CRITERIA, ids=lambda c: c.name)
@@ -22,3 +24,12 @@ def test_criterion(criterion):
 def test_checklist_is_complete():
     names = [criterion.name for criterion in CRITERIA]
     assert len(names) == len(set(names)) == 11
+
+
+def test_main_identity_builds_each_table_once():
+    # n outer, polynomials inner: one build per (n, set), and one table kept
+    _argument_table.cache_clear()
+    passed, _detail = acceptance._c06_main_identity(25, 20, 12)
+    assert passed
+    info = _argument_table.cache_info()
+    assert (info.misses, info.currsize) == (24 + 19, 1)

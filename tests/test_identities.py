@@ -173,11 +173,11 @@ def test_main_identity_sides_match_per_quadruple_oracle(which):
 
 
 def test_argument_table_merges_rows_and_is_bounded():
-    weights = identities._argument_table(26, "Bprime")[0][0]
-    assert len(weights) == 320 and 0 not in weights
-    weights = identities._argument_table(20, "B")[0][0]
-    assert len(weights) == 540 and 0 not in weights
-    assert identities._argument_table.cache_info().maxsize is not None
+    rows = identities._argument_table(26, "Bprime")[0]
+    assert len(rows) == 320 and all(w for _args, w in rows)
+    rows = identities._argument_table(20, "B")[0]
+    assert len(rows) == 540 and all(w for _args, w in rows)
+    assert identities._argument_table.cache_info().maxsize == 1
 
 
 def test_main_identity_ceiling_refuses_before_enumerating(monkeypatch):

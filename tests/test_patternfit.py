@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from sigmaprime import patternfit
 from sigmaprime.identities import THEOREM_RS, parse_theorem_id
-from sigmaprime.lattice import brute_convolution
+from sigmaprime.lattice import BudgetExceededError, brute_convolution
 from sigmaprime.patternfit import (
     DEFAULT_TEST_NS,
     DEFAULT_TRAIN_NS,
@@ -111,3 +112,14 @@ def test_theorem_pattern_round_trip():
         coeffs = theorem_pattern(name)
         for n in (2, 5, 9):
             assert pattern_value(coeffs, r, s, n) == brute_convolution(r, s, n, "Bprime")
+
+
+def test_fit_refuses_before_factorizing(monkeypatch):
+    # psi trial-divides, so a point far over the oracle's limit must be
+    # refused before any design row is built
+    def refuse(*args):
+        raise AssertionError("psi ran before the oracle's refusal")
+
+    monkeypatch.setattr(patternfit, "psi", refuse)
+    with pytest.raises(BudgetExceededError):
+        fit(1, 3, (2, 3, 4, 5, 10**30))

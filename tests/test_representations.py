@@ -138,12 +138,33 @@ def test_count_raw_enumerates_once(monkeypatch):
     monkeypatch.setattr(representations, "enumerate_quadruples", counted)
     assert count_raw(spec) == expected
     assert len(calls) == 1
+    # the fast count alone is over budget: refused without enumerating
     with pytest.raises(BudgetExceededError) as info:
         count_raw(CountSpec("M", 3, 3, 12), budget=1000)
     assert str(info.value) == (
-        "raw enumeration of M(3,3;12) needs about 1082784 tuple visits, budget is 1000"
+        "raw enumeration of M(3,3;12) needs at least 301070 tuple visits, budget is 1000"
+    )
+    assert len(calls) == 1
+    # the fast count fits, the visit estimate does not: refused after one enumeration
+    with pytest.raises(BudgetExceededError) as info:
+        count_raw(CountSpec("M", 3, 3, 12), budget=301070)
+    assert str(info.value) == (
+        "raw enumeration of M(3,3;12) needs about 1082784 tuple visits, budget is 301070"
     )
     assert len(calls) == 2
+
+
+def test_count_raw_refuses_before_enumerating(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerated before the budget check")
+
+    monkeypatch.setattr(representations, "enumerate_quadruples", refuse)
+    with pytest.raises(BudgetExceededError) as info:
+        count_raw(CountSpec("L", 1, 1, 20000))
+    prefix, sep, rest = str(info.value).partition("needs at least ")
+    assert prefix == "raw enumeration of L(1,1;20000) " and sep
+    visits, _, tail = rest.partition(" ")
+    assert int(visits) > 10**8 and tail == "tuple visits, budget is 100000000"
 
 
 def test_verify_lm_enumerates_each_set_once_per_n(monkeypatch):
