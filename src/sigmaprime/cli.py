@@ -8,8 +8,8 @@ consumers never face 64-bit overflow.  Identical invocations produce
 byte-identical stdout.
 
 Exit codes: 0 success or verified, 1 verification failure or inconsistent
-fit, 2 usage error, 3 enumeration or oracle work budget exceeded.  Errors
-print a one-line diagnostic on stderr.
+fit, 2 usage error, 3 enumeration, oracle work or trial-division budget
+exceeded.  Errors print a one-line diagnostic on stderr.
 """
 
 from __future__ import annotations

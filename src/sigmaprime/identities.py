@@ -11,8 +11,8 @@ satisfies, as a polynomial identity,
 
     f(a, b, x, y) - f(x, y, a, b) = f(-a, -b, x, y) - f(x, y, -a, -b).
 
-symmetry_holds verifies this by exact expansion, so the identity checks
-never run on an unqualified f.
+symmetry_holds checks it exactly, as a rule on f's coefficients, so the
+identity checks never run on an unqualified f.
 """
 
 from __future__ import annotations
@@ -149,10 +149,7 @@ class Poly4:
         return Poly4(merged)
 
     def __sub__(self, other: "Poly4") -> "Poly4":
-        merged = dict(self._terms)
-        for expo, coeff in other._terms.items():
-            merged[expo] = merged.get(expo, 0) - coeff
-        return Poly4(merged)
+        return self + Poly4({expo: -coeff for expo, coeff in other._terms.items()})
 
     def swapped(self) -> "Poly4":
         """The polynomial f(x, y, a, b): variable pairs exchanged."""
@@ -184,14 +181,17 @@ class Poly4:
 def symmetry_holds(f: Poly4) -> bool:
     """Exact check of the swap/negation hypothesis (module docstring).
 
-    All four terms are expanded symbolically, so the check is a polynomial
-    identity, not a sample.  Note the order of operations in the last
-    term: f(x, y, -a, -b) swaps the pairs first and negates the new front
-    pair after, so it is negated_front of swapped, not the other way
-    around.
+    With w = (k, l, i, j) the swap of e = (i, j, k, l), the four terms have
+    coefficients c_e, c_w, g c_e and g c_w at e, where g = (-1)**(i+j); so
+    the hypothesis is (c_e - c_w)(1 - g) = 0, and each present term of odd
+    front or back degree must match its swap (an absent swap counts as 0).
     """
-    swapped = f.swapped()
-    return f - swapped == f.negated_front() - swapped.negated_front()
+    terms = f._terms
+    return all(
+        terms.get((k, l, i, j), 0) == c
+        for (i, j, k, l), c in terms.items()
+        if (i + j) % 2 or (k + l) % 2
+    )
 
 
 # One side of the identity as merged rows ((a, b, x, y), w); a row stands for

@@ -22,7 +22,7 @@ from math import gcd
 from operator import mul
 from typing import Callable, Collection
 
-from .arith import divisors, mobius
+from .arith import BudgetExceededError, divisors, mobius
 
 __all__ = [
     "SOLUTION_SETS",
@@ -36,10 +36,6 @@ __all__ = [
 ]
 
 SOLUTION_SETS = ("B", "Bprime")
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised, before any work starts, when a call would exceed its work budget."""
 
 
 def _check_set(which: str) -> bool:
@@ -133,22 +129,29 @@ def sigma_prime(r: int, s: int, m: int, n: int) -> int:
 # One oracle call may do at most this much work.  A product in a P(N) counts
 # one unit; a σ-table index counts _TABLE_ENTRY_COST, as its divisor lookup
 # takes some 100 products' time on a cold cache and leaves about 0.8 KB in the
-# divisors and factorize caches.  The limit admits single n up to about 150000
-# (about 2 s and 135 MB) and verify ranges up to about 2..4400 (about 1 s).
-# The largest calls of the tests, selftest and benchmark, B'(2310) and a few
-# sparse points up to 2310, cost under 2e5 units.
+# divisors and factorize caches.  Each unit handles numbers up to
+# max(ns)**(r + s), so the count is weighted by their length: 1 up to
+# _WORD_BITS bits, and 1 more for each further _WORD_BITS.  That weight is 1
+# for every call with r, s <= 12 under the limit.  The limit admits single n
+# up to about 150000 (about 2 s and 135 MB) and verify ranges up to about
+# 2..4400 (about 1 s).  It refuses brute_convolution(100000, 1, 600, "B"),
+# which ran 14.8 s at a 187 MB peak RSS unweighted.  The largest calls of the
+# tests, selftest and benchmark, B'(2310) and a few sparse points up to 2310,
+# cost under 2e5 units.
 _WORK_LIMIT = 10**7
 _TABLE_ENTRY_COST = 64
+_WORD_BITS = 512
 
 
-def _oracle_work(ns: Collection[int]) -> int:
+def _oracle_work(r: int, s: int, ns: Collection[int]) -> int:
     """Estimated work of _convolutions over ns, checking each n >= 2 on the way.
 
     It counts the σ-table indices up to max(ns), weighted, plus N products for
     each P(n); the smaller P(n / de) that B'(n) adds stay within a few times
-    that.  Counting stops once past _WORK_LIMIT, so a huge range costs a few
-    thousand steps and no allocation, and above the limit the value is a
-    lower bound.
+    that.  The count is then weighted by the bit length of the largest power,
+    max(ns)**(r + s).  Counting stops once past _WORK_LIMIT, so a huge range
+    costs a few thousand steps and no allocation, and above the limit the
+    value is a lower bound.
     """
     top = products = work = 0
     for n in ns:
@@ -156,7 +159,8 @@ def _oracle_work(ns: Collection[int]) -> int:
             raise ValueError(f"solution sets are defined for n >= 2, got {n}")
         top = max(top, n)
         products += n
-        work = _TABLE_ENTRY_COST * top + products
+        weight = 1 + (r + s) * top.bit_length() // _WORD_BITS
+        work = (_TABLE_ENTRY_COST * top + products) * weight
         if work > _WORK_LIMIT:
             break
     return work
@@ -166,9 +170,9 @@ def _convolutions(r: int, s: int, ns: Collection[int], which: str) -> list[int]:
     # brute_convolution for every n of ns, in order; one pair of σ tables up to
     # max(ns) and one memo of P(N) serve them all
     coprime = _check_set(which)
-    work = _oracle_work(ns)
     if r < 0 or s < 0:
         raise ValueError(f"brute_convolution requires r, s >= 0, got ({r}, {s})")
+    work = _oracle_work(r, s, ns)
     if work > _WORK_LIMIT:
         raise BudgetExceededError(
             f"the convolution oracle needs at least {work} units of work, "

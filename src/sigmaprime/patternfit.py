@@ -5,17 +5,20 @@ Every proven convolution evaluation in this package matches the template
     Σ_m sigma_prime(r, s, m, n - m)
         = (A n**(r+s+1) + B n) psi_{-1}(n) + C n**r psi_s(n) + D n**s psi_r(n)
 
-with rational A, B, C, D.  fit() recovers those coefficients from oracle
-values by exact Gaussian elimination (no floats anywhere), validate()
-replays a fitted ansatz against the oracle on fresh n, and probe_weight10()
-runs the machinery at the unproven weight-10 exponent pairs, labeling the
-outcome as numerical evidence rather than a theorem.
+with rational A, B, C, D.  The template is a ClosedForm over four
+(n_power, psi_order) columns, stated once in _columns; evaluation, the fit's
+design rows and the reading of stored forms all read them.  fit() recovers
+the coefficients from oracle values by exact Gaussian elimination (no
+floats anywhere), validate() replays a fitted ansatz against the oracle on
+fresh n, and probe_weight10() runs the machinery at the unproven weight-10
+exponent pairs, labeling the outcome as numerical evidence rather than a
+theorem.
 
 The oracle is always the convolution oracle behind brute_convolution over
 B'(n), never a stored form.  fit() and validate() each call it once for
 their whole point set, so one pair of σ tables serves every point, in this
 process.
-When r == s the two psi columns coincide; the fit then collapses them, C
+When r == s the C and D columns coincide; the fit then drops D, so C
 carries the combined coefficient and D is fixed at 0.
 """
 
@@ -26,7 +29,7 @@ from fractions import Fraction
 
 from .identities import THEOREM_RS, TheoremId, parse_theorem_id, theorem_form
 from .lattice import _convolutions
-from .powersums import psi
+from .powersums import ClosedForm, psi
 
 __all__ = [
     "PatternCoeffs",
@@ -75,14 +78,20 @@ class FitReport:
     label: str | None = None  # set on weight-10 probes
 
 
+def _columns(r: int, s: int) -> tuple[tuple[int, int], ...]:
+    # (n_power, psi_order) of the A, B, C and D columns of the ansatz
+    return ((r + s + 1, -1), (1, -1), (r, s), (s, r))
+
+
 def pattern_value(coeffs: PatternCoeffs, r: int, s: int, n: int) -> Fraction:
-    """Evaluate the ansatz at n.  In the degenerate case D is 0, so the
-    formula below reduces to the collapsed column as intended."""
-    return (
-        (coeffs.A * Fraction(n) ** (r + s + 1) + coeffs.B * n) * psi(-1, n)
-        + coeffs.C * Fraction(n) ** r * psi(s, n)
-        + coeffs.D * Fraction(n) ** s * psi(r, n)
-    )
+    """Evaluate the ansatz at n >= 2, as the ClosedForm of its columns.
+
+    In the degenerate case D is 0, and any D would add to C anyway.  Like
+    every closed form, it refuses n < 2.
+    """
+    coefficients = (coeffs.A, coeffs.B, coeffs.C, coeffs.D)
+    terms = tuple((c, p, o) for c, (p, o) in zip(coefficients, _columns(r, s)))
+    return ClosedForm(terms).evaluate(n)
 
 
 def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
@@ -119,14 +128,8 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
     return [aug[i][k] for i in range(k)]
 
 
-def _design_row(r: int, s: int, n: int, degenerate: bool) -> list[Fraction]:
-    nf = Fraction(n)
-    row = [nf ** (r + s + 1) * psi(-1, n), nf * psi(-1, n)]
-    if degenerate:
-        row.append(nf**r * psi(s, n))
-    else:
-        row.extend([nf**r * psi(s, n), nf**s * psi(r, n)])
-    return row
+def _design_row(columns: tuple[tuple[int, int], ...], n: int) -> list[Fraction]:
+    return [Fraction(n) ** power * psi(order, n) for power, order in columns]
 
 
 def fit(r: int, s: int, train_ns: tuple[int, ...] | list[int]) -> FitReport:
@@ -147,19 +150,14 @@ def fit(r: int, s: int, train_ns: tuple[int, ...] | list[int]) -> FitReport:
         raise ValueError(f"need at least 5 distinct training points, got {len(ns)}")
     if ns[0] < 2:
         raise ValueError(f"training points must be >= 2, got {ns[0]}")
-    degenerate = r == s
+    # with r == s the D column equals the C column, so it is left out
+    columns = _columns(r, s)[: 3 if r == s else 4]
     # the oracle first: it refuses over-budget points before psi factorizes them
     rhs = list(map(Fraction, _convolutions(r, s, ns, "Bprime")))
-    rows = [_design_row(r, s, n, degenerate) for n in ns]
-    solution = _solve_exact(rows, rhs)
+    solution = _solve_exact([_design_row(columns, n) for n in ns], rhs)
     if solution is None:
         return FitReport(r, s, None, ns, (), (), "inconsistent")
-    if degenerate:
-        a, b, c = solution
-        coeffs = PatternCoeffs(a, b, c, Fraction(0), degenerate=True)
-    else:
-        a, b, c, d = solution
-        coeffs = PatternCoeffs(a, b, c, d)
+    coeffs = PatternCoeffs(*solution, *[Fraction(0)] * (4 - len(solution)), degenerate=r == s)
     return FitReport(r, s, coeffs, ns, (), (), "consistent")
 
 
@@ -202,7 +200,7 @@ def fit_and_validate(
     """fit() then validate(); an inconsistent training fit short-circuits."""
     report = fit(r, s, train_ns)
     if report.coefficients is None:
-        return FitReport(r, s, None, report.train_ns, tuple(sorted(set(test_ns))), (), "inconsistent")
+        return replace(report, test_ns=tuple(sorted(set(test_ns))))
     return validate(report.coefficients, r, s, test_ns, report.train_ns)
 
 
@@ -226,24 +224,17 @@ def probe_weight10(
 def theorem_pattern(tid: TheoremId | str) -> PatternCoeffs:
     """Convert a stored closed form into ansatz coefficients.
 
-    Used to compare fresh fits against the stored theorem constants; keys
-    terms by (n_power, psi_order) against the template for the theorem's
-    (r, s).
+    Used to compare fresh fits against the stored theorem constants; each
+    term goes to the ansatz column with its (n_power, psi_order), the first
+    one when r == s, and a term outside the ansatz raises ValueError.
     """
     if isinstance(tid, str):
         tid = parse_theorem_id(tid)
     r, s = THEOREM_RS[tid.name]
-    degenerate = r == s
-    a = b = c = d = Fraction(0)
+    columns = _columns(r, s)
+    coefficients = [Fraction(0)] * len(columns)
     for coeff, power, order in theorem_form(tid).terms:
-        if order == -1 and power == r + s + 1:
-            a += coeff
-        elif order == -1 and power == 1:
-            b += coeff
-        elif (power, order) == (r, s):
-            c += coeff
-        elif not degenerate and (power, order) == (s, r):
-            d += coeff
-        else:
+        if (power, order) not in columns:
             raise ValueError(f"term {(coeff, power, order)} does not fit the ansatz")
-    return PatternCoeffs(a, b, c, d, degenerate=degenerate)
+        coefficients[columns.index((power, order))] += coeff
+    return PatternCoeffs(*coefficients, degenerate=r == s)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigmaprime.arith import (
+    BudgetExceededError,
     bernoulli,
     divisors,
     factorize,
@@ -24,6 +25,14 @@ def test_factorize_examples():
     assert factorize(12) == ((2, 2), (3, 1))
     assert factorize(97) == ((97, 1),)
     assert factorize(2**3 * 7**2 * 11) == ((2, 3), (7, 2), (11, 1))
+
+
+def test_factorize_bounds_trial_division():
+    # a prime near 10**14 would need trial divisors up to 10**7
+    with pytest.raises(BudgetExceededError, match="above 1000000"):
+        factorize(100000000000031)
+    # every n <= 10**12 stays within the bound
+    assert factorize(999999999989) == ((999999999989, 1),)
 
 
 def test_factorize_rebuilds_n():

@@ -11,6 +11,8 @@ import sys
 
 import pytest
 
+from sigmaprime import cli
+
 CMD = [sys.executable, "-m", "sigmaprime"]
 
 
@@ -136,6 +138,8 @@ def test_count_budget_exit_3():
         ("count", "--which", "Lp", "--r", "1", "--s", "3", "--n", "200000"),
         # check-main has its own ceiling on n, not the oracle's work limit
         ("check-main", "--poly", "1x^2y^2", "--n", "200000"),
+        # few σ-table entries, but each a power of some 10**6 bits
+        ("conv", "--r", "100000", "--s", "1", "--n", "600", "--set", "B"),
     ],
 )
 def test_oracle_budget_exit_3(args):
@@ -147,6 +151,23 @@ def test_oracle_budget_exit_3(args):
     else:
         assert proc.stderr.startswith("error: the convolution oracle needs at least ")
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("psi", "--s", "1", "--n", "100000000000031"),
+        ("sigma-prime", "--r", "1", "--s", "1", "--m", "2", "--n", "100000000000031"),
+        ("conv", "--r", "1", "--s", "1", "--n", "100000000000031", "--method", "closed"),
+        ("powersum", "--k", "2", "--n", "100000000000031", "--method", "closed"),
+    ],
+)
+def test_trial_division_budget_exit_3(args, capsys):
+    # in process: a prime near 10**14 needs trial divisors above the bound
+    assert cli.main(list(args)) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: factorizing 100000000000031 needs trial divisors above 1000000\n"
 
 
 def test_fit_consistent():

@@ -9,6 +9,8 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigmaprime import cli, identities
 from sigmaprime.arith import divisors
@@ -112,6 +114,39 @@ def test_symmetry_spot_checks():
     # mixed front/back polynomial built as g + swap(g)
     g = Poly4.from_text("1a^2x")
     assert symmetry_holds(g + g.swapped())
+
+
+exponent_quads = st.tuples(*[st.integers(0, 3)] * 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(exponent_quads, st.integers(-3, 3), max_size=6), st.booleans(), st.booleans())
+def test_symmetry_rule_matches_expansion(terms, symmetrize, add_even):
+    # the literal expansion of the hypothesis is the reference; g + swap(g)
+    # and even-degree monomials make qualified inputs common
+    f = Poly4(terms)
+    if symmetrize:
+        f = f + f.swapped()
+    if add_even:
+        f = f + Poly4({(2, 0, 1, 1): 5})
+    swapped = f.swapped()
+    assert symmetry_holds(f) == (f - swapped == f.negated_front() - swapped.negated_front())
+
+
+def test_warm_main_identity_sides_builds_no_poly(monkeypatch):
+    f = PROOF_POLYNOMIALS[2]
+    main_identity_sides(f, 12)  # builds the argument table
+    built = []
+    init = Poly4.__init__
+
+    def counting_init(self, terms=None):
+        built.append(terms)
+        init(self, terms)
+
+    monkeypatch.setattr(Poly4, "__init__", counting_init)
+    lhs, rhs = main_identity_sides(f, 12)
+    assert lhs == rhs
+    assert built == []
 
 
 def test_all_proof_polynomials_qualify():

@@ -215,14 +215,24 @@ def test_range_route_property(ns, r, s, which):
 
 
 def test_oracle_work_estimate():
-    assert _oracle_work([5, 3]) == lattice._TABLE_ENTRY_COST * 5 + 5 + 3
+    assert _oracle_work(1, 3, [5, 3]) == lattice._TABLE_ENTRY_COST * 5 + 5 + 3
     # huge inputs are only estimated, never run: counting stops past the limit
-    assert _oracle_work(range(2, 10**8 + 1)) > lattice._WORK_LIMIT
-    assert _oracle_work([10**9]) > lattice._WORK_LIMIT
-    assert _oracle_work([2, 10**9, 3]) > lattice._WORK_LIMIT
+    assert _oracle_work(1, 3, range(2, 10**8 + 1)) > lattice._WORK_LIMIT
+    assert _oracle_work(1, 3, [10**9]) > lattice._WORK_LIMIT
+    assert _oracle_work(1, 3, [2, 10**9, 3]) > lattice._WORK_LIMIT
     # the largest calls of the tests, selftest and benchmark stay 10x below it
     for ns in ([2310], range(2, 301), [2310] * 8):
-        assert 10 * _oracle_work(ns) <= lattice._WORK_LIMIT
+        assert 10 * _oracle_work(5, 7, ns) <= lattice._WORK_LIMIT
+
+
+def test_oracle_work_weighs_exponent_size():
+    # weight 1 for exponents up to 12 at the largest admitted n
+    top = lattice._WORK_LIMIT // (lattice._TABLE_ENTRY_COST + 1)
+    assert _oracle_work(12, 12, [top]) == (lattice._TABLE_ENTRY_COST + 1) * top
+    # huge powers over a small n are refused from the estimate alone
+    assert _oracle_work(100000, 1, [600]) > lattice._WORK_LIMIT
+    assert _oracle_work(10**6, 1, [600]) > lattice._WORK_LIMIT
+    assert _oracle_work(10**6, 1, [600]) > _oracle_work(100000, 1, [600])
 
 
 def test_oracle_refuses_over_budget_before_building_tables(monkeypatch):

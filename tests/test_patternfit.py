@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sigmaprime import patternfit
 from sigmaprime.identities import THEOREM_RS, parse_theorem_id
@@ -20,6 +22,7 @@ from sigmaprime.patternfit import (
     theorem_pattern,
     validate,
 )
+from sigmaprime.powersums import ClosedForm, psi
 
 
 def test_fit_recovers_every_stored_theorem():
@@ -59,6 +62,35 @@ def test_pattern_value_linearity():
     doubled = PatternCoeffs(2 * base.A, 2 * base.B, 2 * base.C, 2 * base.D)
     for n in (2, 3, 7, 12):
         assert pattern_value(doubled, 1, 3, n) == 2 * pattern_value(base, 1, 3, n)
+
+
+fractions = st.fractions(min_value=-20, max_value=20, max_denominator=40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(*[fractions] * 4), st.integers(1, 7), st.integers(1, 7), st.integers(2, 60))
+@example((Fraction(1, 3), Fraction(-2), Fraction(5, 7), Fraction(3, 2)), 3, 3, 12)
+def test_pattern_value_is_the_four_term_formula(coefficients, r, s, n):
+    a, b, c, d = coefficients
+    literal = (
+        (a * Fraction(n) ** (r + s + 1) + b * n) * psi(-1, n)
+        + c * Fraction(n) ** r * psi(s, n)
+        + d * Fraction(n) ** s * psi(r, n)
+    )
+    assert pattern_value(PatternCoeffs(a, b, c, d, degenerate=r == s), r, s, n) == literal
+
+
+def test_pattern_value_refuses_n_below_2():
+    # the ansatz shares the domain of every closed form
+    with pytest.raises(ValueError, match="n >= 2"):
+        pattern_value(theorem_pattern("t13"), 1, 3, 1)
+
+
+def test_theorem_pattern_rejects_off_ansatz_term(monkeypatch):
+    form = ClosedForm(((Fraction(1), 5, -1), (Fraction(1), 2, 2)))
+    monkeypatch.setattr(patternfit, "theorem_form", lambda tid: form)
+    with pytest.raises(ValueError, match="does not fit the ansatz"):
+        theorem_pattern("t13")
 
 
 def test_printed_t13_residual_is_oracle_minus_ansatz():
