@@ -8,8 +8,9 @@ consumers never face 64-bit overflow.  Identical invocations produce
 byte-identical stdout.
 
 Exit codes: 0 success or verified, 1 verification failure or inconsistent
-fit, 2 usage error, 3 enumeration, oracle work or trial-division budget
-exceeded.  Errors print a one-line diagnostic on stderr.
+fit, 2 usage error, 3 enumeration, oracle work, trial-division or output
+size budget exceeded (a number of more than Python's integer-string limit,
+4300 digits by default).  Errors print a one-line diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -406,6 +407,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, ArithmeticError) as exc:
+        # Python refuses to convert an int of more than sys.get_int_max_str_digits()
+        # digits to or from text with a plain ValueError.  Lifting the limit would
+        # make str() quadratic in the output size, so the number is refused instead.
+        if "integer string conversion" in str(exc):
+            limit = sys.get_int_max_str_digits()
+            print(
+                f"error: a number has more than {limit} decimal digits, "
+                "the integer-string limit",
+                file=sys.stderr,
+            )
+            return 3
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

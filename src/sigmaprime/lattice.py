@@ -126,6 +126,12 @@ def sigma_prime(r: int, s: int, m: int, n: int) -> int:
     return sum(d**r * e**s for d, e in _coprime_divisor_pairs(m, n))
 
 
+def _sigma_prime_convolution(r: int, s: int, n: int) -> int:
+    # Σ_{0<m<n} sigma_prime(r, s, m, n - m), the counterpart of
+    # arith.sigma_convolution; 0 for n < 2 (an empty sum)
+    return sum(sigma_prime(r, s, m, n - m) for m in range(1, n))
+
+
 # One oracle call may do at most this much work.  A product in a P(N) counts
 # one unit; a σ-table index counts _TABLE_ENTRY_COST, as its divisor lookup
 # takes some 100 products' time on a cold cache and leaves about 0.8 KB in the
@@ -261,8 +267,8 @@ def check_pre_identity(r: int, s: int, n: int) -> PreIdentityReport:
     """
     if n < 2:
         raise ValueError(f"solution sets are defined for n >= 2, got {n}")
-    conv_rs = sum(sigma_prime(r, s, m, n - m) for m in range(1, n))
-    conv_sr = sum(sigma_prime(s, r, m, n - m) for m in range(1, n))
+    conv_rs = _sigma_prime_convolution(r, s, n)
+    conv_sr = _sigma_prime_convolution(s, r, n)
     xy_rs = xy_sr = ab_rs = ab_sr = 0
     for a, b, x, y in quadruples(n, "Bprime"):
         xy_rs += x**r * y**s

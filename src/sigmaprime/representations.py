@@ -14,8 +14,10 @@ count_fast is the collapsed sum, Σ u**r v**s over the counter's set,
 which is exactly the convolution oracle brute_convolution; it walks no
 set.  count_raw is the only route here that enumerates: it visits the
 tuples one by one, independent of the collapsing step and of the oracle,
-so the two routes check each other.  Raw enumeration is guarded by a tuple
-budget, the oracle by its own work limit.
+so the two routes check each other.  The oracle keeps its own work limit;
+count_raw and verify_lm refuse raw work by one tuple-budget rule: the fast
+count, a lower bound on the visits and exact for L, before the set is
+enumerated, then, for M alone, a visit estimate before the loops.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from .lattice import (
     SOLUTION_SETS,
     BudgetExceededError,
     _convolutions,
+    _sigma_prime_convolution,
     brute_convolution,
     enumerate_quadruples,
-    sigma_prime,
 )
 
 __all__ = [
@@ -84,58 +86,38 @@ def count_fast(spec: CountSpec) -> int:
     return brute_convolution(spec.r, spec.s, spec.n, spec.solution_set)
 
 
-def _raw_budget_estimate(spec: CountSpec, quads: list[tuple[int, int]]) -> int:
-    # Conservative upper bound on tuple visits, cheap to compute and free of
-    # the phi collapse: L visits exactly u**r * v**s tuples per quadruple,
-    # M scans at most sigma(u**r) * (1 + sigma(v**s)) candidates.
-    est = 0
-    coprime_splits = spec.which in ("M", "Mprime")
-    for u, v in quads:
-        ur, vs = u**spec.r, v**spec.s
-        if coprime_splits:
-            est += sigma_k(1, ur) * (1 + sigma_k(1, vs))
-        else:
-            est += ur * vs
-    return est
-
-
-def _uv_pairs(n: int, which: str) -> list[tuple[int, int]]:
-    # the (u, v) = (a, b) of every quadruple of the solution set, in order
-    pairs: list[tuple[int, int]] = []
-    enumerate_quadruples(n, which, lambda u, v, x, y: pairs.append((u, v)))
-    return pairs
-
-
 def count_raw(spec: CountSpec, budget: int = DEFAULT_BUDGET) -> int:
     """Literal tuple enumeration of the counter, independent of count_fast.
 
     For L the loop ranges over every split pair (a, c), (b, d); for M it
     additionally ranges over the divisor factorizations and filters splits
-    by coprimality, one gcd at a time.  Before enumerating, the fast count,
-    a lower bound on the visits, is checked against ``budget``; before
-    touching the loops the visit count is estimated.  Either one above
-    ``budget`` raises BudgetExceededError rather than grinding for hours.
+    by coprimality, one gcd at a time.  Work over ``budget`` raises
+    BudgetExceededError rather than grinding for hours.  The fast count
+    (every counted tuple is visited, so it bounds the visits below, and for
+    L it is exact) is checked before anything is enumerated; then, for M
+    alone, an estimate free of the phi collapse, Σ sigma(u**r) *
+    (1 + sigma(v**s)) over the enumerated set, is checked before the loops.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    # every counted tuple is visited, so the fast count bounds the work below
-    fast = count_fast(spec)
+    return _raw_count(spec, count_fast(spec), budget, {})
+
+
+def _raw_count(
+    spec: CountSpec, fast: int, budget: int, held: dict[str, list[tuple[int, int]]]
+) -> int:
+    # Every raw refusal is made here, by the rule count_raw states.  ``held``
+    # maps a solution set to the (u, v) = (a, b) of its quadruples at spec.n,
+    # enumerated by the first counter over the set whose fast count fits.
+    label = f"{spec.which}({spec.r},{spec.s};{spec.n})"
     if fast > budget:
         raise BudgetExceededError(
-            f"raw enumeration of {spec.which}({spec.r},{spec.s};{spec.n}) needs at least "
-            f"{fast} tuple visits, budget is {budget}"
+            f"raw enumeration of {label} needs at least {fast} tuple visits, budget is {budget}"
         )
-    return _raw_count(spec, _uv_pairs(spec.n, spec.solution_set), budget)
-
-
-def _raw_count(spec: CountSpec, quads: list[tuple[int, int]], budget: int) -> int:
-    # count_raw over an already enumerated (u, v) list, budget check first
-    est = _raw_budget_estimate(spec, quads)
-    if est > budget:
-        raise BudgetExceededError(
-            f"raw enumeration of {spec.which}({spec.r},{spec.s};{spec.n}) needs about "
-            f"{est} tuple visits, budget is {budget}"
-        )
+    quads = held.get(spec.solution_set)
+    if quads is None:
+        quads = held[spec.solution_set] = []
+        enumerate_quadruples(spec.n, spec.solution_set, lambda u, v, x, y: quads.append((u, v)))
     total = 0
     if spec.which in ("L", "Lprime"):
         for u, v in quads:
@@ -144,6 +126,12 @@ def _raw_count(spec: CountSpec, quads: list[tuple[int, int]], budget: int) -> in
                 for _b in range(vs):  # d = vs - b >= 1
                     total += 1
     else:
+        # M also scans rejected splits: at most sigma(u**r) * (1 + sigma(v**s))
+        est = sum(sigma_k(1, u**spec.r) * (1 + sigma_k(1, v**spec.s)) for u, v in quads)
+        if est > budget:
+            raise BudgetExceededError(
+                f"raw enumeration of {label} needs about {est} tuple visits, budget is {budget}"
+            )
         for u, v in quads:
             ur, vs = u**spec.r, v**spec.s
             for e in divisors(ur):
@@ -184,8 +172,9 @@ def verify_lm(r: int, s: int, lo: int, hi: int, budget: int = DEFAULT_BUDGET) ->
     are recorded as skips, never failures), that L equals the classical
     convolution Σ sigma_r(m) sigma_s(n - m), and that Lprime equals
     Σ sigma_prime(r, s, m, n - m).  The fast values come from one oracle
-    call per solution set over the whole range.  Each solution set is
-    enumerated once per n, and all its raw counts share that enumeration.
+    call per solution set over the whole range.  Raw counts follow
+    count_raw's budget rule, so a set is enumerated at n at most once, and
+    only when its fast count fits.
     """
     if lo < 2 or hi < lo:
         raise ValueError(f"need 2 <= lo <= hi, got {lo}..{hi}")
@@ -195,7 +184,7 @@ def verify_lm(r: int, s: int, lo: int, hi: int, budget: int = DEFAULT_BUDGET) ->
     ns = range(lo, hi + 1)
     sums = {ss: dict(zip(ns, _convolutions(r, s, ns, ss))) for ss in SOLUTION_SETS}
     for n in ns:
-        pairs = {ss: _uv_pairs(n, ss) for ss in SOLUTION_SETS}
+        held: dict[str, list[tuple[int, int]]] = {}
         fast: dict[str, int] = {}
         raw: dict[str, int] = {}
         skipped: list[str] = []
@@ -204,14 +193,14 @@ def verify_lm(r: int, s: int, lo: int, hi: int, budget: int = DEFAULT_BUDGET) ->
             spec = CountSpec(which, r, s, n)
             fast[which] = sums[spec.solution_set][n]
             try:
-                raw[which] = _raw_count(spec, pairs[spec.solution_set], budget)
+                raw[which] = _raw_count(spec, fast[which], budget, held)
             except BudgetExceededError:
                 skipped.append(which)
                 continue
             if raw[which] != fast[which]:
                 ok = False
         conv_plain = sigma_convolution(r, s, n)
-        conv_coprime = sum(sigma_prime(r, s, m, n - m) for m in range(1, n))
+        conv_coprime = _sigma_prime_convolution(r, s, n)
         if fast["L"] != conv_plain or fast["Lprime"] != conv_coprime:
             ok = False
         rows.append(LMRow(n, fast, raw, tuple(skipped), conv_plain, conv_coprime, ok))

@@ -170,6 +170,22 @@ def test_trial_division_budget_exit_3(args, capsys):
     assert err == "error: factorizing 100000000000031 needs trial divisors above 1000000\n"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("conv", "--r", "2000", "--s", "1", "--n", "600", "--set", "B"),
+        ("psi", "--s", "20000", "--n", "6"),
+        ("check-main", "--poly", "1x^2000", "--n", "200"),
+    ],
+)
+def test_result_over_digit_limit_exit_3(args, capsys):
+    # the result is computed, but has more digits than str() may convert
+    assert cli.main(list(args)) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: a number has more than 4300 decimal digits, the integer-string limit\n"
+
+
 def test_fit_consistent():
     doc = run_json("fit", "--r", "1", "--s", "1", "--train", "2,3,4,5,7,9", "--test", "11,13,16")
     assert doc["verdict"] == "consistent"

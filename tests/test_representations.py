@@ -97,7 +97,8 @@ def test_counting_does_not_enumerate(monkeypatch):
     monkeypatch.setattr(representations, "enumerate_quadruples", empty)
     report = verify_lm(2, 1, 2, 12, budget=1)
     assert [row.fast for row in report.rows] == [row.fast for row in expected_lm.rows]
-    assert calls == [(n, which) for n in range(2, 13) for which in ("B", "Bprime")]
+    # only at n = 2 is a fast count (1) within the budget
+    assert calls == [(2, "B"), (2, "Bprime")]
 
 
 def test_verify_lm_report():
@@ -180,9 +181,58 @@ def test_verify_lm_enumerates_each_set_once_per_n(monkeypatch):
     assert calls == [(n, which) for n in range(2, 13) for which in ("B", "Bprime")]
     calls.clear()
     assert verify_lm(2, 1, 2, 12, budget=1).skipped_any
-    assert calls == [(n, which) for n in range(2, 13) for which in ("B", "Bprime")]
+    # a set is enumerated only where its fast count fits: at n = 2 it is 1
+    assert calls == [(2, "B"), (2, "Bprime")]
     with pytest.raises(ValueError):
         verify_lm(2, 1, 2, 12, budget=0)
+
+
+def test_verify_lm_and_count_raw_refuse_alike():
+    # budgets below, at and between each set's fast count and the M visit
+    # estimate Σ sigma(u**r) * (1 + sigma(v**s)), computed here from the set;
+    # n stops at 12, as n = 13 and 14 would add some 4 s of raw loops
+    for n in range(2, 13):
+        sets = {}
+        for ss in ("B", "Bprime"):
+            quads = []
+            enumerate_quadruples(n, ss, lambda u, v, x, y: quads.append((u, v)))
+            sets[ss] = quads
+        for r in (1, 2, 3):
+            for s in (1, 2, 3):
+                budgets = set()
+                for quads in sets.values():
+                    fast = sum(u**r * v**s for u, v in quads)
+                    est = sum(sigma_k(1, u**r) * (1 + sigma_k(1, v**s)) for u, v in quads)
+                    budgets |= {fast - 1, fast, (fast + est) // 2, est}
+                for budget in sorted(b for b in budgets if b >= 1):
+                    row = verify_lm(r, s, n, n, budget).rows[0]
+                    for which in COUNTERS:
+                        try:
+                            raw = count_raw(CountSpec(which, r, s, n), budget)
+                        except BudgetExceededError:
+                            assert which in row.skipped, (which, r, s, n, budget)
+                            continue
+                        assert which not in row.skipped, (which, r, s, n, budget)
+                        assert row.raw[which] == raw, (which, r, s, n, budget)
+
+
+def test_verify_lm_budget_refusals(monkeypatch):
+    # M(3,3;12): the fast count 301070 fits, the visit estimate 1082784 does not
+    report = verify_lm(3, 3, 12, 12, budget=301070)
+    assert report.rows[0].skipped == ("M",)
+    assert report.rows[0].raw == {"L": 301070, "Lprime": 96912, "Mprime": 96912}
+
+    # from n = 3 on every fast count exceeds 1, so nothing is enumerated
+    def refuse(*args):
+        raise AssertionError("enumerate_quadruples was called")
+
+    monkeypatch.setattr(representations, "enumerate_quadruples", refuse)
+    monkeypatch.setattr(lattice, "enumerate_quadruples", refuse)
+    for r in (1, 2, 3):
+        for s in (1, 2, 3):
+            report = verify_lm(r, s, 3, 60, budget=1)
+            assert report.all_pass
+            assert all(row.skipped == COUNTERS for row in report.rows)
 
 
 def test_count_spec_validation():
