@@ -7,10 +7,16 @@ strings and rationals as {"num": ..., "den": ...} string pairs, so
 consumers never face 64-bit overflow.  Identical invocations produce
 byte-identical stdout.
 
+Every subcommand is one row of a table: its help text, its handler and its
+option rows.  A run builds the subparser of the subcommand it names and no
+other; with no arguments, -h or an unknown command it builds them all, so
+the usage message lists every subcommand.
+
 Exit codes: 0 success or verified, 1 verification failure or inconsistent
-fit, 2 usage error, 3 enumeration, oracle work, trial-division or output
-size budget exceeded (a number of more than Python's integer-string limit,
-4300 digits by default).  Errors print a one-line diagnostic on stderr.
+fit, 2 usage error, 3 enumeration, oracle or power-sum work, trial-division
+or output size budget exceeded (a number of more than Python's
+integer-string limit, 4300 digits by default).  Errors print a one-line
+diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -87,73 +93,6 @@ def _emit(doc: dict, csv_rows: list[list[str]] | None = None) -> None:
         sys.stdout.write("\n".join(",".join(row) for row in csv_rows) + "\n")
     else:
         sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="sigmaprime", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("psi", help="evaluate psi_s(n)")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("powersum", help="coprime power sum S_k(n)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", choices=sorted(_METHOD_MAP), default="direct")
-
-    p = sub.add_parser("sigma-prime", help="two-variable coprime divisor sum")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("conv", help="convolution sum over a solution set")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--set", choices=("B", "Bprime"), default="Bprime")
-    p.add_argument("--method", choices=("brute", "closed"), default="brute")
-
-    p = sub.add_parser("check-main", help="evaluate both sides of the six-term identity")
-    p.add_argument("--poly", required=True, metavar="TEXT")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--set", choices=("B", "Bprime"), default="Bprime")
-
-    p = sub.add_parser("verify", help="check a stored closed form against the oracle")
-    p.add_argument("--theorem", required=True, metavar="ID[:printed|:corrected]")
-    p.add_argument("--range", required=True, metavar="LO..HI", dest="range_")
-    p.add_argument(
-        "--jobs", type=int, default=1, help="accepted for compatibility; rows run in one process"
-    )
-    p.add_argument("--csv", action="store_true")
-
-    p = sub.add_parser("count", help="representation counter")
-    p.add_argument("--which", choices=sorted(_COUNTER_MAP), required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--raw", action="store_true")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-
-    p = sub.add_parser("fit", help="fit the closed-form ansatz to oracle values")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--train", required=True, metavar="CSV")
-    p.add_argument("--test", required=True, metavar="CSV")
-    p.add_argument("--csv", action="store_true")
-
-    p = sub.add_parser("probe10", help="run the fitter at an unproven weight-10 pair")
-    p.add_argument("--pair", choices=("1,9", "3,7", "5,5"), required=True)
-    p.add_argument("--train", default=None, metavar="CSV")
-    p.add_argument("--test", default=None, metavar="CSV")
-    p.add_argument("--csv", action="store_true")
-
-    p = sub.add_parser("selftest", help="run the acceptance checklist")
-    p.add_argument("--quick", action="store_true")
-    p.add_argument("--csv", action="store_true")
-
-    return parser
 
 
 def _cmd_psi(args) -> int:
@@ -381,28 +320,67 @@ def _cmd_selftest(args) -> int:
     return 0 if all(res.passed for res in results) else 1
 
 
-_HANDLERS = {
-    "psi": _cmd_psi,
-    "powersum": _cmd_powersum,
-    "sigma-prime": _cmd_sigma_prime,
-    "conv": _cmd_conv,
-    "check-main": _cmd_check_main,
-    "verify": _cmd_verify,
-    "count": _cmd_count,
-    "fit": _cmd_fit,
-    "probe10": _cmd_probe10,
-    "selftest": _cmd_selftest,
+_INT = {"type": int, "required": True}
+_FLAG = {"action": "store_true"}
+_SET = {"choices": ("B", "Bprime"), "default": "Bprime"}
+_R, _S, _N = ("--r", _INT), ("--s", _INT), ("--n", _INT)
+
+# subcommand -> (help, handler, option rows (flag, add_argument keywords)).
+# main builds the invoked subcommand's subparser only; no arguments, -h and
+# unknown commands get the whole table, so their usage stays complete.
+_COMMANDS = {
+    "psi": ("evaluate psi_s(n)", _cmd_psi, (_S, _N)),
+    "powersum": ("coprime power sum S_k(n)", _cmd_powersum, (
+        ("--k", _INT), _N,
+        ("--method", {"choices": sorted(_METHOD_MAP), "default": "direct"}))),
+    "sigma-prime": ("two-variable coprime divisor sum", _cmd_sigma_prime, (
+        _R, _S, ("--m", _INT), _N)),
+    "conv": ("convolution sum over a solution set", _cmd_conv, (
+        _R, _S, _N, ("--set", _SET),
+        ("--method", {"choices": ("brute", "closed"), "default": "brute"}))),
+    "check-main": ("evaluate both sides of the six-term identity", _cmd_check_main, (
+        ("--poly", {"required": True, "metavar": "TEXT"}), _N, ("--set", _SET))),
+    "verify": ("check a stored closed form against the oracle", _cmd_verify, (
+        ("--theorem", {"required": True, "metavar": "ID[:printed|:corrected]"}),
+        ("--range", {"required": True, "metavar": "LO..HI", "dest": "range_"}),
+        ("--jobs", {"type": int, "default": 1,
+                    "help": "accepted for compatibility; rows run in one process"}),
+        ("--csv", _FLAG))),
+    "count": ("representation counter", _cmd_count, (
+        ("--which", {"choices": sorted(_COUNTER_MAP), "required": True}), _R, _S, _N,
+        ("--raw", _FLAG), ("--budget", {"type": int, "default": DEFAULT_BUDGET}))),
+    "fit": ("fit the closed-form ansatz to oracle values", _cmd_fit, (
+        _R, _S, ("--train", {"required": True, "metavar": "CSV"}),
+        ("--test", {"required": True, "metavar": "CSV"}), ("--csv", _FLAG))),
+    "probe10": ("run the fitter at an unproven weight-10 pair", _cmd_probe10, (
+        ("--pair", {"choices": ("1,9", "3,7", "5,5"), "required": True}),
+        ("--train", {"default": None, "metavar": "CSV"}),
+        ("--test", {"default": None, "metavar": "CSV"}), ("--csv", _FLAG))),
+    "selftest": ("run the acceptance checklist", _cmd_selftest, (
+        ("--quick", _FLAG), ("--csv", _FLAG))),
 }
 
 
+def _build_parser(names=_COMMANDS) -> _Parser:
+    parser = _Parser(prog="sigmaprime", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name in names:
+        help_text, _, options = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][1](args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -5,8 +5,9 @@ ax + by = n.  B'(n) is the subset with gcd(a, b) = gcd(x, y) = 1.  Beside
 the enumerator sit the two-variable divisor sum sigma_prime, the six-way
 pre-identity consistency check, and brute_convolution, the exact oracle
 that every closed form in this package is verified against.  It sums over
-B(n) from per-call divisor power-sum tables and reaches B'(n) by Möbius
-inversion of the two coprimality conditions, so it never walks the set.
+B(n) from per-call sieved divisor power-sum tables and reaches B'(n) by
+Möbius inversion of the two coprimality conditions, so it never walks the
+set.
 One private core serves a whole collection of n at once: verify_theorem,
 fit and validate hand it their range or point set, so one pair of σ tables,
 built up to the largest n, serves every row, and all of it runs in this
@@ -133,14 +134,16 @@ def _sigma_prime_convolution(r: int, s: int, n: int) -> int:
 
 
 # One oracle call may do at most this much work.  A product in a P(N) counts
-# one unit; a σ-table index counts _TABLE_ENTRY_COST, as its divisor lookup
-# takes some 100 products' time on a cold cache and leaves about 0.8 KB in the
-# divisors and factorize caches.  Each unit handles numbers up to
-# max(ns)**(r + s), so the count is weighted by their length: 1 up to
-# _WORD_BITS bits, and 1 more for each further _WORD_BITS.  That weight is 1
-# for every call with r, s <= 12 under the limit.  The limit admits single n
-# up to about 150000 (about 2 s and 135 MB) and verify ranges up to about
-# 2..4400 (about 1 s).  It refuses brute_convolution(100000, 1, 600, "B"),
+# one unit; a σ-table index counts _TABLE_ENTRY_COST.  The sieve spends about
+# ln(max(ns)) additions and one power per index, some 10 products' time at
+# n = 150000; the cost was set for the divisor-list tables the sieve replaced,
+# and is kept so that every call refused then is refused now.  Each unit
+# handles numbers up to max(ns)**(r + s), so the count is weighted by their
+# length: 1 up to _WORD_BITS bits, and 1 more for each further _WORD_BITS.
+# That weight is 1 for every call with r, s <= 12 under the limit.  The
+# limit admits single n up to about 150000 (about 0.8 s and 16 MB above the
+# import's RSS; 2-CPU container, Python 3.11.7) and verify ranges up to about
+# 2..4400 (about 1.7 s).  It refuses brute_convolution(100000, 1, 600, "B"),
 # which ran 14.8 s at a 187 MB peak RSS unweighted.  The largest calls of the
 # tests, selftest and benchmark, B'(2310) and a few sparse points up to 2310,
 # cost under 2e5 units.
@@ -172,6 +175,17 @@ def _oracle_work(r: int, s: int, ns: Collection[int]) -> int:
     return work
 
 
+def _sigma_table(k: int, top: int) -> list[int]:
+    # [sigma_k(1), ..., sigma_k(top - 1)] by sieve: d**k goes to every multiple
+    # of d, so no divisor list is built or cached
+    table = [0] * top
+    for d in range(1, top):
+        power = d**k
+        for m in range(d, top, d):
+            table[m] += power
+    return table[1:]
+
+
 def _convolutions(r: int, s: int, ns: Collection[int], which: str) -> list[int]:
     # brute_convolution for every n of ns, in order; one pair of σ tables up to
     # max(ns) and one memo of P(N) serve them all
@@ -185,14 +199,8 @@ def _convolutions(r: int, s: int, ns: Collection[int], which: str) -> list[int]:
             f"the limit is {_WORK_LIMIT}"
         )
     top = max(ns)
-
-    def sigma_table(k: int) -> list[int]:
-        # [sigma_k(1), ..., sigma_k(top - 1)]
-        pow_k = [j**k for j in range(top)]
-        return [sum(map(pow_k.__getitem__, divisors(m))) for m in range(1, top)]
-
-    sig_s = sigma_table(s)
-    sig_r = sig_s if r == s else sigma_table(r)
+    sig_s = _sigma_table(s, top)
+    sig_r = sig_s if r == s else _sigma_table(r, top)
     memo: dict[int, int] = {}
 
     def plain(big_n: int) -> int:
@@ -225,11 +233,13 @@ def brute_convolution(r: int, s: int, n: int, which: str = "Bprime") -> int:
     returns Σ a**r b**s.  Both sets are closed under (a, b, x, y) ->
     (x, y, a, b), so either is Σ x**r y**s over its set.  Over B(n) that is
     the classical convolution P(n) = Σ_{0<m<n} sigma_r(m) sigma_s(n - m).
-    The divisor power sums come from tables built once per call from a
-    power table and the divisor lists, not from sigma_k, so the classical
-    identity stays an independent check.  Over B'(n) the sum is
-    Σ_{de | n} μ(d) μ(e) e**(r + s) P(n / de), by Möbius inversion of the
-    two coprimality conditions.  It keeps no memo of its own between calls.
+    The divisor power sums come from tables built once per call by a sieve
+    that adds d**k to every multiple of d, not from sigma_k, so the classical
+    identity stays an independent check.  The sieve fills no divisor or
+    factorization cache, so a call over B(n) leaves nothing held.  Over
+    B'(n) the sum is Σ_{de | n} μ(d) μ(e) e**(r + s) P(n / de), by Möbius
+    inversion of the two coprimality conditions.  It keeps no memo of its
+    own between calls.
 
     This is the one-n case of the private range core that verify_theorem,
     fit and validate call once per range or point set, so one pair of σ

@@ -20,7 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .arith import divisors, factorize, faulhaber_sum, mobius
+from . import lattice
+from .arith import BudgetExceededError, divisors, factorize, faulhaber_sum, mobius
 
 __all__ = [
     "psi",
@@ -135,13 +136,22 @@ def coprime_power_sum(k: int, n: int, method: str = "direct") -> int:
 
     ``method`` selects one of the three independent routes listed in the
     module docstring.  The closed table covers 0 <= k <= 12 only; the other
-    two routes take any k >= 0.  Requires n >= 2.
+    two routes take any k >= 0.  Requires n >= 2.  The direct route raises
+    BudgetExceededError before it loops when its n terms, each weighted by the
+    bit length of n**k as the convolution oracle weighs its powers, exceed the
+    oracle's work limit.
     """
     if n < 2:
         raise ValueError(f"coprime_power_sum requires n >= 2, got {n}")
     if k < 0:
         raise ValueError(f"coprime_power_sum requires k >= 0, got {k}")
     if method == "direct":
+        work = n * (1 + k * n.bit_length() // lattice._WORD_BITS)
+        if work > lattice._WORK_LIMIT:
+            raise BudgetExceededError(
+                f"the direct power sum needs {work} units of work, "
+                f"the limit is {lattice._WORK_LIMIT}"
+            )
         return sum(t**k for t in range(1, n) if gcd(t, n) == 1)
     if method == "moebius_faulhaber":
         total = 0

@@ -234,3 +234,51 @@ def test_selftest_quick():
     stderr_lines = proc.stderr.strip().splitlines()
     assert len(stderr_lines) == len(doc["result"]["criteria"]) == 11
     assert all(line.startswith("PASS") for line in stderr_lines)
+
+
+# one argv per subcommand that gives every option, each with a --flag=value
+# and, where a flag has a longer name, an abbreviated long option
+FULL_ARGVS = [
+    ["psi", "--s=-1", "--n", "2"],
+    ["powersum", "--k=2", "--n", "7", "--meth", "moebius"],
+    ["sigma-prime", "--r=1", "--s", "3", "--m", "2", "--n", "2"],
+    ["conv", "--r=1", "--s", "3", "--n", "10", "--se", "B", "--meth", "closed"],
+    ["check-main", "--po=1x^2y^2", "--n", "6", "--se", "B"],
+    ["verify", "--theorem=t13:printed", "--ra", "2..9", "--jo", "2", "--cs"],
+    ["count", "--which=Mp", "--r", "3", "--s", "3", "--n", "12", "--ra", "--bud", "100"],
+    ["fit", "--r", "1", "--s=5", "--tr", "2,3", "--te", "11", "--c"],
+    ["probe10", "--pa=3,7", "--train", "2,3", "--te", "11", "--csv"],
+    ["selftest", "--q", "--csv"],
+]
+
+
+def test_full_argvs_cover_the_table():
+    assert [argv[0] for argv in FULL_ARGVS] == list(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_main_builds_only_the_invoked_subparser(name, monkeypatch, capsys):
+    with pytest.raises(SystemExit):
+        cli._build_parser().parse_args([name, "--help"])
+    whole_table_help = capsys.readouterr().out
+
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    assert cli.main([name, "--help"]) == 0
+    assert capsys.readouterr().out == whole_table_help
+    assert built == ["sigmaprime", f"sigmaprime {name}"]
+
+
+@pytest.mark.parametrize("argv", FULL_ARGVS, ids=lambda argv: argv[0])
+def test_main_parses_as_the_whole_table(argv, monkeypatch):
+    seen = []
+    help_text, _, options = cli._COMMANDS[argv[0]]
+    monkeypatch.setitem(cli._COMMANDS, argv[0], (help_text, seen.append, options))
+    cli.main(list(argv))
+    assert seen == [cli._build_parser().parse_args(argv)]

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sigmaprime import lattice
-from sigmaprime.arith import divisors, sigma_k
+from sigmaprime.arith import divisors, factorize, sigma_k
 from sigmaprime.identities import THEOREM_RS
 from sigmaprime.lattice import (
     SOLUTION_SETS,
@@ -236,16 +236,25 @@ def test_oracle_work_weighs_exponent_size():
 
 
 def test_oracle_refuses_over_budget_before_building_tables(monkeypatch):
-    def no_tables(m):
+    def no_tables(*args):
         raise AssertionError("a table was built")
 
     monkeypatch.setattr(lattice, "_WORK_LIMIT", 1000)
+    monkeypatch.setattr(lattice, "_sigma_table", no_tables)
     monkeypatch.setattr(lattice, "divisors", no_tables)
     for which in SOLUTION_SETS:
         with pytest.raises(BudgetExceededError, match="limit is 1000"):
             brute_convolution(1, 3, 100, which)
         with pytest.raises(BudgetExceededError):
             _convolutions(1, 3, range(2, 40), which)
+
+
+def test_plain_oracle_touches_no_divisor_cache():
+    # the σ tables are sieved, so a call over B(n) neither reads nor fills
+    # the process-wide divisors and factorize caches
+    before = divisors.cache_info(), factorize.cache_info()
+    brute_convolution(1, 3, 2003, "B")
+    assert (divisors.cache_info(), factorize.cache_info()) == before
 
 
 def test_brute_convolution_plain_equals_classical():

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigmaprime.arith import divisors, faulhaber_sum, mobius, totient
+from sigmaprime import lattice, powersums
+from sigmaprime.arith import BudgetExceededError, divisors, faulhaber_sum, mobius, totient
 from sigmaprime.powersums import COPRIME_POWER_FORMS, coprime_power_sum, psi
 
 
@@ -107,3 +108,18 @@ def test_power_sum_domain_errors():
         coprime_power_sum(-1, 5)
     with pytest.raises(ValueError):
         coprime_power_sum(2, 10, "newton")
+
+
+def test_direct_power_sum_refuses_over_budget_before_looping(monkeypatch):
+    # n terms, each weighted 1 + k * bit_length(n) // 512 as the oracle weighs powers
+    monkeypatch.setattr(lattice, "_WORK_LIMIT", 1000)
+    assert coprime_power_sum(2, 1000, "direct") == coprime_power_sum(2, 1000, "moebius_faulhaber")
+    assert coprime_power_sum(600, 111, "direct") > 0  # weight 9: 999 units
+
+    def no_loop(*args):
+        raise AssertionError("the direct route looped")
+
+    monkeypatch.setattr(powersums, "gcd", no_loop)
+    for k, n in ((2, 1001), (600, 112)):
+        with pytest.raises(BudgetExceededError, match="limit is 1000"):
+            coprime_power_sum(k, n, "direct")
