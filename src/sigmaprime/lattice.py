@@ -4,15 +4,23 @@ B(n) is the set of quadruples (a, b, x, y) of positive integers with
 ax + by = n.  B'(n) is the subset with gcd(a, b) = gcd(x, y) = 1.  Beside
 the enumerator sit the two-variable divisor sum sigma_prime, the six-way
 pre-identity consistency check, and brute_convolution, the exact oracle
-that every closed form in this package is verified against.  It sums over
-B(n) from per-call sieved divisor power-sum tables and reaches B'(n) by
-Möbius inversion of the two coprimality conditions, so it never walks the
-set.
+that every closed form in this package is verified against.  It never walks
+the set.  One linear sieve per call gives every m up to the largest n its
+least prime p and the full power q of p in m.  From that factor table each
+divisor power sum takes one product, sigma_k(m) = sigma_k(m/q) sigma_k(q),
+and P(n) = Σ_{0<m<n} sigma_r(m) sigma_s(n - m) is the sum over B(n).  B'(n)
+follows by Möbius inversion of the two coprimality conditions,
+Σ_{de | n} μ(d) μ(e) e**(r+s) P(n/de), which grouped by m = de is
+Σ_{m | n} h(m) P(n/m) for h = μ ⋆ (μ·id**(r+s)); h is multiplicative, so n's
+factorization from the same table gives it.  The oracle calls nothing in
+arith, so it is independent of the kernel the closed forms use and fills no
+process-wide cache.
 One private core serves a whole collection of n at once: verify_theorem,
-fit and validate hand it their range or point set, so one pair of σ tables,
-built up to the largest n, serves every row, and all of it runs in this
-process.  The core refuses, with BudgetExceededError, any call whose
-estimated work is above a fixed limit, before it allocates anything.
+fit and validate hand it their range or point set, so one factor table and
+one pair of σ tables, built up to the largest n, serve every row, and all of
+it runs in this process.  The core refuses, with BudgetExceededError, any
+call whose estimated work is above a fixed limit, before it allocates
+anything.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from math import gcd
 from operator import mul
 from typing import Callable, Collection
 
-from .arith import BudgetExceededError, divisors, mobius
+from .arith import BudgetExceededError, divisors
 
 __all__ = [
     "SOLUTION_SETS",
@@ -134,19 +142,21 @@ def _sigma_prime_convolution(r: int, s: int, n: int) -> int:
 
 
 # One oracle call may do at most this much work.  A product in a P(N) counts
-# one unit; a σ-table index counts _TABLE_ENTRY_COST.  The sieve spends about
-# ln(max(ns)) additions and one power per index, some 10 products' time at
-# n = 150000; the cost was set for the divisor-list tables the sieve replaced,
-# and is kept so that every call refused then is refused now.  Each unit
-# handles numbers up to max(ns)**(r + s), so the count is weighted by their
-# length: 1 up to _WORD_BITS bits, and 1 more for each further _WORD_BITS.
-# That weight is 1 for every call with r, s <= 12 under the limit.  The
-# limit admits single n up to about 150000 (about 0.8 s and 16 MB above the
-# import's RSS; 2-CPU container, Python 3.11.7) and verify ranges up to about
-# 2..4400 (about 1.7 s).  It refuses brute_convolution(100000, 1, 600, "B"),
-# which ran 14.8 s at a 187 MB peak RSS unweighted.  The largest calls of the
-# tests, selftest and benchmark, B'(2310) and a few sparse points up to 2310,
-# cost under 2e5 units.
+# one unit; a σ-table index counts _TABLE_ENTRY_COST.  The factor sieve and the
+# σ tables spend about one product per index, so the cost is now generous: it
+# was set for the divisor-list tables of earlier versions, and it and the other
+# constants keep their values so that every call admitted or refused then is
+# admitted or refused now.  Each unit handles numbers up to max(ns)**(r + s),
+# so the count is weighted by their length: 1 up to _WORD_BITS bits, and 1 more
+# for each further _WORD_BITS.  That weight is 1 for every call with r, s <= 12
+# under the limit.  The limit admits single n up to about 150000:
+# brute_convolution(1, 3, 150000, "B") takes 0.07-0.27 s and 16.1 MB above the
+# import's RSS, and over B' 0.09-0.30 s and 18.5 MB, the factor table being
+# held for the Möbius step (2-CPU container, Python 3.11.7, whose speed drifts
+# by about 2.5x).  It admits verify ranges up to about 2..4400 (0.5-1.1 s).  It
+# refuses brute_convolution(100000, 1, 600, "B"), which ran 14.8 s at a 187 MB
+# peak RSS unweighted.  The largest calls of the tests, selftest and benchmark,
+# B'(2310) and a few sparse points up to 2310, cost under 2e5 units.
 _WORK_LIMIT = 10**7
 _TABLE_ENTRY_COST = 64
 _WORD_BITS = 512
@@ -175,20 +185,73 @@ def _oracle_work(r: int, s: int, ns: Collection[int]) -> int:
     return work
 
 
-def _sigma_table(k: int, top: int) -> list[int]:
-    # [sigma_k(1), ..., sigma_k(top - 1)] by sieve: d**k goes to every multiple
-    # of d, so no divisor list is built or cached
-    table = [0] * top
-    for d in range(1, top):
-        power = d**k
-        for m in range(d, top, d):
-            table[m] += power
-    return table[1:]
+def _factor_table(top: int) -> tuple[list[int], list[int]]:
+    # (least, power): for 2 <= m < top, least[m] is the least prime p of m and
+    # power[m] the full power of p in m.  A linear sieve: each composite is
+    # struck once, as i * p with p <= least[i], so no divisor list is built or
+    # cached.
+    least = [0] * top
+    power = [0] * top
+    primes: list[int] = []
+    for i in range(2, top):
+        if not least[i]:
+            least[i] = power[i] = i
+            primes.append(i)
+        p_i, q_i = least[i], power[i]
+        for p in primes:
+            m = i * p
+            if m >= top:
+                break
+            least[m] = p
+            if p == p_i:
+                power[m] = q_i * p
+                break
+            power[m] = p
+    return least, power
+
+
+def _sigma_table(k: int, factors: tuple[list[int], list[int]]) -> list[int]:
+    # [0, sigma_k(1), ..., sigma_k(top - 1)] from the factor table, one product
+    # per entry: sigma_k(m) = sigma_k(m / q) sigma_k(q) for q the full power of
+    # m's least prime p, and sigma_k(p**e) = 1 + p**k sigma_k(p**(e - 1)), where
+    # p**k = sigma_k(p) - 1
+    least, power = factors
+    table = [0] * len(least)
+    table[1] = 1
+    for m in range(2, len(least)):
+        q = power[m]
+        if q != m:
+            table[m] = table[m // q] * table[q]
+        elif least[m] == m:
+            table[m] = 1 + m**k
+        else:
+            p = least[m]
+            table[m] = 1 + (table[p] - 1) * table[m // p]
+    return table
+
+
+def _inversion_terms(
+    w: int, n: int, factors: tuple[list[int], list[int]]
+) -> list[tuple[int, int]]:
+    # [(m, h(m))] over the cube-free divisors m of n, where h = μ ⋆ (μ·id**w), so
+    # h(m) = Σ_{de = m} μ(d) μ(e) e**w.  h is multiplicative, with h(p) = -(1 + p**w),
+    # h(p**2) = p**w and h(p**j) = 0 for j >= 3; n is factored from the table.
+    least, power = factors
+    terms = [(1, 1)]
+    while n > 1:
+        p, q = least[n], power[n]
+        p_w = p**w
+        local = [(1, 1), (p, -1 - p_w)]
+        if q > p:  # p**2 divides n
+            local.append((p * p, p_w))
+        terms = [(m * f, h * g) for m, h in terms for f, g in local]
+        n //= q
+    return terms
 
 
 def _convolutions(r: int, s: int, ns: Collection[int], which: str) -> list[int]:
-    # brute_convolution for every n of ns, in order; one pair of σ tables up to
-    # max(ns) and one memo of P(N) serve them all
+    # brute_convolution for every n of ns, in order; one factor table and one
+    # pair of σ tables up to max(ns), and one memo of P(N), serve them all
     coprime = _check_set(which)
     if r < 0 or s < 0:
         raise ValueError(f"brute_convolution requires r, s >= 0, got ({r}, {s})")
@@ -198,30 +261,25 @@ def _convolutions(r: int, s: int, ns: Collection[int], which: str) -> list[int]:
             f"the convolution oracle needs at least {work} units of work, "
             f"the limit is {_WORK_LIMIT}"
         )
-    top = max(ns)
-    sig_s = _sigma_table(s, top)
-    sig_r = sig_s if r == s else _sigma_table(r, top)
+    factors = _factor_table(max(ns) + 1)
+    sig_s = _sigma_table(s, factors)
+    sig_r = sig_s if r == s else _sigma_table(r, factors)
+    if not coprime:
+        factors = None  # B(n) factors nothing more; free the table before the sums
     memo: dict[int, int] = {}
 
     def plain(big_n: int) -> int:
         # Σ x**r y**s over B(big_n) = Σ_{m < big_n} sigma_r(m) sigma_s(big_n - m)
         if big_n not in memo:
-            memo[big_n] = sum(map(mul, sig_r[: big_n - 1], reversed(sig_s[: big_n - 1])))
+            memo[big_n] = sum(map(mul, sig_r[1:big_n], reversed(sig_s[1:big_n])))
         return memo[big_n]
 
     def coprime_sum(n: int) -> int:
         # [gcd(a, b) = 1] = Σ_{d | gcd(a, b)} μ(d), and likewise with e for (x, y).
         # Writing a, b, x, y = d·a', d·b', e·x', e·y' puts (a', b', x', y') in
-        # B(n / de) with weight e**(r + s), hence Σ_{de | n} μ(d) μ(e) e**(r+s) P(n/de).
-        total = 0
-        for d in divisors(n):
-            mu_d = mobius(d)
-            if mu_d:
-                for e in divisors(n // d):
-                    mu_e = mobius(e)
-                    if mu_e:
-                        total += mu_d * mu_e * e ** (r + s) * plain(n // (d * e))
-        return total
+        # B(n / de) with weight e**(r + s), hence Σ_{de | n} μ(d) μ(e) e**(r+s) P(n/de),
+        # which grouped by m = de is Σ_{m | n} h(m) P(n/m).
+        return sum(h * plain(n // m) for m, h in _inversion_terms(r + s, n, factors))
 
     return list(map(coprime_sum if coprime else plain, ns))
 
@@ -233,17 +291,21 @@ def brute_convolution(r: int, s: int, n: int, which: str = "Bprime") -> int:
     returns Σ a**r b**s.  Both sets are closed under (a, b, x, y) ->
     (x, y, a, b), so either is Σ x**r y**s over its set.  Over B(n) that is
     the classical convolution P(n) = Σ_{0<m<n} sigma_r(m) sigma_s(n - m).
-    The divisor power sums come from tables built once per call by a sieve
-    that adds d**k to every multiple of d, not from sigma_k, so the classical
-    identity stays an independent check.  The sieve fills no divisor or
-    factorization cache, so a call over B(n) leaves nothing held.  Over
-    B'(n) the sum is Σ_{de | n} μ(d) μ(e) e**(r + s) P(n / de), by Möbius
-    inversion of the two coprimality conditions.  It keeps no memo of its
-    own between calls.
+    The divisor power sums come from tables built once per call, not from
+    sigma_k, so the classical identity stays an independent check: a linear
+    sieve gives each m < n its least prime p and the full power q of p in m,
+    and then sigma_k(m) = sigma_k(m/q) sigma_k(q), with sigma_k(p**e) =
+    1 + p**k sigma_k(p**(e-1)).  Over B'(n) the sum is
+    Σ_{de | n} μ(d) μ(e) e**(r + s) P(n / de), by Möbius inversion of the two
+    coprimality conditions; grouped by m = de it is Σ_{m | n} h(m) P(n / m),
+    where h(p) = -(1 + p**(r+s)), h(p**2) = p**(r+s), h(p**j) = 0 for j >= 3,
+    and n is factored from the same table.  The call uses no arith function,
+    so it reads and fills no divisor or factorization cache, and it keeps no
+    memo of its own between calls.
 
     This is the one-n case of the private range core that verify_theorem,
-    fit and validate call once per range or point set, so one pair of σ
-    tables serves every n they check.  A call whose estimated work exceeds
+    fit and validate call once per range or point set, so one factor table
+    and one pair of σ tables serve every n they check.  A call whose estimated work exceeds
     a fixed limit raises BudgetExceededError before it allocates anything.
     """
     return _convolutions(r, s, (n,), which)[0]

@@ -69,7 +69,10 @@ class ClosedForm:
             raise ValueError(f"closed forms are defined for n >= 2, got {n}")
         total = Fraction(0)
         for coeff, power, order in self.terms:
-            total += coeff * Fraction(n) ** power * psi(order, n)
+            # an int power keeps the product exact and skips Fraction's own pow;
+            # int ** negative int would be a float, so those stay Fractions
+            scale = n**power if power >= 0 else Fraction(1, n**-power)
+            total += coeff * scale * psi(order, n)
         return total
 
 

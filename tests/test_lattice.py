@@ -1,20 +1,24 @@
 """Solution set enumeration, sigma_prime, and the pre-identity."""
 
 from math import gcd
+from types import CodeType
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sigmaprime import lattice
-from sigmaprime.arith import divisors, factorize, sigma_k
+from sigmaprime.arith import divisors, factorize, mobius, sigma_k
 from sigmaprime.identities import THEOREM_RS
 from sigmaprime.lattice import (
     SOLUTION_SETS,
     BudgetExceededError,
     _convolutions,
     _coprime_divisor_pairs,
+    _factor_table,
+    _inversion_terms,
     _oracle_work,
+    _sigma_table,
     brute_convolution,
     check_pre_identity,
     enumerate_quadruples,
@@ -240,6 +244,7 @@ def test_oracle_refuses_over_budget_before_building_tables(monkeypatch):
         raise AssertionError("a table was built")
 
     monkeypatch.setattr(lattice, "_WORK_LIMIT", 1000)
+    monkeypatch.setattr(lattice, "_factor_table", no_tables)
     monkeypatch.setattr(lattice, "_sigma_table", no_tables)
     monkeypatch.setattr(lattice, "divisors", no_tables)
     for which in SOLUTION_SETS:
@@ -250,11 +255,58 @@ def test_oracle_refuses_over_budget_before_building_tables(monkeypatch):
 
 
 def test_plain_oracle_touches_no_divisor_cache():
-    # the σ tables are sieved, so a call over B(n) neither reads nor fills
-    # the process-wide divisors and factorize caches
+    # the σ tables and the Möbius step read the oracle's own factor table, so
+    # a call over either set neither reads nor fills the process-wide divisors
+    # and factorize caches; 2310 is squarefree, 2048 a prime power
     before = divisors.cache_info(), factorize.cache_info()
     brute_convolution(1, 3, 2003, "B")
+    brute_convolution(1, 3, 2310, "Bprime")
+    brute_convolution(2, 2, 2048, "Bprime")
     assert (divisors.cache_info(), factorize.cache_info()) == before
+
+
+def _code_names(code):
+    # global and attribute names read by code and by every code object nested in it
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, CodeType):
+            names |= _code_names(const)
+    return names
+
+
+def test_oracle_names_no_arith_kernel_function():
+    # the oracle checks the kernel behind the closed forms, so it must not call it
+    kernel = {"mobius", "divisors", "factorize", "sigma_k"}
+    for func in (_convolutions, _factor_table, _sigma_table, _inversion_terms):
+        assert not _code_names(func.__code__) & kernel, func.__name__
+
+
+def test_factor_table_matches_factorize():
+    least, power = _factor_table(5000)
+    for m in range(2, 5000):
+        p, e = factorize(m)[0]
+        assert (least[m], power[m]) == (p, p**e), m
+
+
+def test_sigma_table_matches_sigma_k():
+    # k = 0 checks sigma_0(p**e) = e + 1
+    factors = _factor_table(2000)
+    for k in range(13):
+        table = _sigma_table(k, factors)
+        assert table[1:] == [sigma_k(k, m) for m in range(1, 2000)], k
+
+
+def test_inversion_terms_match_literal_weights():
+    # h(m) = Σ_{de = m} μ(d) μ(e) e**w; the terms of n list the cube-free
+    # divisors m of n, each once, so h(n) is the term at m = n or 0
+    factors = _factor_table(2001)
+    for n in range(1, 2001):
+        terms = [_inversion_terms(w, n, factors) for w in range(13)]
+        ms = [m for m, _ in terms[0]]
+        assert sorted(ms) == [m for m in divisors(n) if all(e < 3 for _, e in factorize(m))]
+        for w in range(13):
+            literal = sum(mobius(d) * mobius(n // d) * (n // d) ** w for d in divisors(n))
+            assert dict(terms[w]).get(n, 0) == literal, (n, w)
 
 
 def test_brute_convolution_plain_equals_classical():

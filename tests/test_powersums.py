@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from sigmaprime import lattice, powersums
 from sigmaprime.arith import BudgetExceededError, divisors, faulhaber_sum, mobius, totient
-from sigmaprime.powersums import COPRIME_POWER_FORMS, coprime_power_sum, psi
+from sigmaprime.identities import _FORMS
+from sigmaprime.powersums import COPRIME_POWER_FORMS, ClosedForm, coprime_power_sum, psi
 
 
 def test_psi_examples():
@@ -94,6 +95,26 @@ def test_closed_table_shape():
             assert isinstance(coeff, Fraction)
             assert power >= 1
             assert order % 2 and order >= -1  # orders -1, 1, 3, ... only
+
+
+def fraction_route(form, n):
+    # term by term with n**power taken as a Fraction power
+    return sum((c * Fraction(n) ** p * psi(o, n) for c, p, o in form.terms), Fraction(0))
+
+
+def test_evaluate_keeps_negative_powers_exact():
+    form = ClosedForm(((Fraction(3, 7), -2, 1), (Fraction(-1, 5), 0, -1), (Fraction(2), 3, 3)))
+    for n in range(2, 60):
+        value = form.evaluate(n)
+        assert type(value) is Fraction
+        assert value == fraction_route(form, n)
+
+
+def test_evaluate_matches_fraction_route_on_stored_forms():
+    # the theorem forms (both t13 variants) and the power-sum table
+    for form in (*_FORMS.values(), *COPRIME_POWER_FORMS.values()):
+        for n in range(2, 150):
+            assert form.evaluate(n) == fraction_route(form, n)
 
 
 def test_closed_table_rejects_large_k():
