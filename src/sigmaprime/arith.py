@@ -44,6 +44,15 @@ _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
 # u**r stops at the largest prime of u <= n.
 _TRIAL_DIVISOR_LIMIT = 10**6
 
+# A power outside the convolution oracle has at most this many bits.  psi(s, n)
+# takes p**s for the primes p | n, and sigma_prime(r, s, m, n) takes d**r and
+# e**s for d | m and e | n, so each refuses, before its first power, when
+# |s| * n.bit_length() or r * m.bit_length() is above it.  2**20 bits is about
+# 315,000 decimal digits, far past the 4300 that a result may print; selftest
+# and the benchmark stay under 1000 bits, and psi(20000, 6), at 60,000, is
+# admitted.
+_POWER_BITS_LIMIT = 2**20
+
 
 @lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:

@@ -10,13 +10,17 @@ byte-identical stdout.
 Every subcommand is one row of a table: its help text, its handler and its
 option rows.  A run builds the subparser of the subcommand it names and no
 other; with no arguments, -h or an unknown command it builds them all, so
-the usage message lists every subcommand.
+the usage message lists every subcommand.  A handler returns the document
+without its "command" key, its exit code, and its CSV rows (header first)
+or None; main adds "command" and alone writes stdout, so a run that errs
+writes nothing there.  CSV is joined by hand, as the csv module would drop
+the quotes that selftest puts around every detail.
 
 Exit codes: 0 success or verified, 1 verification failure or inconsistent
-fit, 2 usage error, 3 enumeration, oracle or power-sum work, trial-division
-or output size budget exceeded (a number of more than Python's
-integer-string limit, 4300 digits by default).  Errors print a one-line
-diagnostic on stderr.
+fit, 2 usage error, 3 enumeration, oracle, identity or power-sum work,
+trial-division, power size or output size budget exceeded (a number of
+more than Python's integer-string limit, 4300 digits by default).  Errors
+print a one-line diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -82,242 +86,160 @@ def _rat(value: Fraction) -> dict[str, str]:
     return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
-def _rat_text(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+def _cmd_psi(args):
+    return {"inputs": {"s": args.s, "n": args.n}, "result": _rat(psi(args.s, args.n))}, 0, None
 
 
-def _emit(doc: dict, csv_rows: list[list[str]] | None = None) -> None:
-    if csv_rows is not None:
-        sys.stdout.write("\n".join(",".join(row) for row in csv_rows) + "\n")
-    else:
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+def _cmd_powersum(args):
+    value = coprime_power_sum(args.k, args.n, _METHOD_MAP[args.method])
+    return {
+        "inputs": {"k": args.k, "n": args.n, "method": args.method},
+        "result": str(value),
+    }, 0, None
 
 
-def _cmd_psi(args) -> int:
-    value = psi(args.s, args.n)
-    _emit({"command": "psi", "inputs": {"s": args.s, "n": args.n}, "result": _rat(value)})
-    return 0
-
-
-def _cmd_powersum(args) -> int:
-    method = _METHOD_MAP[args.method]
-    value = coprime_power_sum(args.k, args.n, method)
-    _emit(
-        {
-            "command": "powersum",
-            "inputs": {"k": args.k, "n": args.n, "method": args.method},
-            "result": str(value),
-        }
-    )
-    return 0
-
-
-def _cmd_sigma_prime(args) -> int:
+def _cmd_sigma_prime(args):
     value = sigma_prime(args.r, args.s, args.m, args.n)
-    _emit(
-        {
-            "command": "sigma-prime",
-            "inputs": {"r": args.r, "s": args.s, "m": args.m, "n": args.n},
-            "result": str(value),
-        }
-    )
-    return 0
+    return {
+        "inputs": {"r": args.r, "s": args.s, "m": args.m, "n": args.n},
+        "result": str(value),
+    }, 0, None
 
 
-def _cmd_conv(args) -> int:
-    doc = {
-        "command": "conv",
+def _cmd_conv(args):
+    body = {
         "inputs": {"r": args.r, "s": args.s, "n": args.n, "set": args.set, "method": args.method},
     }
     if args.method == "brute":
-        doc["result"] = str(brute_convolution(args.r, args.s, args.n, args.set))
-    else:
-        if args.set != "Bprime":
-            raise ValueError("closed forms are stored for the coprime set only; use --set Bprime")
-        pair = tuple(sorted((args.r, args.s)))
-        tag = THEOREM_BY_RS.get(pair)
-        if tag is None:
-            covered = ", ".join(f"{r},{s}" for r, s in sorted(THEOREM_BY_RS))
-            raise ValueError(f"no stored closed form for ({args.r},{args.s}); covered pairs: {covered}")
-        value = eval_theorem(TheoremId(tag), args.n)
-        if value.denominator != 1:
-            raise ArithmeticError(f"stored form for {tag} came out non-integral at n={args.n}")
-        doc["result"] = str(value.numerator)
-        if tag == "t13":
-            doc["erratum_notes"] = (
-                "the printed coefficient set for the (1,3) form is exactly 8 times the true "
-                "value; the corrected set is used here"
-            )
-    _emit(doc)
-    return 0
+        body["result"] = str(brute_convolution(args.r, args.s, args.n, args.set))
+        return body, 0, None
+    if args.set != "Bprime":
+        raise ValueError("closed forms are stored for the coprime set only; use --set Bprime")
+    tag = THEOREM_BY_RS.get(tuple(sorted((args.r, args.s))))
+    if tag is None:
+        covered = ", ".join(f"{r},{s}" for r, s in sorted(THEOREM_BY_RS))
+        raise ValueError(f"no stored closed form for ({args.r},{args.s}); covered pairs: {covered}")
+    value = eval_theorem(TheoremId(tag), args.n)
+    if value.denominator != 1:
+        raise ArithmeticError(f"stored form for {tag} came out non-integral at n={args.n}")
+    body["result"] = str(value.numerator)
+    if tag == "t13":
+        body["erratum_notes"] = (
+            "the printed coefficient set for the (1,3) form is exactly 8 times the true "
+            "value; the corrected set is used here"
+        )
+    return body, 0, None
 
 
-def _cmd_check_main(args) -> int:
+def _cmd_check_main(args):
     f = Poly4.from_text(args.poly)
     lhs, rhs = main_identity_sides(f, args.n, args.set)
-    equal = lhs == rhs
-    _emit(
-        {
-            "command": "check-main",
-            "inputs": {"poly": f.to_text(), "n": args.n, "set": args.set},
-            "result": {"lhs": str(lhs), "rhs": str(rhs), "equal": equal},
-            "verdict": "verified" if equal else "failed",
-        }
-    )
-    return 0 if equal else 1
+    return {
+        "inputs": {"poly": f.to_text(), "n": args.n, "set": args.set},
+        "result": {"lhs": str(lhs), "rhs": str(rhs), "equal": lhs == rhs},
+        "verdict": "verified" if lhs == rhs else "failed",
+    }, 0 if lhs == rhs else 1, None
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     tid = parse_theorem_id(args.theorem)
     lo, hi = _parse_range(args.range_)
     report = verify_theorem(tid, lo, hi, jobs=args.jobs)
-    rows = [
-        {"n": row.n, "oracle": str(row.oracle), "closed": _rat(row.closed), "ok": row.ok}
-        for row in report.rows
-    ]
-    doc = {
-        "command": "verify",
+    first = report.first_counterexample
+
+    def point(row) -> dict:
+        return {"n": row.n, "oracle": str(row.oracle), "closed": _rat(row.closed)}
+
+    body = {
         "inputs": {"theorem": str(tid), "range": f"{lo}..{hi}", "jobs": args.jobs},
         "result": {
-            "rows": rows,
-            "checked": len(rows),
+            "rows": [{**point(row), "ok": row.ok} for row in report.rows],
+            "checked": len(report.rows),
             "failures": sum(1 for row in report.rows if not row.ok),
-            "first_counterexample": (
-                None
-                if report.first_counterexample is None
-                else {
-                    "n": report.first_counterexample.n,
-                    "oracle": str(report.first_counterexample.oracle),
-                    "closed": _rat(report.first_counterexample.closed),
-                }
-            ),
+            "first_counterexample": None if first is None else point(first),
         },
         "verdict": "verified" if report.all_pass else "failed",
     }
     if tid.name == "t13":
-        doc["erratum_notes"] = (
+        body["erratum_notes"] = (
             "the printed coefficient set for the (1,3) form is exactly 8 times the oracle "
             "for every n; the corrected set matches it"
         )
-    csv_rows = None
-    if args.csv:
-        csv_rows = [["n", "oracle", "closed", "ok"]] + [
-            [str(row.n), str(row.oracle), _rat_text(row.closed), str(row.ok).lower()]
-            for row in report.rows
-        ]
-    _emit(doc, csv_rows)
-    return 0 if report.all_pass else 1
+    rows = [["n", "oracle", "closed", "ok"]] + [
+        [str(row.n), str(row.oracle), str(row.closed), str(row.ok).lower()] for row in report.rows
+    ]
+    return body, 0 if report.all_pass else 1, rows
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args):
     spec = CountSpec(_COUNTER_MAP[args.which], args.r, args.s, args.n)
     value = count_raw(spec, args.budget) if args.raw else count_fast(spec)
-    _emit(
-        {
-            "command": "count",
-            "inputs": {
-                "which": args.which,
-                "r": args.r,
-                "s": args.s,
-                "n": args.n,
-                "raw": args.raw,
-            },
-            "result": str(value),
-        }
-    )
-    return 0
+    return {
+        "inputs": {"which": args.which, "r": args.r, "s": args.s, "n": args.n, "raw": args.raw},
+        "result": str(value),
+    }, 0, None
 
 
-def _fit_doc(command: str, report, inputs: dict, label: str | None = None) -> tuple[dict, int]:
-    if report.coefficients is None:
-        coeffs = "inconsistent"
-        degenerate = None
-    else:
-        coeffs = {
-            "A": _rat(report.coefficients.A),
-            "B": _rat(report.coefficients.B),
-            "C": _rat(report.coefficients.C),
-            "D": _rat(report.coefficients.D),
-        }
-        degenerate = report.coefficients.degenerate
+def _fit_body(report, inputs: dict):
+    # fit and probe10 share this body; a weight-10 probe's report carries a label
+    coeffs = report.coefficients
     result = {
-        "coefficients": coeffs,
-        "degenerate": degenerate,
+        "coefficients": (
+            {c: _rat(getattr(coeffs, c)) for c in "ABCD"} if coeffs is not None else "inconsistent"
+        ),
+        "degenerate": None if coeffs is None else coeffs.degenerate,
         "train_ns": list(report.train_ns),
         "test_ns": list(report.test_ns),
     }
-    if label is not None:
-        result["label"] = label
-    doc = {
-        "command": command,
+    if report.label is not None:
+        result["label"] = report.label
+    body = {
         "inputs": inputs,
         "result": result,
         "verdict": report.verdict,
         "residuals": [_rat(res) for res in report.residuals],
     }
-    return doc, 0 if report.verdict == "consistent" else 1
-
-
-def _fit_csv(report) -> list[list[str]]:
     rows = [["n", "residual"]]
-    rows += [[str(n), _rat_text(res)] for n, res in zip(report.test_ns, report.residuals)]
-    return rows
+    rows += [[str(n), str(res)] for n, res in zip(report.test_ns, report.residuals)]
+    return body, 0 if report.verdict == "consistent" else 1, rows
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args):
     train = _parse_int_list(args.train)
     test = _parse_int_list(args.test)
     report = fit_and_validate(args.r, args.s, train, test)
-    doc, code = _fit_doc(
-        "fit",
-        report,
-        {"r": args.r, "s": args.s, "train": list(train), "test": list(test)},
-    )
-    _emit(doc, _fit_csv(report) if args.csv else None)
-    return code
+    return _fit_body(report, {"r": args.r, "s": args.s, "train": list(train), "test": list(test)})
 
 
-def _cmd_probe10(args) -> int:
+def _cmd_probe10(args):
     r, s = (int(part) for part in args.pair.split(","))
     train = _parse_int_list(args.train) if args.train else DEFAULT_TRAIN_NS
     test = _parse_int_list(args.test) if args.test else DEFAULT_TEST_NS
     report = probe_weight10(r, s, train, test)
-    doc, code = _fit_doc(
-        "probe10",
-        report,
-        {"pair": args.pair, "train": list(train), "test": list(test)},
-        label=report.label,
-    )
-    _emit(doc, _fit_csv(report) if args.csv else None)
-    return code
+    return _fit_body(report, {"pair": args.pair, "train": list(train), "test": list(test)})
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args):
     results = run_all(quick=args.quick)
     for res in results:
         print(("PASS" if res.passed else "FAIL") + f" {res.name}: {res.detail}", file=sys.stderr)
-    doc = {
-        "command": "selftest",
+    passed = sum(1 for res in results if res.passed)
+    body = {
         "inputs": {"quick": args.quick},
         "result": {
             "criteria": [
                 {"name": res.name, "passed": res.passed, "detail": res.detail} for res in results
             ],
-            "passed_count": sum(1 for res in results if res.passed),
-            "failed_count": sum(1 for res in results if not res.passed),
+            "passed_count": passed,
+            "failed_count": len(results) - passed,
         },
-        "verdict": "pass" if all(res.passed for res in results) else "fail",
+        "verdict": "pass" if passed == len(results) else "fail",
     }
-    csv_rows = None
-    if args.csv:
-        csv_rows = [["criterion", "passed", "detail"]] + [
-            [res.name, str(res.passed).lower(), '"' + res.detail.replace('"', '""') + '"']
-            for res in results
-        ]
-    _emit(doc, csv_rows)
-    return 0 if all(res.passed for res in results) else 1
+    rows = [["criterion", "passed", "detail"]] + [
+        [res.name, str(res.passed).lower(), '"' + res.detail.replace('"', '""') + '"']
+        for res in results
+    ]
+    return body, 0 if passed == len(results) else 1, rows
 
 
 _INT = {"type": int, "required": True}
@@ -325,9 +247,7 @@ _FLAG = {"action": "store_true"}
 _SET = {"choices": ("B", "Bprime"), "default": "Bprime"}
 _R, _S, _N = ("--r", _INT), ("--s", _INT), ("--n", _INT)
 
-# subcommand -> (help, handler, option rows (flag, add_argument keywords)).
-# main builds the invoked subcommand's subparser only; no arguments, -h and
-# unknown commands get the whole table, so their usage stays complete.
+# subcommand -> (help, handler, option rows (flag, add_argument keywords))
 _COMMANDS = {
     "psi": ("evaluate psi_s(n)", _cmd_psi, (_S, _N)),
     "powersum": ("coprime power sum S_k(n)", _cmd_powersum, (
@@ -380,7 +300,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command][1](args)
+        body, code, rows = _COMMANDS[args.command][1](args)
+        if getattr(args, "csv", False):
+            sys.stdout.write("\n".join(",".join(row) for row in rows) + "\n")
+        else:
+            sys.stdout.write(json.dumps({"command": args.command, **body}, indent=2) + "\n")
+        return code
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -25,7 +25,13 @@ from math import gcd
 from random import Random
 
 from .arith import divisors, sigma_convolution, sigma_k
-from .lattice import BudgetExceededError, _convolutions, enumerate_quadruples
+from .lattice import (
+    _WORD_BITS,
+    _WORK_LIMIT,
+    BudgetExceededError,
+    _convolutions,
+    enumerate_quadruples,
+)
 from .powersums import ClosedForm, _form
 
 __all__ = [
@@ -260,6 +266,22 @@ def _weighted_sum(f: Poly4, rows: Rows) -> int:
 _IDENTITY_N_LIMIT = 2000
 
 
+def _identity_work(f: Poly4, n: int) -> int:
+    """Estimated work of main_identity_sides(f, n), in the oracle's units.
+
+    The left side has at most six argument rows per quadruple of B(n), the
+    right side far fewer, and B'(n) is a subset of B(n); |B(n)| <=
+    n * n.bit_length()**2 for every n <= 2000 (the largest ratio is 0.70, at
+    n = 1980).  Every row costs one product per monomial of f.  A row's
+    entries are at most n in size, so a product has at most
+    deg(f) * n.bit_length() bits, and it is weighted by that length as the
+    convolution oracle weighs its powers.
+    """
+    bits = n.bit_length()
+    degree = max(map(sum, f._terms), default=0)
+    return 6 * n * bits * bits * len(f._terms) * (1 + degree * bits // _WORD_BITS)
+
+
 def main_identity_sides(f: Poly4, n: int, which: str = "Bprime") -> tuple[int, int]:
     """Evaluate both sides of the six-term identity for f at n; return (lhs, rhs).
 
@@ -275,7 +297,8 @@ def main_identity_sides(f: Poly4, n: int, which: str = "Bprime") -> tuple[int, i
     monomial, over the merged argument table of (n, which); f is never
     called per quadruple.  Raises ValueError if f fails the symmetry
     hypothesis or n < 2, and BudgetExceededError, before any enumeration,
-    if n is above a fixed ceiling of 2000.
+    if n is above a fixed ceiling of 2000 or if the work estimated from n and
+    f's size and degree is above the convolution oracle's work limit.
     """
     if not symmetry_holds(f):
         raise ValueError("polynomial does not satisfy the symmetry hypothesis")
@@ -283,6 +306,11 @@ def main_identity_sides(f: Poly4, n: int, which: str = "Bprime") -> tuple[int, i
         raise ValueError(f"identity sides need n >= 2, got {n}")
     if n > _IDENTITY_N_LIMIT:
         raise BudgetExceededError(f"identity sides are limited to n <= {_IDENTITY_N_LIMIT}, got {n}")
+    work = _identity_work(f, n)
+    if work > _WORK_LIMIT:
+        raise BudgetExceededError(
+            f"identity sides at n = {n} need about {work} units of work, the limit is {_WORK_LIMIT}"
+        )
     lhs, rhs = _argument_table(n, which)
     return _weighted_sum(f, lhs), _weighted_sum(f, rhs)
 

@@ -31,7 +31,7 @@ from math import gcd
 from operator import mul
 from typing import Callable, Collection
 
-from .arith import BudgetExceededError, divisors
+from .arith import _POWER_BITS_LIMIT, BudgetExceededError, divisors
 
 __all__ = [
     "SOLUTION_SETS",
@@ -107,11 +107,18 @@ def quadruples(n: int, which: str = "Bprime") -> tuple[tuple[int, int, int, int]
 @lru_cache(maxsize=2048)
 def _coprime_divisor_pairs(m: int, n: int) -> tuple[tuple[int, int], ...]:
     # index set of sigma_prime: divisor pairs (d, e) of (m, n) with both
-    # gcd(d, e) = 1 and gcd(m/d, n/e) = 1
+    # gcd(d, e) = 1 and gcd(m/d, n/e) = 1; a scan of more pairs than the
+    # oracle's work limit is refused before it starts
+    divs_m, divs_n = divisors(m), divisors(n)
+    if len(divs_m) * len(divs_n) > _WORK_LIMIT:
+        raise BudgetExceededError(
+            f"sigma_prime at ({m}, {n}) scans {len(divs_m) * len(divs_n)} divisor pairs, "
+            f"the limit is {_WORK_LIMIT}"
+        )
     out = []
-    for d in divisors(m):
+    for d in divs_m:
         md = m // d
-        for e in divisors(n):
+        for e in divs_n:
             if gcd(d, e) == 1 and gcd(md, n // e) == 1:
                 out.append((d, e))
     return tuple(out)
@@ -127,11 +134,19 @@ def sigma_prime(r: int, s: int, m: int, n: int) -> int:
     Returns 0 whenever m <= 0 or n <= 0.  That extension is a deliberate
     convention (not part of the defining sum) so convolutions can run over
     an unguarded index range; it mirrors sigma_k's behaviour.
+
+    Raises BudgetExceededError before any power when r * m.bit_length() or
+    s * n.bit_length() is above 2**20 bits, and before the scan when the
+    divisor pairs of (m, n) number more than the oracle's work limit.
     """
     if r < 0 or s < 0:
         raise ValueError(f"sigma_prime requires r, s >= 0, got ({r}, {s})")
     if m <= 0 or n <= 0:
         return 0
+    if r * m.bit_length() > _POWER_BITS_LIMIT or s * n.bit_length() > _POWER_BITS_LIMIT:
+        raise BudgetExceededError(
+            f"sigma_prime({r}, {s}, {m}, {n}) needs powers of more than {_POWER_BITS_LIMIT} bits"
+        )
     return sum(d**r * e**s for d, e in _coprime_divisor_pairs(m, n))
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from . import lattice
+from . import arith, lattice
 from .arith import BudgetExceededError, divisors, factorize, faulhaber_sum, mobius
 
 __all__ = [
@@ -41,12 +41,17 @@ def psi(s: int, n: int) -> Fraction:
     Equals the product of (1 - p**s) over distinct primes p | n, and 1 at
     n = 1.  The order s may be negative but not zero (at s = 0 the sum
     collapses to 0 for every n > 1 and the closed forms below would lose
-    their meaning).
+    their meaning).  Raises BudgetExceededError, before any power, when
+    |s| * n.bit_length() is above 2**20 bits.
     """
     if s == 0:
         raise ValueError("psi order s must be nonzero")
     if n < 1:
         raise ValueError(f"psi requires n >= 1, got {n}")
+    if abs(s) * n.bit_length() > arith._POWER_BITS_LIMIT:
+        raise BudgetExceededError(
+            f"psi({s}, {n}) needs powers of more than {arith._POWER_BITS_LIMIT} bits"
+        )
     out = Fraction(1)
     for p, _ in factorize(n):
         out *= 1 - Fraction(p) ** s

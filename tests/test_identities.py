@@ -233,6 +233,42 @@ def test_main_identity_ceiling_refuses_before_enumerating(monkeypatch):
             main_identity_sides(f, 2000, which)
 
 
+def test_identity_work_estimate():
+    # 6 * n * bit_length(n)**2 * terms(f) * (1 + deg(f) * bit_length(n) // 512)
+    work = identities._identity_work
+    assert work(Poly4.from_text("1x^2000"), 200) == 2_457_600
+    assert work(Poly4.from_text("1x^20000"), 200) == 24_038_400
+    assert work(Poly4.from_text("1x^2y^2"), 2000) == 1_452_000
+    assert work(Poly4.from_text("1x^2y^2 + 1a^2b^2"), 60) == 2 * 6 * 60 * 36
+    assert work(Poly4.from_text("0"), 60) == 0
+    # never evaluated: one power of 2**(10**11)
+    assert work(Poly4.from_text("1x^100000000000"), 2) > identities._WORK_LIMIT
+    # every call of the full main-identity criterion is far under the limit
+    rng = random.Random(20250819)
+    family = list(PROOF_POLYNOMIALS) + [random_symmetric_poly(rng) for _ in range(50)]
+    assert max(work(f, 60) for f in family) < identities._WORK_LIMIT // 50
+
+
+def test_main_identity_degree_refuses_before_enumerating(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the argument table was built")
+
+    monkeypatch.setattr(identities, "_argument_table", refuse)
+    for which in SOLUTION_SETS:
+        with pytest.raises(BudgetExceededError) as info:
+            main_identity_sides(Poly4.from_text("1x^20000"), 200, which)
+        assert str(info.value) == (
+            "identity sides at n = 200 need about 24038400 units of work, the limit is 10000000"
+        )
+    # just under the limit the call gets as far as building the table
+    monkeypatch.setattr(identities, "_WORK_LIMIT", 2_457_600)
+    with pytest.raises(AssertionError, match="argument table"):
+        main_identity_sides(Poly4.from_text("1x^2000"), 200)
+    monkeypatch.setattr(identities, "_WORK_LIMIT", 2_457_599)
+    with pytest.raises(BudgetExceededError):
+        main_identity_sides(Poly4.from_text("1x^2000"), 200)
+
+
 def test_main_identity_rejects_unqualified_poly():
     with pytest.raises(ValueError):
         main_identity_sides(Poly4.from_text("1a"), 6, "B")

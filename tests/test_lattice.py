@@ -138,6 +138,41 @@ def test_sigma_prime_symmetry(m, n, r, s):
     assert sigma_prime(r, s, m, n) == sigma_prime(s, r, n, m)
 
 
+def test_sigma_prime_refuses_huge_powers_before_scanning(monkeypatch):
+    # r * bit_length(m) and s * bit_length(n) bits against 2**20
+    assert sigma_prime(2**19, 1, 2, 2) == sigma_prime(1, 2**19, 2, 2) == 2 ** 2**19 + 2
+
+    def no_scan(*args):
+        raise AssertionError("the divisor pairs were scanned")
+
+    monkeypatch.setattr(lattice, "_coprime_divisor_pairs", no_scan)
+    for args in ((2**20, 1, 2, 2), (1, 2**20, 2, 2), (1, 349526, 2, 6)):
+        with pytest.raises(BudgetExceededError) as info:
+            sigma_prime(*args)
+        assert str(info.value) == (
+            f"sigma_prime({', '.join(map(str, args))}) needs powers of more than 1048576 bits"
+        )
+
+
+def test_sigma_prime_refuses_large_pair_scans_before_scanning(monkeypatch):
+    # 97821761637600 has 17280 divisors, so the pair scan would test 3e8 pairs
+    with pytest.raises(BudgetExceededError, match="scans 298598400 divisor pairs"):
+        _coprime_divisor_pairs.__wrapped__(97821761637600, 97821761637600)
+    monkeypatch.setattr(lattice, "_WORK_LIMIT", 36)
+    # 12 has 6 divisors, so (12, 12) is exactly at the limit
+    assert _coprime_divisor_pairs.__wrapped__(12, 12) == ((1, 12), (3, 4), (4, 3), (12, 1))
+
+    def no_scan(*args):
+        raise AssertionError("the divisor pairs were scanned")
+
+    monkeypatch.setattr(lattice, "gcd", no_scan)
+    with pytest.raises(BudgetExceededError) as info:
+        sigma_prime(1, 1, 7560, 10080)
+    assert str(info.value) == (
+        "sigma_prime at (7560, 10080) scans 4608 divisor pairs, the limit is 36"
+    )
+
+
 def test_brute_convolution_examples():
     assert brute_convolution(1, 3, 2, "Bprime") == 1
     assert brute_convolution(1, 1, 3, "Bprime") == 6

@@ -144,3 +144,18 @@ def test_direct_power_sum_refuses_over_budget_before_looping(monkeypatch):
     for k, n in ((2, 1001), (600, 112)):
         with pytest.raises(BudgetExceededError, match="limit is 1000"):
             coprime_power_sum(k, n, "direct")
+
+
+def test_psi_refuses_huge_powers_before_factorizing(monkeypatch):
+    # |s| * bit_length(n) bits against 2**20; psi(2**20, 2) stays cheap if the guard breaks
+    assert psi(2**19, 2) == 1 - Fraction(2) ** 2**19
+    assert psi(20000, 6) == (1 - Fraction(2) ** 20000) * (1 - Fraction(3) ** 20000)
+
+    def no_factorize(*args):
+        raise AssertionError("psi factorized n")
+
+    monkeypatch.setattr(powersums, "factorize", no_factorize)
+    for s, n in ((2**20, 2), (-(2**20), 2), (2**19 + 1, 2), (349526, 6)):
+        with pytest.raises(BudgetExceededError) as info:
+            psi(s, n)
+        assert str(info.value) == f"psi({s}, {n}) needs powers of more than 1048576 bits"
