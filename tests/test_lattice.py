@@ -138,14 +138,15 @@ def test_sigma_prime_symmetry(m, n, r, s):
     assert sigma_prime(r, s, m, n) == sigma_prime(s, r, n, m)
 
 
+def _no_scan(*args):
+    raise AssertionError("the divisor pairs were scanned")
+
+
 def test_sigma_prime_refuses_huge_powers_before_scanning(monkeypatch):
     # r * bit_length(m) and s * bit_length(n) bits against 2**20
     assert sigma_prime(2**19, 1, 2, 2) == sigma_prime(1, 2**19, 2, 2) == 2 ** 2**19 + 2
 
-    def no_scan(*args):
-        raise AssertionError("the divisor pairs were scanned")
-
-    monkeypatch.setattr(lattice, "_coprime_divisor_pairs", no_scan)
+    monkeypatch.setattr(lattice, "_coprime_divisor_pairs", _no_scan)
     for args in ((2**20, 1, 2, 2), (1, 2**20, 2, 2), (1, 349526, 2, 6)):
         with pytest.raises(BudgetExceededError) as info:
             sigma_prime(*args)
@@ -162,10 +163,7 @@ def test_sigma_prime_refuses_large_pair_scans_before_scanning(monkeypatch):
     # 12 has 6 divisors, so (12, 12) is exactly at the limit
     assert _coprime_divisor_pairs.__wrapped__(12, 12) == ((1, 12), (3, 4), (4, 3), (12, 1))
 
-    def no_scan(*args):
-        raise AssertionError("the divisor pairs were scanned")
-
-    monkeypatch.setattr(lattice, "gcd", no_scan)
+    monkeypatch.setattr(lattice, "gcd", _no_scan)
     with pytest.raises(BudgetExceededError) as info:
         sigma_prime(1, 1, 7560, 10080)
     assert str(info.value) == (
