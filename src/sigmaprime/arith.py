@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import NoReturn
 
 __all__ = [
     "factorize",
@@ -52,6 +53,41 @@ _TRIAL_DIVISOR_LIMIT = 10**6
 # and the benchmark stay under 1000 bits, and psi(20000, 6), at 60,000, is
 # admitted.
 _POWER_BITS_LIMIT = 2**20
+
+# A bounded call may do at most _WORK_LIMIT units of work, a unit being one
+# product of the convolution oracle; every work estimate is counted in it and
+# refused by _check_work before its work starts.  A unit handles numbers up to
+# the call's largest power, so the count is weighted by that power's length,
+# _bit_weight: 1 up to _WORD_BITS bits, and 1 more for each further _WORD_BITS.
+# That weight is 1 for every oracle call with r, s <= 12 under the limit.  The
+# limit admits single oracle n up to about 150000:
+# brute_convolution(1, 3, 150000, "B") takes 0.07-0.27 s and 16.1 MB above the
+# import's RSS, and over B' 0.09-0.30 s and 18.5 MB, the factor table being
+# held for the Möbius step (2-CPU container, Python 3.11.7, whose speed drifts
+# by about 2.5x).  It admits verify ranges up to about 2..4400 (0.5-1.1 s).  It
+# refuses brute_convolution(100000, 1, 600, "B"), which ran 14.8 s at a 187 MB
+# peak RSS unweighted.  The largest calls of the tests, selftest and benchmark,
+# B'(2310) and a few sparse points up to 2310, cost under 2e5 units.
+_WORK_LIMIT = 10**7
+_WORD_BITS = 512
+
+
+def _bit_weight(exponent: int, base: int) -> int:
+    return 1 + exponent * base.bit_length() // _WORD_BITS
+
+
+def _check_work(work: int, needs: str, **fields: object) -> None:
+    # refuse work above the limit; the message is formatted only on refusal
+    if work > _WORK_LIMIT:
+        message = needs.format(work=work, **fields)
+        raise BudgetExceededError(f"{message}, the limit is {_WORK_LIMIT}")
+
+
+def _refuse_power_bits(call: str, *args: int) -> NoReturn:
+    # callers compare inline, so an admitted call makes no function call
+    raise BudgetExceededError(
+        f"{call}({', '.join(map(str, args))}) needs powers of more than {_POWER_BITS_LIMIT} bits"
+    )
 
 
 @lru_cache(maxsize=None)

@@ -24,14 +24,9 @@ from functools import lru_cache
 from math import gcd
 from random import Random
 
-from .arith import divisors, sigma_convolution, sigma_k
-from .lattice import (
-    _WORD_BITS,
-    _WORK_LIMIT,
-    BudgetExceededError,
-    _convolutions,
-    enumerate_quadruples,
-)
+from . import arith
+from .arith import BudgetExceededError, divisors, sigma_convolution, sigma_k
+from .lattice import _convolutions, enumerate_quadruples
 from .powersums import ClosedForm, _form
 
 __all__ = [
@@ -279,7 +274,7 @@ def _identity_work(f: Poly4, n: int) -> int:
     """
     bits = n.bit_length()
     degree = max(map(sum, f._terms), default=0)
-    return 6 * n * bits * bits * len(f._terms) * (1 + degree * bits // _WORD_BITS)
+    return 6 * n * bits * bits * len(f._terms) * arith._bit_weight(degree, n)
 
 
 def main_identity_sides(f: Poly4, n: int, which: str = "Bprime") -> tuple[int, int]:
@@ -307,10 +302,7 @@ def main_identity_sides(f: Poly4, n: int, which: str = "Bprime") -> tuple[int, i
     if n > _IDENTITY_N_LIMIT:
         raise BudgetExceededError(f"identity sides are limited to n <= {_IDENTITY_N_LIMIT}, got {n}")
     work = _identity_work(f, n)
-    if work > _WORK_LIMIT:
-        raise BudgetExceededError(
-            f"identity sides at n = {n} need about {work} units of work, the limit is {_WORK_LIMIT}"
-        )
+    arith._check_work(work, "identity sides at n = {n} need about {work} units of work", n=n)
     lhs, rhs = _argument_table(n, which)
     return _weighted_sum(f, lhs), _weighted_sum(f, rhs)
 

@@ -31,7 +31,8 @@ from math import gcd
 from operator import mul
 from typing import Callable, Collection
 
-from .arith import _POWER_BITS_LIMIT, BudgetExceededError, divisors
+from . import arith
+from .arith import BudgetExceededError, divisors
 
 __all__ = [
     "SOLUTION_SETS",
@@ -110,11 +111,8 @@ def _coprime_divisor_pairs(m: int, n: int) -> tuple[tuple[int, int], ...]:
     # gcd(d, e) = 1 and gcd(m/d, n/e) = 1; a scan of more pairs than the
     # oracle's work limit is refused before it starts
     divs_m, divs_n = divisors(m), divisors(n)
-    if len(divs_m) * len(divs_n) > _WORK_LIMIT:
-        raise BudgetExceededError(
-            f"sigma_prime at ({m}, {n}) scans {len(divs_m) * len(divs_n)} divisor pairs, "
-            f"the limit is {_WORK_LIMIT}"
-        )
+    pairs = len(divs_m) * len(divs_n)
+    arith._check_work(pairs, "sigma_prime at ({m}, {n}) scans {work} divisor pairs", m=m, n=n)
     out = []
     for d in divs_m:
         md = m // d
@@ -143,10 +141,9 @@ def sigma_prime(r: int, s: int, m: int, n: int) -> int:
         raise ValueError(f"sigma_prime requires r, s >= 0, got ({r}, {s})")
     if m <= 0 or n <= 0:
         return 0
-    if r * m.bit_length() > _POWER_BITS_LIMIT or s * n.bit_length() > _POWER_BITS_LIMIT:
-        raise BudgetExceededError(
-            f"sigma_prime({r}, {s}, {m}, {n}) needs powers of more than {_POWER_BITS_LIMIT} bits"
-        )
+    limit = arith._POWER_BITS_LIMIT
+    if r * m.bit_length() > limit or s * n.bit_length() > limit:
+        arith._refuse_power_bits("sigma_prime", r, s, m, n)
     return sum(d**r * e**s for d, e in _coprime_divisor_pairs(m, n))
 
 
@@ -156,25 +153,10 @@ def _sigma_prime_convolution(r: int, s: int, n: int) -> int:
     return sum(sigma_prime(r, s, m, n - m) for m in range(1, n))
 
 
-# One oracle call may do at most this much work.  A product in a P(N) counts
-# one unit; a σ-table index counts _TABLE_ENTRY_COST.  The factor sieve and the
-# σ tables spend about one product per index, so the cost is now generous: it
-# was set for the divisor-list tables of earlier versions, and it and the other
-# constants keep their values so that every call admitted or refused then is
-# admitted or refused now.  Each unit handles numbers up to max(ns)**(r + s),
-# so the count is weighted by their length: 1 up to _WORD_BITS bits, and 1 more
-# for each further _WORD_BITS.  That weight is 1 for every call with r, s <= 12
-# under the limit.  The limit admits single n up to about 150000:
-# brute_convolution(1, 3, 150000, "B") takes 0.07-0.27 s and 16.1 MB above the
-# import's RSS, and over B' 0.09-0.30 s and 18.5 MB, the factor table being
-# held for the Möbius step (2-CPU container, Python 3.11.7, whose speed drifts
-# by about 2.5x).  It admits verify ranges up to about 2..4400 (0.5-1.1 s).  It
-# refuses brute_convolution(100000, 1, 600, "B"), which ran 14.8 s at a 187 MB
-# peak RSS unweighted.  The largest calls of the tests, selftest and benchmark,
-# B'(2310) and a few sparse points up to 2310, cost under 2e5 units.
-_WORK_LIMIT = 10**7
+# A σ-table index costs this many units of work, a product in a P(N) one.  The
+# sieve and σ tables spend about one product per index, so it is generous: set
+# for earlier divisor-list tables, it keeps its value so no admission changes.
 _TABLE_ENTRY_COST = 64
-_WORD_BITS = 512
 
 
 def _oracle_work(r: int, s: int, ns: Collection[int]) -> int:
@@ -193,9 +175,8 @@ def _oracle_work(r: int, s: int, ns: Collection[int]) -> int:
             raise ValueError(f"solution sets are defined for n >= 2, got {n}")
         top = max(top, n)
         products += n
-        weight = 1 + (r + s) * top.bit_length() // _WORD_BITS
-        work = (_TABLE_ENTRY_COST * top + products) * weight
-        if work > _WORK_LIMIT:
+        work = (_TABLE_ENTRY_COST * top + products) * arith._bit_weight(r + s, top)
+        if work > arith._WORK_LIMIT:
             break
     return work
 
@@ -271,11 +252,7 @@ def _convolutions(r: int, s: int, ns: Collection[int], which: str) -> list[int]:
     if r < 0 or s < 0:
         raise ValueError(f"brute_convolution requires r, s >= 0, got ({r}, {s})")
     work = _oracle_work(r, s, ns)
-    if work > _WORK_LIMIT:
-        raise BudgetExceededError(
-            f"the convolution oracle needs at least {work} units of work, "
-            f"the limit is {_WORK_LIMIT}"
-        )
+    arith._check_work(work, "the convolution oracle needs at least {work} units of work")
     factors = _factor_table(max(ns) + 1)
     sig_s = _sigma_table(s, factors)
     sig_r = sig_s if r == s else _sigma_table(r, factors)

@@ -20,8 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from . import arith, lattice
-from .arith import BudgetExceededError, divisors, factorize, faulhaber_sum, mobius
+from . import arith
+from .arith import divisors, factorize, faulhaber_sum, mobius
 
 __all__ = [
     "psi",
@@ -49,9 +49,7 @@ def psi(s: int, n: int) -> Fraction:
     if n < 1:
         raise ValueError(f"psi requires n >= 1, got {n}")
     if abs(s) * n.bit_length() > arith._POWER_BITS_LIMIT:
-        raise BudgetExceededError(
-            f"psi({s}, {n}) needs powers of more than {arith._POWER_BITS_LIMIT} bits"
-        )
+        arith._refuse_power_bits("psi", s, n)
     out = Fraction(1)
     for p, _ in factorize(n):
         out *= 1 - Fraction(p) ** s
@@ -154,12 +152,8 @@ def coprime_power_sum(k: int, n: int, method: str = "direct") -> int:
     if k < 0:
         raise ValueError(f"coprime_power_sum requires k >= 0, got {k}")
     if method == "direct":
-        work = n * (1 + k * n.bit_length() // lattice._WORD_BITS)
-        if work > lattice._WORK_LIMIT:
-            raise BudgetExceededError(
-                f"the direct power sum needs {work} units of work, "
-                f"the limit is {lattice._WORK_LIMIT}"
-            )
+        work = n * arith._bit_weight(k, n)
+        arith._check_work(work, "the direct power sum needs {work} units of work")
         return sum(t**k for t in range(1, n) if gcd(t, n) == 1)
     if method == "moebius_faulhaber":
         total = 0

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigmaprime import cli, identities, lattice, powersums
+from sigmaprime import arith, cli, identities, lattice, powersums
 
 CMD = [sys.executable, "-m", "sigmaprime"]
 
@@ -229,7 +229,7 @@ def test_power_and_degree_budget_exit_3(args, work, message, monkeypatch, capsys
 def test_sigma_prime_pair_scan_budget_exit_3(monkeypatch, capsys):
     # 5040 and 5544 have 60 and 48 divisors; the limit is lowered so that
     # nothing large runs if the check broke
-    monkeypatch.setattr(lattice, "_WORK_LIMIT", 2879)
+    monkeypatch.setattr(arith, "_WORK_LIMIT", 2879)
     monkeypatch.setattr(lattice, "gcd", _no_work)
     assert cli.main(["sigma-prime", "--r", "1", "--s", "1", "--m", "5040", "--n", "5544"]) == 3
     assert capsys.readouterr() == (

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigmaprime import cli, identities
+from sigmaprime import arith, cli, identities
 from sigmaprime.arith import divisors
 from sigmaprime.identities import (
     PROOF_POLYNOMIALS,
@@ -242,11 +242,11 @@ def test_identity_work_estimate():
     assert work(Poly4.from_text("1x^2y^2 + 1a^2b^2"), 60) == 2 * 6 * 60 * 36
     assert work(Poly4.from_text("0"), 60) == 0
     # never evaluated: one power of 2**(10**11)
-    assert work(Poly4.from_text("1x^100000000000"), 2) > identities._WORK_LIMIT
+    assert work(Poly4.from_text("1x^100000000000"), 2) > arith._WORK_LIMIT
     # every call of the full main-identity criterion is far under the limit
     rng = random.Random(20250819)
     family = list(PROOF_POLYNOMIALS) + [random_symmetric_poly(rng) for _ in range(50)]
-    assert max(work(f, 60) for f in family) < identities._WORK_LIMIT // 50
+    assert max(work(f, 60) for f in family) < arith._WORK_LIMIT // 50
 
 
 def test_main_identity_degree_refuses_before_enumerating(monkeypatch):
@@ -261,10 +261,10 @@ def test_main_identity_degree_refuses_before_enumerating(monkeypatch):
             "identity sides at n = 200 need about 24038400 units of work, the limit is 10000000"
         )
     # just under the limit the call gets as far as building the table
-    monkeypatch.setattr(identities, "_WORK_LIMIT", 2_457_600)
+    monkeypatch.setattr(arith, "_WORK_LIMIT", 2_457_600)
     with pytest.raises(AssertionError, match="argument table"):
         main_identity_sides(Poly4.from_text("1x^2000"), 200)
-    monkeypatch.setattr(identities, "_WORK_LIMIT", 2_457_599)
+    monkeypatch.setattr(arith, "_WORK_LIMIT", 2_457_599)
     with pytest.raises(BudgetExceededError):
         main_identity_sides(Poly4.from_text("1x^2000"), 200)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sigmaprime import lattice
+from sigmaprime import arith, lattice
 from sigmaprime.arith import divisors, factorize, mobius, sigma_k
 from sigmaprime.identities import THEOREM_RS
 from sigmaprime.lattice import (
@@ -159,7 +159,7 @@ def test_sigma_prime_refuses_large_pair_scans_before_scanning(monkeypatch):
     # 97821761637600 has 17280 divisors, so the pair scan would test 3e8 pairs
     with pytest.raises(BudgetExceededError, match="scans 298598400 divisor pairs"):
         _coprime_divisor_pairs.__wrapped__(97821761637600, 97821761637600)
-    monkeypatch.setattr(lattice, "_WORK_LIMIT", 36)
+    monkeypatch.setattr(arith, "_WORK_LIMIT", 36)
     # 12 has 6 divisors, so (12, 12) is exactly at the limit
     assert _coprime_divisor_pairs.__wrapped__(12, 12) == ((1, 12), (3, 4), (4, 3), (12, 1))
 
@@ -254,21 +254,21 @@ def test_range_route_property(ns, r, s, which):
 def test_oracle_work_estimate():
     assert _oracle_work(1, 3, [5, 3]) == lattice._TABLE_ENTRY_COST * 5 + 5 + 3
     # huge inputs are only estimated, never run: counting stops past the limit
-    assert _oracle_work(1, 3, range(2, 10**8 + 1)) > lattice._WORK_LIMIT
-    assert _oracle_work(1, 3, [10**9]) > lattice._WORK_LIMIT
-    assert _oracle_work(1, 3, [2, 10**9, 3]) > lattice._WORK_LIMIT
+    assert _oracle_work(1, 3, range(2, 10**8 + 1)) > arith._WORK_LIMIT
+    assert _oracle_work(1, 3, [10**9]) > arith._WORK_LIMIT
+    assert _oracle_work(1, 3, [2, 10**9, 3]) > arith._WORK_LIMIT
     # the largest calls of the tests, selftest and benchmark stay 10x below it
     for ns in ([2310], range(2, 301), [2310] * 8):
-        assert 10 * _oracle_work(5, 7, ns) <= lattice._WORK_LIMIT
+        assert 10 * _oracle_work(5, 7, ns) <= arith._WORK_LIMIT
 
 
 def test_oracle_work_weighs_exponent_size():
     # weight 1 for exponents up to 12 at the largest admitted n
-    top = lattice._WORK_LIMIT // (lattice._TABLE_ENTRY_COST + 1)
+    top = arith._WORK_LIMIT // (lattice._TABLE_ENTRY_COST + 1)
     assert _oracle_work(12, 12, [top]) == (lattice._TABLE_ENTRY_COST + 1) * top
     # huge powers over a small n are refused from the estimate alone
-    assert _oracle_work(100000, 1, [600]) > lattice._WORK_LIMIT
-    assert _oracle_work(10**6, 1, [600]) > lattice._WORK_LIMIT
+    assert _oracle_work(100000, 1, [600]) > arith._WORK_LIMIT
+    assert _oracle_work(10**6, 1, [600]) > arith._WORK_LIMIT
     assert _oracle_work(10**6, 1, [600]) > _oracle_work(100000, 1, [600])
 
 
@@ -276,7 +276,7 @@ def test_oracle_refuses_over_budget_before_building_tables(monkeypatch):
     def no_tables(*args):
         raise AssertionError("a table was built")
 
-    monkeypatch.setattr(lattice, "_WORK_LIMIT", 1000)
+    monkeypatch.setattr(arith, "_WORK_LIMIT", 1000)
     monkeypatch.setattr(lattice, "_factor_table", no_tables)
     monkeypatch.setattr(lattice, "_sigma_table", no_tables)
     monkeypatch.setattr(lattice, "divisors", no_tables)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigmaprime import lattice, powersums
+from sigmaprime import arith, powersums
 from sigmaprime.arith import BudgetExceededError, divisors, faulhaber_sum, mobius, totient
 from sigmaprime.identities import _FORMS
 from sigmaprime.powersums import COPRIME_POWER_FORMS, ClosedForm, coprime_power_sum, psi
@@ -133,7 +133,7 @@ def test_power_sum_domain_errors():
 
 def test_direct_power_sum_refuses_over_budget_before_looping(monkeypatch):
     # n terms, each weighted 1 + k * bit_length(n) // 512 as the oracle weighs powers
-    monkeypatch.setattr(lattice, "_WORK_LIMIT", 1000)
+    monkeypatch.setattr(arith, "_WORK_LIMIT", 1000)
     assert coprime_power_sum(2, 1000, "direct") == coprime_power_sum(2, 1000, "moebius_faulhaber")
     assert coprime_power_sum(600, 111, "direct") > 0  # weight 9: 999 units
 
