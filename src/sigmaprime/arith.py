@@ -6,6 +6,10 @@ Everything is pure and exact.  Python ints are unbounded and Fraction keeps
 rationals in lowest terms, so no tolerance knobs appear anywhere.  The
 memoized functions use functools.lru_cache, whose get-or-insert is atomic
 under CPython; concurrent callers at worst duplicate a computation.
+
+The package's budget rules are stated here once: BudgetExceededError, the
+one work limit with its bit weighting and its check, and the power-bits and
+trial-division ceilings.
 """
 
 from __future__ import annotations

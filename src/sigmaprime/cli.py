@@ -17,10 +17,13 @@ writes nothing there.  CSV is joined by hand, as the csv module would drop
 the quotes that selftest puts around every detail.
 
 Exit codes: 0 success or verified, 1 verification failure or inconsistent
-fit, 2 usage error, 3 enumeration, oracle, identity or power-sum work,
-trial-division, power size or output size budget exceeded (a number of
-more than Python's integer-string limit, 4300 digits by default).  Errors
-print a one-line diagnostic on stderr.
+fit, 2 usage error, 3 a budget refused the work before it started: arith's
+one work limit (the oracle behind conv, verify, count and fit, check-main's
+identity work, the direct and Moebius power sums, sigma-prime's divisor-pair
+scan), arith's power-bits ceiling (psi, sigma-prime), arith's trial-division
+ceiling, check-main's n ceiling, a raw count's --budget, or the output size
+(a number of more than Python's integer-string limit, 4300 digits by
+default).  Errors print a one-line diagnostic on stderr.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from random import Random
 
 from . import arith
 from .arith import BudgetExceededError, divisors, sigma_convolution, sigma_k
-from .lattice import _convolutions, enumerate_quadruples
+from .lattice import _convolutions, _quadruple_bound, enumerate_quadruples
 from .powersums import ClosedForm, _form
 
 __all__ = [
@@ -265,16 +265,15 @@ def _identity_work(f: Poly4, n: int) -> int:
     """Estimated work of main_identity_sides(f, n), in the oracle's units.
 
     The left side has at most six argument rows per quadruple of B(n), the
-    right side far fewer, and B'(n) is a subset of B(n); |B(n)| <=
-    n * n.bit_length()**2 for every n <= 2000 (the largest ratio is 0.70, at
-    n = 1980).  Every row costs one product per monomial of f.  A row's
+    right side far fewer, and B'(n) is a subset of B(n), whose size
+    lattice._quadruple_bound bounds.  Every row costs one product per
+    monomial of f.  A row's
     entries are at most n in size, so a product has at most
     deg(f) * n.bit_length() bits, and it is weighted by that length as the
     convolution oracle weighs its powers.
     """
-    bits = n.bit_length()
     degree = max(map(sum, f._terms), default=0)
-    return 6 * n * bits * bits * len(f._terms) * arith._bit_weight(degree, n)
+    return 6 * _quadruple_bound(n) * len(f._terms) * arith._bit_weight(degree, n)
 
 
 def main_identity_sides(f: Poly4, n: int, which: str = "Bprime") -> tuple[int, int]:

@@ -12,15 +12,18 @@ and P(n) = Σ_{0<m<n} sigma_r(m) sigma_s(n - m) is the sum over B(n).  B'(n)
 follows by Möbius inversion of the two coprimality conditions,
 Σ_{de | n} μ(d) μ(e) e**(r+s) P(n/de), which grouped by m = de is
 Σ_{m | n} h(m) P(n/m) for h = μ ⋆ (μ·id**(r+s)); h is multiplicative, so n's
-factorization from the same table gives it.  The oracle calls nothing in
-arith, so it is independent of the kernel the closed forms use and fills no
-process-wide cache.
+factorization from the same table gives it.  The oracle calls no arith
+kernel function, so it is independent of the kernel the closed forms use and
+fills no process-wide cache.
 One private core serves a whole collection of n at once: verify_theorem,
 fit and validate hand it their range or point set, so one factor table and
 one pair of σ tables, built up to the largest n, serve every row, and all of
-it runs in this process.  The core refuses, with BudgetExceededError, any
-call whose estimated work is above a fixed limit, before it allocates
-anything.
+it runs in this process.  Every route here that can be asked for unbounded
+work estimates it in the units of arith's one work limit and is refused
+through arith's gate, with BudgetExceededError, before that work starts:
+the core before it allocates anything, sigma_prime's divisor-pair scan,
+quadruples and check_pre_identity from the bound n * n.bit_length()**2 on
+|B(n)|, and sigma_prime's powers by arith's power-bits ceiling.
 """
 
 from __future__ import annotations
@@ -85,6 +88,24 @@ def enumerate_quadruples(
     return count
 
 
+def _quadruple_bound(n: int) -> int:
+    """An upper bound, n * n.bit_length()**2, on |B(n)| and so on |B'(n)|.
+
+    Checked against the exact |B(n)| = Σ_{0<m<n} d(m) d(n - m) for every
+    n <= 45000: the largest ratio is 0.70 up to n = 2000 (at n = 1980), 0.75
+    up to 8503 (at 7560) and 0.82 overall (at 32760).
+    """
+    return n * n.bit_length() ** 2
+
+
+# A materialized quadruple, a 4-tuple with its list slot, costs this many units
+# of work: about 120 bytes, as the oracle's limit is about 135 MB.  So
+# quadruples admits n <= 8503, and its largest set, B(8400) with 1,084,520
+# quadruples, took 0.62 s at a peak RSS of 131 MB (115 MB above the import's;
+# 2-CPU container, Python 3.11.7).
+_QUADRUPLE_COST = 6
+
+
 # 64 entries: the full pre-identity grid sweeps the 59 values 2 <= n <= 60
 # inside each exponent pair, so every revisit of the grid hits.
 @lru_cache(maxsize=64)
@@ -96,8 +117,15 @@ def quadruples(n: int, which: str = "Bprime") -> tuple[tuple[int, int, int, int]
     least recently used.  The identity engine does not read it: it
     enumerates each set once into its own merged argument table.
     Large-n sums should stream via enumerate_quadruples or
-    brute_convolution.
+    brute_convolution.  Raises BudgetExceededError, before enumerating,
+    when _QUADRUPLE_COST units for each of up to _quadruple_bound(n)
+    quadruples exceed the work limit.
     """
+    _check_set(which)
+    work = _QUADRUPLE_COST * _quadruple_bound(n)
+    arith._check_work(
+        work, "listing {which}({n}) needs about {work} units of work", which=which, n=n
+    )
     out: list[tuple[int, int, int, int]] = []
     enumerate_quadruples(n, which, lambda a, b, x, y: out.append((a, b, x, y)))
     return tuple(out)
@@ -162,12 +190,12 @@ _TABLE_ENTRY_COST = 64
 def _oracle_work(r: int, s: int, ns: Collection[int]) -> int:
     """Estimated work of _convolutions over ns, checking each n >= 2 on the way.
 
-    It counts the σ-table indices up to max(ns), weighted, plus N products for
-    each P(n); the smaller P(n / de) that B'(n) adds stay within a few times
-    that.  The count is then weighted by the bit length of the largest power,
-    max(ns)**(r + s).  Counting stops once past _WORK_LIMIT, so a huge range
-    costs a few thousand steps and no allocation, and above the limit the
-    value is a lower bound.
+    It counts the σ-table indices up to max(ns), _TABLE_ENTRY_COST units each,
+    plus N products for each P(n); the smaller P(n / de) that B'(n) adds stay
+    within a few times that.  The count is then weighted by arith._bit_weight
+    of the largest power, max(ns)**(r + s).  Counting stops once past
+    arith._WORK_LIMIT, so a huge range costs a few thousand steps and no
+    allocation, and above the limit the value is a lower bound.
     """
     top = products = work = 0
     for n in ns:
@@ -291,9 +319,9 @@ def brute_convolution(r: int, s: int, n: int, which: str = "Bprime") -> int:
     Σ_{de | n} μ(d) μ(e) e**(r + s) P(n / de), by Möbius inversion of the two
     coprimality conditions; grouped by m = de it is Σ_{m | n} h(m) P(n / m),
     where h(p) = -(1 + p**(r+s)), h(p**2) = p**(r+s), h(p**j) = 0 for j >= 3,
-    and n is factored from the same table.  The call uses no arith function,
-    so it reads and fills no divisor or factorization cache, and it keeps no
-    memo of its own between calls.
+    and n is factored from the same table.  The call uses no arith kernel
+    function, so it reads and fills no divisor or factorization cache, and it
+    keeps no memo of its own between calls.
 
     This is the one-n case of the private range core that verify_theorem,
     fit and validate call once per range or point set, so one factor table
@@ -328,9 +356,15 @@ def check_pre_identity(r: int, s: int, n: int) -> PreIdentityReport:
     The two convolution routes go through sigma_prime; the four quadruple
     sums enumerate B'(n) directly.  A report is returned rather than a bare
     bool so tests and the CLI can show the actual values on a mismatch.
+    Raises BudgetExceededError before any of them when the quadruples'
+    work, each weighted by the length of its powers up to n**(r + s), is
+    above the work limit; n <= 8503 is admitted for r + s <= 36.
     """
     if n < 2:
         raise ValueError(f"solution sets are defined for n >= 2, got {n}")
+    work = _QUADRUPLE_COST * _quadruple_bound(n) * arith._bit_weight(r + s, n)
+    needs = "the pre-identity at ({r}, {s}, {n}) needs about {work} units of work"
+    arith._check_work(work, needs, r=r, s=s, n=n)
     conv_rs = _sigma_prime_convolution(r, s, n)
     conv_sr = _sigma_prime_convolution(s, r, n)
     xy_rs = xy_sr = ab_rs = ab_sr = 0

@@ -137,15 +137,35 @@ COPRIME_POWER_FORMS: dict[int, ClosedForm] = {
 }
 
 
+# One term of the Moebius route, a few Fraction operations, costs this many
+# units of work before its bit weight.  Cold, the largest admitted k took 1.2 s
+# at n = 7 (k = 615) and 1.4 s at n = 30030 (k = 476), each at 16 MB peak RSS;
+# (800, 7), which took 2.7 s, is estimated at 2.1e7 units and refused (2-CPU
+# container, Python 3.11.7).  Every k <= 12 at n <= 10**12 costs under 2.2e5.
+_FRACTION_TERM_COST = 8
+
+
+def _moebius_work(k: int, n: int) -> int:
+    """Estimated work of the cold Moebius route for S_k(n).
+
+    bernoulli's recurrence takes j terms for each even j <= k, about
+    (k + 1)**2 / 4 in all, and faulhaber_sum k + 1 terms for each
+    squarefree divisor of n.  A term's numbers reach about max(k, n)**(k + 1),
+    as B_k grows like k**k, so each is weighted by that length.
+    """
+    terms = (k + 1) * ((k + 1) // 4 + 2 ** len(factorize(n)))
+    return _FRACTION_TERM_COST * terms * arith._bit_weight(k + 1, max(k, n))
+
+
 def coprime_power_sum(k: int, n: int, method: str = "direct") -> int:
     """S_k(n): sum of t**k over 1 <= t < n with gcd(t, n) = 1.
 
     ``method`` selects one of the three independent routes listed in the
     module docstring.  The closed table covers 0 <= k <= 12 only; the other
-    two routes take any k >= 0.  Requires n >= 2.  The direct route raises
-    BudgetExceededError before it loops when its n terms, each weighted by the
-    bit length of n**k as the convolution oracle weighs its powers, exceed the
-    oracle's work limit.
+    two routes take any k >= 0.  Requires n >= 2.  Two routes raise
+    BudgetExceededError before their work when its estimate exceeds the work
+    limit: the direct route counts its n terms, each weighted by the bit
+    length of n**k, and the Moebius route the estimate of _moebius_work.
     """
     if n < 2:
         raise ValueError(f"coprime_power_sum requires n >= 2, got {n}")
@@ -156,6 +176,8 @@ def coprime_power_sum(k: int, n: int, method: str = "direct") -> int:
         arith._check_work(work, "the direct power sum needs {work} units of work")
         return sum(t**k for t in range(1, n) if gcd(t, n) == 1)
     if method == "moebius_faulhaber":
+        work = _moebius_work(k, n)
+        arith._check_work(work, "the Moebius-Faulhaber power sum needs about {work} units of work")
         total = 0
         for d in divisors(n):
             mu = mobius(d)

@@ -18,6 +18,7 @@ from sigmaprime.lattice import (
     _factor_table,
     _inversion_terms,
     _oracle_work,
+    _quadruple_bound,
     _sigma_table,
     brute_convolution,
     check_pre_identity,
@@ -381,6 +382,50 @@ def test_coprime_divisor_pairs_memo_is_bounded():
                 sigma_prime(1, 2, m, n - m)
     info = _coprime_divisor_pairs.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1770, 1770, 1770)
+
+
+def test_quadruple_bound_holds_over_the_admitted_range(monkeypatch):
+    # quadruples admits n <= 8503; over B(n) at r = s = 0 the oracle gives
+    # |B(n)| = Σ_{0<m<n} d(m) d(n - m), so the limit is raised to let it run
+    admitted = [n for n in range(2, 10**4) if lattice._QUADRUPLE_COST * _quadruple_bound(n) <= 10**7]
+    assert admitted == list(range(2, 8504))
+    monkeypatch.setattr(arith, "_WORK_LIMIT", 10**9)
+    sizes = _convolutions(0, 0, admitted, "B")
+    assert sizes[:3] == [len(quadruples(n, "B")) for n in (2, 3, 4)]
+    ratio, n = max((size / _quadruple_bound(n), n) for n, size in zip(admitted, sizes))
+    assert (round(ratio, 3), n) == (0.755, 7560)
+
+
+def _enumerated(*args):
+    raise AssertionError("the quadruples were enumerated")
+
+
+def test_quadruples_refuse_over_budget_before_enumerating(monkeypatch):
+    monkeypatch.setattr(lattice, "enumerate_quadruples", _enumerated)
+    for which in SOLUTION_SETS:
+        with pytest.raises(BudgetExceededError) as info:
+            quadruples(8504, which)
+        assert str(info.value) == (
+            f"listing {which}(8504) needs about 10000704 units of work, the limit is 10000000"
+        )
+        # at the largest admitted n the call gets as far as enumerating
+        with pytest.raises(AssertionError, match="enumerated"):
+            quadruples(8503, which)
+
+
+def test_pre_identity_refuses_over_budget_before_its_sums(monkeypatch):
+    monkeypatch.setattr(lattice, "enumerate_quadruples", _enumerated)
+    monkeypatch.setattr(lattice, "_sigma_prime_convolution", _enumerated)
+    with pytest.raises(BudgetExceededError) as info:
+        check_pre_identity(1, 1, 8504)
+    assert str(info.value) == (
+        "the pre-identity at (1, 1, 8504) needs about 10000704 units of work, the limit is 10000000"
+    )
+    # powers of 37 * 14 = 518 bits, over 512, count twice
+    with pytest.raises(BudgetExceededError, match="about 19999056 units"):
+        check_pre_identity(37, 0, 8503)
+    with pytest.raises(AssertionError, match="enumerated"):
+        check_pre_identity(36, 0, 8503)
 
 
 def test_pre_identity_small_grid():

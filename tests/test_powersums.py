@@ -146,6 +146,31 @@ def test_direct_power_sum_refuses_over_budget_before_looping(monkeypatch):
             coprime_power_sum(k, n, "direct")
 
 
+def test_moebius_power_sum_refuses_large_k_before_expanding(monkeypatch):
+    work = powersums._moebius_work
+    # estimated only, never run: k = 800 at n = 7 took 2.7 s
+    assert work(800, 7) > arith._WORK_LIMIT
+    assert work(10**6, 7) > work(800, 7)
+    # every k <= 12 is far under the limit, even with 2048 squarefree divisors
+    assert work(12, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31) < arith._WORK_LIMIT // 40
+
+    def no_expansion(*args):
+        raise AssertionError("Bernoulli numbers were expanded")
+
+    monkeypatch.setattr(powersums, "faulhaber_sum", no_expansion)
+    for k in (616, 10**6):
+        with pytest.raises(BudgetExceededError) as info:
+            coprime_power_sum(k, 7, "moebius_faulhaber")
+        assert str(info.value) == (
+            f"the Moebius-Faulhaber power sum needs about {work(k, 7)} units of work, "
+            "the limit is 10000000"
+        )
+    assert work(616, 7) == 10010208
+    # at the largest admitted k the call gets as far as expanding
+    with pytest.raises(AssertionError, match="expanded"):
+        coprime_power_sum(615, 7, "moebius_faulhaber")
+
+
 def test_psi_refuses_huge_powers_before_factorizing(monkeypatch):
     # |s| * bit_length(n) bits against 2**20; psi(2**20, 2) stays cheap if the guard breaks
     assert psi(2**19, 2) == 1 - Fraction(2) ** 2**19
