@@ -267,10 +267,9 @@ def _identity_work(f: Poly4, n: int) -> int:
     The left side has at most six argument rows per quadruple of B(n), the
     right side far fewer, and B'(n) is a subset of B(n), whose size
     lattice._quadruple_bound bounds.  Every row costs one product per
-    monomial of f.  A row's
-    entries are at most n in size, so a product has at most
-    deg(f) * n.bit_length() bits, and it is weighted by that length as the
-    convolution oracle weighs its powers.
+    monomial of f.  A row's entries are at most n in size, so a product has
+    at most deg(f) * n.bit_length() bits, and it is weighted by that length
+    as the convolution oracle weighs its powers.
     """
     degree = max(map(sum, f._terms), default=0)
     return 6 * _quadruple_bound(n) * len(f._terms) * arith._bit_weight(degree, n)

@@ -98,11 +98,12 @@ def _quadruple_bound(n: int) -> int:
     return n * n.bit_length() ** 2
 
 
-# A materialized quadruple, a 4-tuple with its list slot, costs this many units
-# of work: about 120 bytes, as the oracle's limit is about 135 MB.  So
-# quadruples admits n <= 8503, and its largest set, B(8400) with 1,084,520
-# quadruples, took 0.62 s at a peak RSS of 131 MB (115 MB above the import's;
-# 2-CPU container, Python 3.11.7).
+# A materialized quadruple, a 4-tuple of about 120 bytes with its list slot,
+# costs this many units of work, so that the largest admitted set stays near
+# the 129 MB peak RSS of the identity engine at its ceiling, B(2000).  quadruples
+# admits n <= 8503, and its largest set, B(8400) with 1,084,520 quadruples,
+# took 0.62 s at a peak RSS of 131 MB, 115 MB above the import's (2-CPU
+# container, Python 3.11.7).
 _QUADRUPLE_COST = 6
 
 
