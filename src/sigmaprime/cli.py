@@ -18,12 +18,12 @@ the quotes that selftest puts around every detail.
 
 Exit codes: 0 success or verified, 1 verification failure or inconsistent
 fit, 2 usage error, 3 a budget refused the work before it started: arith's
-one work limit (the oracle behind conv, verify, count and fit, check-main's
-identity work, the direct and Moebius power sums, sigma-prime's divisor-pair
-scan), arith's power-bits ceiling (psi, sigma-prime), arith's trial-division
-ceiling, check-main's n ceiling, a raw count's --budget, or the output size
-(a number of more than Python's integer-string limit, 4300 digits by
-default).  Errors print a one-line diagnostic on stderr.
+one work limit (the moment core behind conv, verify, count, fit and
+check-main, whose estimate counts moments, degree and right-side rows, and
+the direct and Moebius power sums), arith's power-bits ceiling (psi,
+sigma-prime), arith's trial-division ceiling, a raw count's --budget, or the
+output size (a number of more than Python's integer-string limit, 4300
+digits by default).  Errors print a one-line diagnostic on stderr.
 """
 
 from __future__ import annotations

@@ -5,6 +5,8 @@ six-term main identity and its divisor-sum analogue over B(n), the stored
 closed forms for the nine proven (r, s) convolution evaluations, range
 verification against the enumeration oracle, and the two classical
 convolution checks (besge_check, glaisher_check).
+The identity's left side is a combination of quadruple moments, which
+lattice's moment core sums without walking the set; nothing is kept.
 
 A test function f(a, b, x, y) qualifies for the identities when it
 satisfies, as a polynomial identity,
@@ -20,13 +22,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd
+from math import comb, gcd
 from random import Random
 
 from . import arith
-from .arith import BudgetExceededError, divisors, sigma_convolution, sigma_k
-from .lattice import _convolutions, _quadruple_bound, enumerate_quadruples
+from .arith import divisors, sigma_convolution, sigma_k
+from .lattice import _convolutions, _moment_sums, _moment_work
 from .powersums import ClosedForm, _form
 
 __all__ = [
@@ -195,84 +196,85 @@ def symmetry_holds(f: Poly4) -> bool:
     )
 
 
-# One side of the identity as merged rows ((a, b, x, y), w); a row stands for
-# the term w * f(a, b, x, y).
-Rows = tuple[tuple[tuple[int, int, int, int], int], ...]
+# The six substitutions of the left side, as (sign, the linear forms put in
+# f's four slots): the left side is Σ sign * f(forms(a, b, x, y)) over the set.
+_SUBSTITUTIONS = (
+    (1, ("1a", "1b", "1x", "-1y")),
+    (-1, ("1a", "-1b", "1x", "1y")),
+    (1, ("1a", "1a - 1b", "1x + 1y", "1y")),
+    (-1, ("1a", "1a + 1b", "-1x + 1y", "1y")),
+    (1, ("-1a + 1b", "1b", "1x", "1x + 1y")),
+    (-1, ("1a + 1b", "1b", "1x", "1x - 1y")),
+)
+# each form as its (variable, coefficient) pairs, variables numbered as in abxy
+_LINEAR_MAPS = tuple(
+    (sign, tuple(tuple((e.index(1), c) for e, c in Poly4.from_text(t)._terms.items()) for t in forms))
+    for sign, forms in _SUBSTITUTIONS
+)
 
 
-def _merge(weights: dict[tuple[int, int, int, int], int], sign: int, terms) -> None:
-    for args in terms:
-        weights[args] = weights.get(args, 0) + sign
+def _left_moments(f: Poly4) -> dict[tuple[int, int, int, int], int]:
+    """The left side as {(i, j, k, l): c}, Σ c M(i, j, k, l; n) for the moments M.
 
-
-@lru_cache(maxsize=1)
-def _argument_table(n: int, which: str) -> tuple[Rows, Rows]:
-    """Merged signed argument tuples of both identity sides at (n, which).
-
-    Each side of the identity is Σ w * f(a, b, x, y) over a multiset of
-    argument tuples that does not depend on f.  The solution set is
-    enumerated once; identical tuples are merged by summing their signs and
-    zero weights are dropped.  Each side comes back as rows
-    ((a, b, x, y), w).  Only the table of the (n, which) being swept is
-    kept, so callers sweep n outer and polynomials inner.
+    Each substitution makes a monomial a product of powers of linear forms,
+    each expanded binomially, with a^i b^j x^k y^l keyed as i + j B + k B^2 +
+    l B^3 (B = 1 + deg f) so that multiplying adds keys.  The sets are closed
+    under (a, b, x, y) -> (b, a, y, x) and -> (x, y, a, b), so a moment is
+    kept under the least of its four images; moments that cancel are dropped.
     """
-    lhs: dict[tuple[int, int, int, int], int] = {}
-    get = lhs.get
-
-    # _merge inlined: this runs once per quadruple and dominates a cold call
-    def visit(a: int, b: int, x: int, y: int) -> None:
-        for args in ((a, b, x, -y), (a, a - b, x + y, y), (b - a, b, x, x + y)):
-            lhs[args] = get(args, 0) + 1
-        for args in ((a, -b, x, y), (a, a + b, y - x, y), (a + b, b, x, x - y)):
-            lhs[args] = get(args, 0) - 1
-
-    enumerate_quadruples(n, which, visit)
-    rhs: dict[tuple[int, int, int, int], int] = {}
-    if which == "Bprime":
-        for t in range(1, n):
-            if gcd(t, n) != 1:
+    base = 1 + max(map(sum, f._terms), default=0)
+    units = (1, base, base * base, base**3)
+    out: dict[int, int] = {}
+    get = out.get
+    for expo, coeff in f._terms.items():
+        for sign, forms in _LINEAR_MAPS:
+            key, value, terms = 0, sign * coeff, None
+            for form, e in zip(forms, expo):
+                if not e:
+                    continue
+                if len(form) == 1:
+                    ((v, c),) = form
+                    key += e * units[v]
+                    value *= c**e
+                    continue
+                # (cu u + cv v)**e term by term: each trades one u for one v
+                (u, cu), (v, cv) = form
+                k, c, step, ratio = e * units[u], cu**e, units[v] - units[u], cu * cv
+                power = [(k, c)]
+                for t in range(e):
+                    k += step
+                    c = c * (e - t) // (t + 1) * ratio
+                    power.append((k, c))
+                if terms is not None:
+                    power = [(k1 + k2, c1 * c2) for k1, c1 in terms for k2, c2 in power]
+                terms = power
+            if terms is None:
+                out[key] = get(key, 0) + value
                 continue
-            _merge(rhs, 1, ((1, 0, n, t), (0, 1, t, n), (1, 1, n - t, -t)))
-            _merge(rhs, -1, ((n, t, 1, 0), (t, n, 0, 1), (n - t, -t, 1, 1)))
-    else:
-        for d in divisors(n):
-            nd = n // d
-            for x in range(1, d):
-                _merge(rhs, 1, ((0, nd, x, d), (nd, 0, d, x), (nd, nd, d - x, -x)))
-                _merge(rhs, -1, ((x, x - d, nd, nd), (x, d, 0, nd), (d, x, nd, 0)))
-    return tuple(tuple(row for row in side.items() if row[1]) for side in (lhs, rhs))
+            for k, c in terms:
+                k += key
+                out[k] = get(k, 0) + value * c
+    moments: dict[tuple[int, int, int, int], int] = {}
+    for key, c in out.items():
+        if c:
+            key, i = divmod(key, base)
+            key, j = divmod(key, base)
+            l, k = divmod(key, base)
+            key = min((i, j, k, l), (j, i, l, k), (k, l, i, j), (l, k, j, i))
+            moments[key] = moments.get(key, 0) + c
+    return {key: c for key, c in moments.items() if c}
 
 
-def _weighted_sum(f: Poly4, rows: Rows) -> int:
-    """Σ_e c_e Σ_rows w * a**i * b**j * x**k * y**l over f's monomials."""
-    total = 0
-    for (i, j, k, l), c in f._terms.items():
-        total += c * sum(w * a**i * b**j * x**k * y**l for (a, b, x, y), w in rows)
-    return total
-
-
-# main_identity_sides refuses any n above this, before it enumerates.  The
-# cold table of B(n) is the costly one, with O(|B(n)|) rows: B(2000) merges
-# 309,560 left rows in 1.1-1.2 s at a peak RSS of 129 MB, and B'(2000) takes
-# 0.3 s at 46 MB (one process, Python 3.11, 2-core container).  The one table
-# kept afterwards holds 56 MB at B(2000) (tracemalloc).  That is in line with
-# the convolution oracle's work limit (about 2 s and 135 MB).  The tests,
-# selftest and benchmark stay at n <= 60.
-_IDENTITY_N_LIMIT = 2000
-
-
-def _identity_work(f: Poly4, n: int) -> int:
-    """Estimated work of main_identity_sides(f, n), in the oracle's units.
-
-    The left side has at most six argument rows per quadruple of B(n), the
-    right side far fewer, and B'(n) is a subset of B(n), whose size
-    lattice._quadruple_bound bounds.  Every row costs one product per
-    monomial of f.  A row's entries are at most n in size, so a product has
-    at most deg(f) * n.bit_length() bits, and it is weighted by that length
-    as the convolution oracle weighs its powers.
-    """
+def _identity_work(f: Poly4, n: int, which: str) -> int:
+    """Work of main_identity_sides(f, n, which) from f's exponents alone: the
+    moment core's estimate, weighted by deg(f), for at most (j+1)(k+1) +
+    (i+1)(l+1) moments per monomial a^i b^j x^k y^l, plus one product per
+    monomial for each right-side row, at most 6n over B'(n) and 6 sigma(n) <
+    6n bits(n) over B(n)."""
     degree = max(map(sum, f._terms), default=0)
-    return 6 * _quadruple_bound(n) * len(f._terms) * arith._bit_weight(degree, n)
+    moments = sum((j + 1) * (k + 1) + (i + 1) * (l + 1) for i, j, k, l in f._terms)
+    rows = 6 * n * len(f._terms) * (n.bit_length() if which == "B" else 1)
+    return _moment_work(degree, (n,), moments, rows)
 
 
 def main_identity_sides(f: Poly4, n: int, which: str = "Bprime") -> tuple[int, int]:
@@ -284,25 +286,39 @@ def main_identity_sides(f: Poly4, n: int, which: str = "Bprime") -> tuple[int, i
         f(a,b,x,-y) - f(a,-b,x,y) + f(a,a-b,x+y,y) - f(a,a+b,y-x,y)
         + f(b-a,b,x,x+y) - f(a+b,b,x,x-y).
 
-    Over B'(n) the right side runs over the totatives t of n; over B(n) it
-    is the divisor double sum with six boundary terms.  Both sides are
-    linear in f, so each is evaluated as one weighted sum, monomial by
-    monomial, over the merged argument table of (n, which); f is never
-    called per quadruple.  Raises ValueError if f fails the symmetry
-    hypothesis or n < 2, and BudgetExceededError, before any enumeration,
-    if n is above a fixed ceiling of 2000 or if the work estimated from n and
-    f's size and degree is above the convolution oracle's work limit.
+    It is linear in f and the substitutions are linear, so it is a sum of
+    moments Σ a**i b**j x**k y**l over the set, taken from lattice's moment
+    core; the right side (totatives of n over B'(n), a divisor double sum
+    over B(n)) is summed from its literal rows.  Nothing is enumerated or
+    kept.  Raises ValueError if f fails the symmetry hypothesis or n < 2,
+    and BudgetExceededError, before anything is allocated, if
+    _identity_work is above the work limit.
     """
     if not symmetry_holds(f):
         raise ValueError("polynomial does not satisfy the symmetry hypothesis")
     if n < 2:
         raise ValueError(f"identity sides need n >= 2, got {n}")
-    if n > _IDENTITY_N_LIMIT:
-        raise BudgetExceededError(f"identity sides are limited to n <= {_IDENTITY_N_LIMIT}, got {n}")
-    work = _identity_work(f, n)
+    work = _identity_work(f, n, which)
     arith._check_work(work, "identity sides at n = {n} need about {work} units of work", n=n)
-    lhs, rhs = _argument_table(n, which)
-    return _weighted_sum(f, lhs), _weighted_sum(f, rhs)
+    lhs = _moment_sums(_left_moments(f), (n,), which)[0]
+    added, subtracted = [], []  # the right side's argument tuples (a, b, x, y)
+    if which == "Bprime":
+        for t in range(1, n):
+            if gcd(t, n) == 1:
+                added += ((1, 0, n, t), (0, 1, t, n), (1, 1, n - t, -t))
+                subtracted += ((n, t, 1, 0), (t, n, 0, 1), (n - t, -t, 1, 1))
+    else:
+        for d in divisors(n):
+            nd = n // d
+            for x in range(1, d):
+                added += ((0, nd, x, d), (nd, 0, d, x), (nd, nd, d - x, -x))
+                subtracted += ((x, x - d, nd, nd), (x, d, 0, nd), (d, x, nd, 0))
+    rhs = sum(
+        c * (sum(a**i * b**j * x**k * y**l for a, b, x, y in added)
+             - sum(a**i * b**j * x**k * y**l for a, b, x, y in subtracted))
+        for (i, j, k, l), c in f._terms.items()
+    )
+    return lhs, rhs
 
 
 def random_symmetric_poly(

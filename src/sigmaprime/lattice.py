@@ -3,39 +3,25 @@
 B(n) is the set of quadruples (a, b, x, y) of positive integers with
 ax + by = n.  B'(n) is the subset with gcd(a, b) = gcd(x, y) = 1.  Beside
 the enumerator sit the two-variable divisor sum sigma_prime, the six-way
-pre-identity consistency check, and brute_convolution, the exact oracle
-that every closed form in this package is verified against.  It never walks
-the set.  One linear sieve per call gives every m up to the largest n its
-least prime p and the full power q of p in m.  From that factor table each
-divisor power sum takes one product, sigma_k(m) = sigma_k(m/q) sigma_k(q),
-and P(n) = Σ_{0<m<n} sigma_r(m) sigma_s(n - m) is the sum over B(n).  B'(n)
-follows by Möbius inversion of the two coprimality conditions,
-Σ_{de | n} μ(d) μ(e) e**(r+s) P(n/de), which grouped by m = de is
-Σ_{m | n} h(m) P(n/m) for h = μ ⋆ (μ·id**(r+s)); h is multiplicative, so n's
-factorization from the same table gives it.  The oracle calls no arith
-kernel function, so it is independent of the kernel the closed forms use and
-fills no process-wide cache.
-One private core serves a whole collection of n at once: verify_theorem,
-fit and validate hand it their range or point set, so one factor table and
-one pair of σ tables, built up to the largest n, serve every row, and all of
-it runs in this process.  Every route here that can be asked for unbounded
-work estimates it in the units of arith's one work limit and is refused
-through arith's gate, with BudgetExceededError, before that work starts:
-the core before it allocates anything, sigma_prime's divisor-pair scan,
-quadruples and check_pre_identity from the bound n * n.bit_length()**2 on
-|B(n)|, and sigma_prime's powers by arith's power-bits ceiling.
+pre-identity check, and the moment core behind the identity engine and
+brute_convolution, the exact oracle every closed form is checked against.
+The core never walks the set: a moment Σ a**i b**j x**k y**l over B(n) is a
+convolution of two multiplicative g tables from one least-prime sieve, and
+B'(n) follows by Möbius inversion.  It calls no arith kernel function, so it
+fills no process-wide cache, keeps nothing between calls, and serves a whole
+range of n from one sieve.  Every route here that can be asked for unbounded
+work is refused through arith's gate before that work starts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 from operator import mul
 from typing import Callable, Collection
 
 from . import arith
-from .arith import BudgetExceededError, divisors
+from .arith import BudgetExceededError, divisors, factorize, sigma_k
 
 __all__ = [
     "SOLUTION_SETS",
@@ -99,72 +85,59 @@ def _quadruple_bound(n: int) -> int:
 
 
 # A materialized quadruple, a 4-tuple of about 120 bytes with its list slot,
-# costs this many units of work, so that the largest admitted set stays near
-# the 129 MB peak RSS of the identity engine at its ceiling, B(2000).  quadruples
-# admits n <= 8503, and its largest set, B(8400) with 1,084,520 quadruples,
-# took 0.62 s at a peak RSS of 131 MB, 115 MB above the import's (2-CPU
-# container, Python 3.11.7).
+# costs this many units of work, so n <= 8503 is admitted: B(8400) took 0.62 s
+# at 115 MB above the import's RSS (2-CPU container, Python 3.11.7).
 _QUADRUPLE_COST = 6
 
+# The quadruples memo holds at most this many quadruples: the pre-identity grid,
+# B'(n) for 2 <= n <= 60, lists 14,599, so every revisit of it hits.
+_QUADRUPLE_MEMO_LIMIT = 2**14
+_quadruple_memo: dict[tuple[int, str], tuple[tuple[int, int, int, int], ...]] = {}
 
-# 64 entries: the full pre-identity grid sweeps the 59 values 2 <= n <= 60
-# inside each exponent pair, so every revisit of the grid hits.
-@lru_cache(maxsize=64)
+
 def quadruples(n: int, which: str = "Bprime") -> tuple[tuple[int, int, int, int], ...]:
-    """Materialized, cached tuple of the quadruples in enumeration order.
+    """Materialized, memoized tuple of the quadruples in enumeration order.
 
     Convenient for check_pre_identity, which revisits the same small-n sets
-    for many exponent pairs.  The memo holds at most 64 sets, dropping the
-    least recently used.  The identity engine does not read it: it
-    enumerates each set once into its own merged argument table.
-    Large-n sums should stream via enumerate_quadruples or
-    brute_convolution.  Raises BudgetExceededError, before enumerating,
-    when _QUADRUPLE_COST units for each of up to _quadruple_bound(n)
-    quadruples exceed the work limit.
+    for many exponent pairs; the memo drops the least recently used sets to
+    hold at most _QUADRUPLE_MEMO_LIMIT quadruples and keeps no larger set.
+    Raises BudgetExceededError, before enumerating, when _QUADRUPLE_COST
+    units for each of up to _quadruple_bound(n) quadruples exceed the limit.
     """
     _check_set(which)
     work = _QUADRUPLE_COST * _quadruple_bound(n)
     arith._check_work(
         work, "listing {which}({n}) needs about {work} units of work", which=which, n=n
     )
-    out: list[tuple[int, int, int, int]] = []
-    enumerate_quadruples(n, which, lambda a, b, x, y: out.append((a, b, x, y)))
-    return tuple(out)
-
-
-# 2048 entries: the full pre-identity grid, 2 <= n <= 60, reads the 1770 keys
-# (m, n - m), so every revisit of the grid hits.
-@lru_cache(maxsize=2048)
-def _coprime_divisor_pairs(m: int, n: int) -> tuple[tuple[int, int], ...]:
-    # index set of sigma_prime: divisor pairs (d, e) of (m, n) with both
-    # gcd(d, e) = 1 and gcd(m/d, n/e) = 1; a scan of more pairs than the
-    # oracle's work limit is refused before it starts
-    divs_m, divs_n = divisors(m), divisors(n)
-    pairs = len(divs_m) * len(divs_n)
-    arith._check_work(pairs, "sigma_prime at ({m}, {n}) scans {work} divisor pairs", m=m, n=n)
-    out = []
-    for d in divs_m:
-        md = m // d
-        for e in divs_n:
-            if gcd(d, e) == 1 and gcd(md, n // e) == 1:
-                out.append((d, e))
-    return tuple(out)
+    memo = _quadruple_memo
+    quads = memo.pop((n, which), None)
+    if quads is None:
+        out: list[tuple[int, int, int, int]] = []
+        enumerate_quadruples(n, which, lambda a, b, x, y: out.append((a, b, x, y)))
+        quads = tuple(out)
+        if len(quads) > _QUADRUPLE_MEMO_LIMIT:
+            return quads
+        held = sum(map(len, memo.values()))
+        while held + len(quads) > _QUADRUPLE_MEMO_LIMIT:
+            held -= len(memo.pop(next(iter(memo))))
+    memo[n, which] = quads  # (re)inserted last, as the most recently used
+    return quads
 
 
 def sigma_prime(r: int, s: int, m: int, n: int) -> int:
     """Two-variable coprime divisor sum Σ d**r e**s.
 
     The sum runs over divisor pairs d | m, e | n restricted by
-    gcd(d, e) = 1 and gcd(m/d, n/e) = 1.  By construction
-    sigma_prime(r, s, m, n) == sigma_prime(s, r, n, m).
+    gcd(d, e) = 1 and gcd(m/d, n/e) = 1, so sigma_prime(r, s, m, n) ==
+    sigma_prime(s, r, n, m).  The conditions split prime by prime, so it is
+    a product over the primes p of m * n, with p**α || m and p**β || n:
+    sigma_r(p**α) when p ∤ n, sigma_s(p**β) when p ∤ m, and
+    p**(rα) + p**(sβ) when p divides both.  No divisor pair is scanned.
 
-    Returns 0 whenever m <= 0 or n <= 0.  That extension is a deliberate
-    convention (not part of the defining sum) so convolutions can run over
-    an unguarded index range; it mirrors sigma_k's behaviour.
-
-    Raises BudgetExceededError before any power when r * m.bit_length() or
-    s * n.bit_length() is above 2**20 bits, and before the scan when the
-    divisor pairs of (m, n) number more than the oracle's work limit.
+    Returns 0 whenever m <= 0 or n <= 0, a convention (as for sigma_k) for
+    unguarded convolution ranges.  Raises BudgetExceededError before any
+    power when r * m.bit_length() or s * n.bit_length() is above 2**20
+    bits, and when factorizing needs trial divisors above arith's ceiling.
     """
     if r < 0 or s < 0:
         raise ValueError(f"sigma_prime requires r, s >= 0, got ({r}, {s})")
@@ -173,30 +146,40 @@ def sigma_prime(r: int, s: int, m: int, n: int) -> int:
     limit = arith._POWER_BITS_LIMIT
     if r * m.bit_length() > limit or s * n.bit_length() > limit:
         arith._refuse_power_bits("sigma_prime", r, s, m, n)
-    return sum(d**r * e**s for d, e in _coprime_divisor_pairs(m, n))
+    total = 1
+    for p, _ in factorize(gcd(m, n)):
+        alpha = beta = 0
+        while m % p == 0:
+            m //= p
+            alpha += 1
+        while n % p == 0:
+            n //= p
+            beta += 1
+        total *= p ** (r * alpha) + p ** (s * beta)
+    # what is left of m and of n is coprime to the other
+    return total * sigma_k(r, m) * sigma_k(s, n)
 
 
 def _sigma_prime_convolution(r: int, s: int, n: int) -> int:
-    # Σ_{0<m<n} sigma_prime(r, s, m, n - m), the counterpart of
-    # arith.sigma_convolution; 0 for n < 2 (an empty sum)
+    # Σ_{0<m<n} sigma_prime(r, s, m, n - m), arith.sigma_convolution's counterpart
     return sum(sigma_prime(r, s, m, n - m) for m in range(1, n))
 
 
-# A σ-table index costs this many units of work, a product in a P(N) one.  The
-# sieve and σ tables spend about one product per index, so it is generous: set
-# for earlier divisor-list tables, it keeps its value so no admission changes.
+# A g-table index costs this many units of work, a product in an M(N) one.  The
+# sieve and g tables spend about one product per index, so it is generous; it
+# keeps the value set for earlier divisor-list tables, so no admission changed.
 _TABLE_ENTRY_COST = 64
 
 
-def _oracle_work(r: int, s: int, ns: Collection[int]) -> int:
-    """Estimated work of _convolutions over ns, checking each n >= 2 on the way.
+def _moment_work(degree: int, ns: Collection[int], moments: int = 1, rows: int = 0) -> int:
+    """Estimated work of _moment_sums over ns, checking each n >= 2 on the way.
 
-    It counts the σ-table indices up to max(ns), _TABLE_ENTRY_COST units each,
-    plus N products for each P(n); the smaller P(n / de) that B'(n) adds stay
-    within a few times that.  The count is then weighted by arith._bit_weight
-    of the largest power, max(ns)**(r + s).  Counting stops once past
-    arith._WORK_LIMIT, so a huge range costs a few thousand steps and no
-    allocation, and above the limit the value is a lower bound.
+    Each moment counts its pair of g tables up to max(ns), _TABLE_ENTRY_COST
+    units an index, plus N products for each M(n) (B'(n)'s smaller M(n / m)
+    stay within a few times that), a caller's rows one unit each, all
+    weighted by arith._bit_weight(degree, max(ns)).  Counting stops once past
+    arith._WORK_LIMIT, so a huge range allocates nothing.  The oracle's case
+    is one moment of degree r + s and no rows.
     """
     top = products = work = 0
     for n in ns:
@@ -204,7 +187,9 @@ def _oracle_work(r: int, s: int, ns: Collection[int]) -> int:
             raise ValueError(f"solution sets are defined for n >= 2, got {n}")
         top = max(top, n)
         products += n
-        work = (_TABLE_ENTRY_COST * top + products) * arith._bit_weight(r + s, top)
+        work = (moments * (_TABLE_ENTRY_COST * top + products) + rows) * arith._bit_weight(
+            degree, top
+        )
         if work > arith._WORK_LIMIT:
             break
     return work
@@ -235,11 +220,10 @@ def _factor_table(top: int) -> tuple[list[int], list[int]]:
     return least, power
 
 
-def _sigma_table(k: int, factors: tuple[list[int], list[int]]) -> list[int]:
-    # [0, sigma_k(1), ..., sigma_k(top - 1)] from the factor table, one product
-    # per entry: sigma_k(m) = sigma_k(m / q) sigma_k(q) for q the full power of
-    # m's least prime p, and sigma_k(p**e) = 1 + p**k sigma_k(p**(e - 1)), where
-    # p**k = sigma_k(p) - 1
+def _sigma_table(i: int, k: int, factors: tuple[list[int], list[int]]) -> list[int]:
+    # [0, g(1), ..., g(top - 1)] for the multiplicative g(m) = Σ_{ax = m} a**i x**k,
+    # one product per entry: g(m) = g(m / q) g(q) for q the full power of m's least
+    # prime p, and g(p**e) = p**(ie) + p**k g(p**(e-1)); sigma_k is the case i = 0
     least, power = factors
     table = [0] * len(least)
     table[1] = 1
@@ -248,86 +232,85 @@ def _sigma_table(k: int, factors: tuple[list[int], list[int]]) -> list[int]:
         if q != m:
             table[m] = table[m // q] * table[q]
         elif least[m] == m:
-            table[m] = 1 + m**k
+            table[m] = m**i + m**k
         else:
             p = least[m]
-            table[m] = 1 + (table[p] - 1) * table[m // p]
+            table[m] = m**i + (table[p] - p**i) * table[m // p]
     return table
 
 
 def _inversion_terms(
-    w: int, n: int, factors: tuple[list[int], list[int]]
+    u: int, w: int, n: int, factors: tuple[list[int], list[int]]
 ) -> list[tuple[int, int]]:
-    # [(m, h(m))] over the cube-free divisors m of n, where h = μ ⋆ (μ·id**w), so
-    # h(m) = Σ_{de = m} μ(d) μ(e) e**w.  h is multiplicative, with h(p) = -(1 + p**w),
-    # h(p**2) = p**w and h(p**j) = 0 for j >= 3; n is factored from the table.
+    # [(m, h(m))] over the cube-free m | n, for the multiplicative h(m) = Σ_{de = m} μ(d) μ(e)
+    # d**u e**w: h(p) = -(p**u + p**w), h(p**2) = p**(u + w), h(p**j) = 0 for j >= 3
     least, power = factors
     terms = [(1, 1)]
     while n > 1:
         p, q = least[n], power[n]
-        p_w = p**w
-        local = [(1, 1), (p, -1 - p_w)]
+        p_u, p_w = p**u, p**w
+        local = [(1, 1), (p, -p_u - p_w)]
         if q > p:  # p**2 divides n
-            local.append((p * p, p_w))
+            local.append((p * p, p_u * p_w))
         terms = [(m * f, h * g) for m, h in terms for f, g in local]
         n //= q
     return terms
 
 
-def _convolutions(r: int, s: int, ns: Collection[int], which: str) -> list[int]:
-    # brute_convolution for every n of ns, in order; one factor table and one
-    # pair of σ tables up to max(ns), and one memo of P(N), serve them all
+def _moment_sums(moments: dict[tuple[int, ...], int], ns: Collection[int], which: str) -> list[int]:
+    # Σ c M(i, j, k, l; n) for every n of ns over the moments {(i, j, k, l): c},
+    # M being Σ a**i b**j x**k y**l over the set; one factor table, one g table
+    # per (i, k) and one memo of M_B(N) per (i + j, k + l) serve every n
     coprime = _check_set(which)
-    if r < 0 or s < 0:
-        raise ValueError(f"brute_convolution requires r, s >= 0, got ({r}, {s})")
-    work = _oracle_work(r, s, ns)
-    arith._check_work(work, "the convolution oracle needs at least {work} units of work")
     factors = _factor_table(max(ns) + 1)
-    sig_s = _sigma_table(s, factors)
-    sig_r = sig_s if r == s else _sigma_table(r, factors)
+    tables: dict[tuple[int, int], list[int]] = {}
+    groups: dict[tuple[int, int], list[tuple[int, list[int], list[int]]]] = {}
+    for (i, j, k, l), c in moments.items():
+        keys = (min(i, k), max(i, k)), (min(j, l), max(j, l))  # g_ik is g_ki
+        pair = [tables.get(key) or tables.setdefault(key, _sigma_table(*key, factors)) for key in keys]
+        groups.setdefault((i + j, k + l), []).append((c, *pair))
     if not coprime:
         factors = None  # B(n) factors nothing more; free the table before the sums
-    memo: dict[int, int] = {}
+    sums = [(weights, terms, {}) for weights, terms in groups.items()]
+    out = []
+    for n in ns:
+        total = 0
+        for weights, terms, memo in sums:
+            # Over B'(n): [gcd(a, b) = 1] = Σ_{d | gcd(a, b)} μ(d), likewise e for (x, y), and
+            # d·a', d·b', e·x', e·y' puts (a', b', x', y') in B(n / de) with weight d**u e**w
+            for m, h in _inversion_terms(*weights, n, factors) if coprime else ((1, 1),):
+                big_n = n // m
+                value = memo.get(big_n)
+                if value is None:
+                    # M_B(N) = Σ_{0<m<N} g_ik(m) g_jl(N - m): each ax + by = N splits at m = ax
+                    value = memo[big_n] = sum(
+                        c * sum(map(mul, g_ik[1:big_n], reversed(g_jl[1:big_n])))
+                        for c, g_ik, g_jl in terms
+                    )
+                total += h * value
+        out.append(total)
+    return out
 
-    def plain(big_n: int) -> int:
-        # Σ x**r y**s over B(big_n) = Σ_{m < big_n} sigma_r(m) sigma_s(big_n - m)
-        if big_n not in memo:
-            memo[big_n] = sum(map(mul, sig_r[1:big_n], reversed(sig_s[1:big_n])))
-        return memo[big_n]
 
-    def coprime_sum(n: int) -> int:
-        # [gcd(a, b) = 1] = Σ_{d | gcd(a, b)} μ(d), and likewise with e for (x, y).
-        # Writing a, b, x, y = d·a', d·b', e·x', e·y' puts (a', b', x', y') in
-        # B(n / de) with weight e**(r + s), hence Σ_{de | n} μ(d) μ(e) e**(r+s) P(n/de),
-        # which grouped by m = de is Σ_{m | n} h(m) P(n/m).
-        return sum(h * plain(n // m) for m, h in _inversion_terms(r + s, n, factors))
-
-    return list(map(coprime_sum if coprime else plain, ns))
+def _convolutions(r: int, s: int, ns: Collection[int], which: str) -> list[int]:
+    # brute_convolution for every n of ns, in order: the one moment (0, 0, r, s),
+    # Σ x**r y**s, whose g tables are sigma_r and sigma_s
+    _check_set(which)
+    if r < 0 or s < 0:
+        raise ValueError(f"brute_convolution requires r, s >= 0, got ({r}, {s})")
+    work = _moment_work(r + s, ns)
+    arith._check_work(work, "the convolution oracle needs at least {work} units of work")
+    return _moment_sums({(0, 0, r, s): 1}, ns, which)
 
 
 def brute_convolution(r: int, s: int, n: int, which: str = "Bprime") -> int:
     """Exact sum over a solution set; the oracle for every closed form.
 
-    For B'(n) this returns Σ x**r y**s over the quadruples; for B(n) it
-    returns Σ a**r b**s.  Both sets are closed under (a, b, x, y) ->
-    (x, y, a, b), so either is Σ x**r y**s over its set.  Over B(n) that is
-    the classical convolution P(n) = Σ_{0<m<n} sigma_r(m) sigma_s(n - m).
-    The divisor power sums come from tables built once per call, not from
-    sigma_k, so the classical identity stays an independent check: a linear
-    sieve gives each m < n its least prime p and the full power q of p in m,
-    and then sigma_k(m) = sigma_k(m/q) sigma_k(q), with sigma_k(p**e) =
-    1 + p**k sigma_k(p**(e-1)).  Over B'(n) the sum is
-    Σ_{de | n} μ(d) μ(e) e**(r + s) P(n / de), by Möbius inversion of the two
-    coprimality conditions; grouped by m = de it is Σ_{m | n} h(m) P(n / m),
-    where h(p) = -(1 + p**(r+s)), h(p**2) = p**(r+s), h(p**j) = 0 for j >= 3,
-    and n is factored from the same table.  The call uses no arith kernel
-    function, so it reads and fills no divisor or factorization cache, and it
-    keeps no memo of its own between calls.
-
-    This is the one-n case of the private range core that verify_theorem,
-    fit and validate call once per range or point set, so one factor table
-    and one pair of σ tables serve every n they check.  A call whose estimated work exceeds
-    a fixed limit raises BudgetExceededError before it allocates anything.
+    For B'(n) this returns Σ x**r y**s over the quadruples; for B(n),
+    Σ a**r b**s, the same moment (0, 0, r, s) by the set's symmetry, and the
+    classical Σ_{0<m<n} sigma_r(m) sigma_s(n - m) from the core's own tables
+    rather than sigma_k, so that identity stays an independent check.  A
+    call over the work limit raises BudgetExceededError before it allocates.
     """
     return _convolutions(r, s, (n,), which)[0]
 

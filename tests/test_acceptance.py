@@ -8,9 +8,8 @@ there is no floating point anywhere, so the tolerance is zero.
 
 import pytest
 
-from sigmaprime import acceptance
+from sigmaprime import acceptance, lattice
 from sigmaprime.acceptance import CRITERIA
-from sigmaprime.identities import _argument_table
 
 
 @pytest.mark.parametrize("criterion", CRITERIA, ids=lambda c: c.name)
@@ -26,10 +25,12 @@ def test_checklist_is_complete():
     assert len(names) == len(set(names)) == 11
 
 
-def test_main_identity_builds_each_table_once():
-    # n outer, polynomials inner: one build per (n, set), and one table kept
-    _argument_table.cache_clear()
+def test_main_identity_criterion_enumerates_nothing(monkeypatch):
+    # the identity engine sums moments: no solution set is walked or listed
+    def refuse(*args):
+        raise AssertionError("a solution set was enumerated")
+
+    monkeypatch.setattr(lattice, "enumerate_quadruples", refuse)
+    monkeypatch.setattr(lattice, "quadruples", refuse)
     passed, _detail = acceptance._c06_main_identity(25, 20, 12)
     assert passed
-    info = _argument_table.cache_info()
-    assert (info.misses, info.currsize) == (24 + 19, 1)

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigmaprime import arith, cli, identities, lattice, powersums
+from sigmaprime.lattice import sigma_prime
 
 CMD = [sys.executable, "-m", "sigmaprime"]
 
@@ -142,7 +143,7 @@ def test_count_budget_exit_3():
         ("verify", "--theorem", "t15", "--range", "2..5000"),
         ("fit", "--r", "1", "--s", "3", "--train", "2,3,4,5,7,200000", "--test", "11"),
         ("count", "--which", "Lp", "--r", "1", "--s", "3", "--n", "200000"),
-        # check-main has its own ceiling on n, not the oracle's work limit
+        # check-main's identity work, in the same units
         ("check-main", "--poly", "1x^2y^2", "--n", "200000"),
         # few σ-table entries, but each a power of some 10**6 bits
         ("conv", "--r", "100000", "--s", "1", "--n", "600", "--set", "B"),
@@ -153,7 +154,7 @@ def test_oracle_budget_exit_3(args):
     assert proc.returncode == 3
     assert proc.stdout == ""
     if args[0] == "check-main":
-        assert proc.stderr == "error: identity sides are limited to n <= 2000, got 200000\n"
+        assert proc.stderr.startswith("error: identity sides at n = 200000 need about ")
     else:
         assert proc.stderr.startswith("error: the convolution oracle needs at least ")
     assert len(proc.stderr.strip().splitlines()) == 1
@@ -181,7 +182,7 @@ def test_trial_division_budget_exit_3(args, capsys):
     [
         ("conv", "--r", "2000", "--s", "1", "--n", "600", "--set", "B"),
         ("psi", "--s", "20000", "--n", "6"),
-        ("check-main", "--poly", "1x^2000", "--n", "200"),
+        ("sigma-prime", "--r", "6000", "--s", "1", "--m", "6", "--n", "6"),
     ],
 )
 def test_result_over_digit_limit_exit_3(args, capsys):
@@ -201,10 +202,10 @@ def _no_work(*args):
     [
         (
             ("check-main", "--poly", "1x^20000", "--n", "200", "--set", which),
-            (identities, "_argument_table"),
-            "identity sides at n = 200 need about 24038400 units of work, the limit is 10000000",
+            (identities, "_left_moments"),
+            f"identity sides at n = 200 need about {work} units of work, the limit is 10000000",
         )
-        for which in ("B", "Bprime")
+        for which, work in (("B", 81391142800), ("Bprime", 81388513600))
     ]
     + [
         (
@@ -214,9 +215,18 @@ def _no_work(*args):
         ),
         (
             ("sigma-prime", "--r", "1048576", "--s", "1", "--m", "2", "--n", "2"),
-            (lattice, "_coprime_divisor_pairs"),
+            (lattice, "factorize"),
             "sigma_prime(1048576, 1, 2, 2) needs powers of more than 1048576 bits",
         ),
+    ]
+    + [
+        # computed, this ran 9.4 s over B and 13.1 s over B'
+        (
+            ("check-main", "--poly", "1x^2000", "--n", "200", "--set", which),
+            (identities, "_left_moments"),
+            f"identity sides at n = 200 need about {work} units of work, the limit is 10000000",
+        )
+        for which, work in (("B", 833139200), ("Bprime", 832870400))
     ],
 )
 def test_power_and_degree_budget_exit_3(args, work, message, monkeypatch, capsys):
@@ -226,16 +236,15 @@ def test_power_and_degree_budget_exit_3(args, work, message, monkeypatch, capsys
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-def test_sigma_prime_pair_scan_budget_exit_3(monkeypatch, capsys):
-    # 5040 and 5544 have 60 and 48 divisors; the limit is lowered so that
-    # nothing large runs if the check broke
-    monkeypatch.setattr(arith, "_WORK_LIMIT", 2879)
-    monkeypatch.setattr(lattice, "gcd", _no_work)
-    assert cli.main(["sigma-prime", "--r", "1", "--s", "1", "--m", "5040", "--n", "5544"]) == 3
-    assert capsys.readouterr() == (
-        "",
-        "error: sigma_prime at (5040, 5544) scans 2880 divisor pairs, the limit is 2879\n",
-    )
+def test_sigma_prime_answers_past_the_old_pair_scan_limit(monkeypatch, capsys):
+    # 97821761637600 has 17280 divisors, whose pair scan the parent refused;
+    # the product over its primes needs no scan, so a tiny work limit is moot
+    monkeypatch.setattr(arith, "_WORK_LIMIT", 1)
+    argv = ["sigma-prime", "--r", "1", "--s", "1", "--m", "97821761637600", "--n", "97821761637600"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["result"] == str(sigma_prime(1, 1, 97821761637600, 97821761637600))
 
 
 def test_fit_consistent():

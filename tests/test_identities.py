@@ -4,6 +4,7 @@ import ast
 import concurrent.futures
 import os
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigmaprime import arith, cli, identities
+from sigmaprime import arith, cli, identities, lattice
 from sigmaprime.arith import divisors
 from sigmaprime.identities import (
     PROOF_POLYNOMIALS,
@@ -135,7 +136,7 @@ def test_symmetry_rule_matches_expansion(terms, symmetrize, add_even):
 
 def test_warm_main_identity_sides_builds_no_poly(monkeypatch):
     f = PROOF_POLYNOMIALS[2]
-    main_identity_sides(f, 12)  # builds the argument table
+    main_identity_sides(f, 12)
     built = []
     init = Poly4.__init__
 
@@ -202,71 +203,103 @@ def test_main_identity_sides_match_per_quadruple_oracle(which):
     for n in range(2, 31):
         for f in family:
             expected = six_term_oracle(f, n, which)
-            identities._argument_table.cache_clear()
             assert main_identity_sides(f, n, which) == expected, (f.to_text(), n, "cold")
             assert main_identity_sides(f, n, which) == expected, (f.to_text(), n, "warm")
 
 
-def test_argument_table_merges_rows_and_is_bounded():
-    rows = identities._argument_table(26, "Bprime")[0]
-    assert len(rows) == 320 and all(w for _args, w in rows)
-    rows = identities._argument_table(20, "B")[0]
-    assert len(rows) == 540 and all(w for _args, w in rows)
-    assert identities._argument_table.cache_info().maxsize == 1
+def test_identities_defines_no_lru_cache():
+    # the engine keeps nothing between calls
+    tree = ast.parse(Path(identities.__file__).read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "lru_cache" not in names and "cache" not in names
+    own = [obj for obj in vars(identities).values() if getattr(obj, "__module__", None) == identities.__name__]
+    assert own and not any(hasattr(obj, "cache_info") for obj in own)
+
+
+def test_main_identity_enumerates_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a solution set was enumerated")
+
+    for module in (lattice, identities):
+        monkeypatch.setattr(module, "enumerate_quadruples", refuse, raising=False)
+        monkeypatch.setattr(module, "quadruples", refuse, raising=False)
+    for which in SOLUTION_SETS:
+        for f in PROOF_POLYNOMIALS:
+            lhs, rhs = main_identity_sides(f, 30, which)
+            assert lhs == rhs
+
+
+def test_main_identity_large_n_is_small_in_memory():
+    # B(2000) with the t111 proof polynomial: the parent's argument table
+    # peaked near 110 MB above the import
+    tracemalloc.start()
+    try:
+        lhs, rhs = main_identity_sides(PROOF_POLYNOMIALS[6], 2000, "B")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lhs == rhs
+    assert peak < 16 * 2**20
 
 
 def test_main_identity_ceiling_refuses_before_enumerating(monkeypatch):
-    class Enumerated(Exception):
-        pass
-
+    # the estimate is the only n ceiling: for 1x^2y^2 (at most six moments,
+    # one monomial) B(n) is admitted up to n = 20833 and B'(n) up to 25252
     def refuse(*args):
-        raise Enumerated
+        raise AssertionError("the moments were expanded")
 
-    monkeypatch.setattr(identities, "enumerate_quadruples", refuse)
+    monkeypatch.setattr(identities, "_left_moments", refuse)
+    monkeypatch.setattr(lattice, "_factor_table", refuse)
     f = Poly4.from_text("1x^2y^2")
-    for which in SOLUTION_SETS:
+    for which, top in (("B", 20833), ("Bprime", 25252)):
         with pytest.raises(BudgetExceededError) as info:
-            main_identity_sides(f, 2001, which)
-        assert str(info.value) == "identity sides are limited to n <= 2000, got 2001"
-        # at the ceiling the call gets as far as enumerating
-        with pytest.raises(Enumerated):
-            main_identity_sides(f, 2000, which)
+            main_identity_sides(f, top + 1, which)
+        assert str(info.value).startswith(f"identity sides at n = {top + 1} need about ")
+        with pytest.raises(AssertionError, match="expanded"):
+            main_identity_sides(f, top, which)
+        with pytest.raises(BudgetExceededError) as info:
+            main_identity_sides(f, 200000, which)
 
 
 def test_identity_work_estimate():
-    # 6 * n * bit_length(n)**2 * terms(f) * (1 + deg(f) * bit_length(n) // 512)
+    # moments bound Σ (j+1)(k+1) + (i+1)(l+1) over f's monomials; rows 6n per
+    # monomial over B'(n) and 6n bits(n) over B(n); weighted by deg(f)
     work = identities._identity_work
-    assert work(Poly4.from_text("1x^2000"), 200) == 2_457_600
-    assert work(Poly4.from_text("1x^20000"), 200) == 24_038_400
-    assert work(Poly4.from_text("1x^2y^2"), 2000) == 1_452_000
-    assert work(Poly4.from_text("1x^2y^2 + 1a^2b^2"), 60) == 2 * 6 * 60 * 36
-    assert work(Poly4.from_text("0"), 60) == 0
+    assert work(Poly4.from_text("1x^2y^2"), 60, "Bprime") == 6 * (64 * 60 + 60) + 6 * 60
+    assert work(Poly4.from_text("1x^2y^2"), 60, "B") == 6 * (64 * 60 + 60) + 6 * 60 * 6
+    assert work(Poly4.from_text("1x^2y^2 + 1a^2b^2"), 12, "Bprime") == 12 * (64 * 12 + 12) + 12 * 12
+    assert work(Poly4.from_text("1x^2000"), 200, "B") == (2002 * 13000 + 6 * 200 * 8) * 32
+    assert work(Poly4.from_text("0"), 60, "B") == 0
     # never evaluated: one power of 2**(10**11)
-    assert work(Poly4.from_text("1x^100000000000"), 2) > arith._WORK_LIMIT
-    # every call of the full main-identity criterion is far under the limit
+    assert work(Poly4.from_text("1x^100000000000"), 2, "B") > arith._WORK_LIMIT
+    # every call of the full main-identity criterion is ten times under the limit
     rng = random.Random(20250819)
     family = list(PROOF_POLYNOMIALS) + [random_symmetric_poly(rng) for _ in range(50)]
-    assert max(work(f, 60) for f in family) < arith._WORK_LIMIT // 50
+    assert max(work(f, 60, which) for f in family for which in SOLUTION_SETS) < arith._WORK_LIMIT // 10
 
 
 def test_main_identity_degree_refuses_before_enumerating(monkeypatch):
     def refuse(*args):
-        raise AssertionError("the argument table was built")
+        raise AssertionError("the moments were expanded")
 
-    monkeypatch.setattr(identities, "_argument_table", refuse)
-    for which in SOLUTION_SETS:
-        with pytest.raises(BudgetExceededError) as info:
-            main_identity_sides(Poly4.from_text("1x^20000"), 200, which)
-        assert str(info.value) == (
-            "identity sides at n = 200 need about 24038400 units of work, the limit is 10000000"
-        )
-    # just under the limit the call gets as far as building the table
-    monkeypatch.setattr(arith, "_WORK_LIMIT", 2_457_600)
-    with pytest.raises(AssertionError, match="argument table"):
-        main_identity_sides(Poly4.from_text("1x^2000"), 200)
-    monkeypatch.setattr(arith, "_WORK_LIMIT", 2_457_599)
+    monkeypatch.setattr(identities, "_left_moments", refuse)
+    for poly in ("1x^20000", "1x^2000"):
+        for which in SOLUTION_SETS:
+            with pytest.raises(BudgetExceededError) as info:
+                main_identity_sides(Poly4.from_text(poly), 200, which)
+            work = identities._identity_work(Poly4.from_text(poly), 200, which)
+            assert str(info.value) == (
+                f"identity sides at n = 200 need about {work} units of work, the limit is 10000000"
+            )
+    # just under the limit the call gets as far as expanding the moments
+    f = Poly4.from_text("1x^2000")
+    monkeypatch.setattr(arith, "_WORK_LIMIT", identities._identity_work(f, 200, "B"))
+    with pytest.raises(AssertionError, match="expanded"):
+        main_identity_sides(f, 200, "B")
+    monkeypatch.setattr(arith, "_WORK_LIMIT", identities._identity_work(f, 200, "B") - 1)
     with pytest.raises(BudgetExceededError):
-        main_identity_sides(Poly4.from_text("1x^2000"), 200)
+        main_identity_sides(f, 200, "B")
 
 
 def test_main_identity_rejects_unqualified_poly():

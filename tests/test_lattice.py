@@ -14,10 +14,10 @@ from sigmaprime.lattice import (
     SOLUTION_SETS,
     BudgetExceededError,
     _convolutions,
-    _coprime_divisor_pairs,
     _factor_table,
     _inversion_terms,
-    _oracle_work,
+    _moment_sums,
+    _moment_work,
     _quadruple_bound,
     _sigma_table,
     brute_convolution,
@@ -140,14 +140,14 @@ def test_sigma_prime_symmetry(m, n, r, s):
 
 
 def _no_scan(*args):
-    raise AssertionError("the divisor pairs were scanned")
+    raise AssertionError("the factors were sought")
 
 
 def test_sigma_prime_refuses_huge_powers_before_scanning(monkeypatch):
     # r * bit_length(m) and s * bit_length(n) bits against 2**20
     assert sigma_prime(2**19, 1, 2, 2) == sigma_prime(1, 2**19, 2, 2) == 2 ** 2**19 + 2
 
-    monkeypatch.setattr(lattice, "_coprime_divisor_pairs", _no_scan)
+    monkeypatch.setattr(lattice, "factorize", _no_scan)
     for args in ((2**20, 1, 2, 2), (1, 2**20, 2, 2), (1, 349526, 2, 6)):
         with pytest.raises(BudgetExceededError) as info:
             sigma_prime(*args)
@@ -156,20 +156,34 @@ def test_sigma_prime_refuses_huge_powers_before_scanning(monkeypatch):
         )
 
 
-def test_sigma_prime_refuses_large_pair_scans_before_scanning(monkeypatch):
-    # 97821761637600 has 17280 divisors, so the pair scan would test 3e8 pairs
-    with pytest.raises(BudgetExceededError, match="scans 298598400 divisor pairs"):
-        _coprime_divisor_pairs.__wrapped__(97821761637600, 97821761637600)
-    monkeypatch.setattr(arith, "_WORK_LIMIT", 36)
-    # 12 has 6 divisors, so (12, 12) is exactly at the limit
-    assert _coprime_divisor_pairs.__wrapped__(12, 12) == ((1, 12), (3, 4), (4, 3), (12, 1))
-
-    monkeypatch.setattr(lattice, "gcd", _no_scan)
-    with pytest.raises(BudgetExceededError) as info:
-        sigma_prime(1, 1, 7560, 10080)
-    assert str(info.value) == (
-        "sigma_prime at (7560, 10080) scans 4608 divisor pairs, the limit is 36"
+def _scan(r, s, m, n):
+    # the double remainder scan with both gcd constraints
+    return sum(
+        d**r * e**s
+        for d in range(1, m + 1)
+        if m % d == 0
+        for e in range(1, n + 1)
+        if n % e == 0 and gcd(d, e) == 1 and gcd(m // d, n // e) == 1
     )
+
+
+def test_sigma_prime_matches_the_scan_past_the_old_pair_limit():
+    # 97821761637600 = 2^5 3^4 5^2 7^2 11 13 17 19 23 29 has 17280 divisors, so a
+    # pair scan would test 3e8 pairs; the sum splits over coprime prime-power
+    # pieces, each checked by the scan, and a piece may be 1 on either side
+    m = n = 97821761637600
+    for r, s in ((1, 1), (2, 1), (0, 3)):
+        expected = 1
+        for p, e in factorize(m):
+            expected *= _scan(r, s, p**e, p**e)
+        assert sigma_prime(r, s, m, n) == expected
+    m, n = 2**5 * 3 * 7**2, 3**4 * 5 * 7
+    for r, s in ((1, 1), (2, 1), (0, 3)):
+        pieces = ((2**5, 1), (3, 3**4), (1, 5), (7**2, 7))
+        expected = 1
+        for a, b in pieces:
+            expected *= _scan(r, s, a, b)
+        assert sigma_prime(r, s, m, n) == expected == _scan(r, s, m, n)
 
 
 def test_brute_convolution_examples():
@@ -253,24 +267,28 @@ def test_range_route_property(ns, r, s, which):
 
 
 def test_oracle_work_estimate():
-    assert _oracle_work(1, 3, [5, 3]) == lattice._TABLE_ENTRY_COST * 5 + 5 + 3
+    # the oracle's estimate is the core's for one moment of degree r + s
+    assert _moment_work(4, [5, 3]) == lattice._TABLE_ENTRY_COST * 5 + 5 + 3
     # huge inputs are only estimated, never run: counting stops past the limit
-    assert _oracle_work(1, 3, range(2, 10**8 + 1)) > arith._WORK_LIMIT
-    assert _oracle_work(1, 3, [10**9]) > arith._WORK_LIMIT
-    assert _oracle_work(1, 3, [2, 10**9, 3]) > arith._WORK_LIMIT
+    assert _moment_work(4, range(2, 10**8 + 1)) > arith._WORK_LIMIT
+    assert _moment_work(4, [10**9]) > arith._WORK_LIMIT
+    assert _moment_work(4, [2, 10**9, 3]) > arith._WORK_LIMIT
     # the largest calls of the tests, selftest and benchmark stay 10x below it
     for ns in ([2310], range(2, 301), [2310] * 8):
-        assert 10 * _oracle_work(5, 7, ns) <= arith._WORK_LIMIT
+        assert 10 * _moment_work(12, ns) <= arith._WORK_LIMIT
+    # more moments and rows scale it, and the weight covers both
+    assert _moment_work(4, [5, 3], moments=3, rows=7) == 3 * (64 * 5 + 5 + 3) + 7
+    assert _moment_work(2000, [200], moments=2, rows=10) == (2 * (64 * 200 + 200) + 10) * 32
 
 
 def test_oracle_work_weighs_exponent_size():
     # weight 1 for exponents up to 12 at the largest admitted n
     top = arith._WORK_LIMIT // (lattice._TABLE_ENTRY_COST + 1)
-    assert _oracle_work(12, 12, [top]) == (lattice._TABLE_ENTRY_COST + 1) * top
+    assert _moment_work(24, [top]) == (lattice._TABLE_ENTRY_COST + 1) * top
     # huge powers over a small n are refused from the estimate alone
-    assert _oracle_work(100000, 1, [600]) > arith._WORK_LIMIT
-    assert _oracle_work(10**6, 1, [600]) > arith._WORK_LIMIT
-    assert _oracle_work(10**6, 1, [600]) > _oracle_work(100000, 1, [600])
+    assert _moment_work(100001, [600]) > arith._WORK_LIMIT
+    assert _moment_work(10**6 + 1, [600]) > arith._WORK_LIMIT
+    assert _moment_work(10**6 + 1, [600]) > _moment_work(100001, [600])
 
 
 def test_oracle_refuses_over_budget_before_building_tables(monkeypatch):
@@ -311,7 +329,7 @@ def _code_names(code):
 def test_oracle_names_no_arith_kernel_function():
     # the oracle checks the kernel behind the closed forms, so it must not call it
     kernel = {"mobius", "divisors", "factorize", "sigma_k"}
-    for func in (_convolutions, _factor_table, _sigma_table, _inversion_terms):
+    for func in (_convolutions, _moment_sums, _factor_table, _sigma_table, _inversion_terms):
         assert not _code_names(func.__code__) & kernel, func.__name__
 
 
@@ -326,8 +344,41 @@ def test_sigma_table_matches_sigma_k():
     # k = 0 checks sigma_0(p**e) = e + 1
     factors = _factor_table(2000)
     for k in range(13):
-        table = _sigma_table(k, factors)
+        table = _sigma_table(0, k, factors)
         assert table[1:] == [sigma_k(k, m) for m in range(1, 2000)], k
+
+
+def test_moment_tables_and_inversion_match_literal_sums():
+    # g(m) = Σ_{ax = m} a**i x**k and h(m) = Σ_{de = m} μ(d) μ(e) d**u e**w,
+    # each against its literal sum for m < 200
+    factors = _factor_table(200)
+    for i in range(5):
+        for k in range(5):
+            table = _sigma_table(i, k, factors)
+            assert table[1:] == [
+                sum(a**i * (m // a) ** k for a in divisors(m)) for m in range(1, 200)
+            ], (i, k)
+    for m in range(1, 200):
+        for u in range(4):
+            for w in range(4):
+                literal = sum(mobius(d) * mobius(m // d) * d**u * (m // d) ** w for d in divisors(m))
+                assert dict(_inversion_terms(u, w, m, factors)).get(m, 0) == literal, (m, u, w)
+
+
+def test_moment_sums_match_literal_moments():
+    # a combination of mixed moments against sums over the enumerated sets
+    moments = {(1, 0, 2, 1): 3, (0, 2, 1, 0): -2, (2, 1, 0, 0): 1, (0, 0, 0, 0): 5}
+    for which in SOLUTION_SETS:
+        ns = list(range(2, 25))
+        expected = [
+            sum(
+                c * a**i * b**j * x**k * y**l
+                for a, b, x, y in oracle_set(n, which == "Bprime")
+                for (i, j, k, l), c in moments.items()
+            )
+            for n in ns
+        ]
+        assert _moment_sums(moments, ns, which) == expected, which
 
 
 def test_inversion_terms_match_literal_weights():
@@ -335,7 +386,7 @@ def test_inversion_terms_match_literal_weights():
     # divisors m of n, each once, so h(n) is the term at m = n or 0
     factors = _factor_table(2001)
     for n in range(1, 2001):
-        terms = [_inversion_terms(w, n, factors) for w in range(13)]
+        terms = [_inversion_terms(0, w, n, factors) for w in range(13)]
         ms = [m for m, _ in terms[0]]
         assert sorted(ms) == [m for m in divisors(n) if all(e < 3 for _, e in factorize(m))]
         for w in range(13):
@@ -359,29 +410,44 @@ def test_pre_identity_examples():
     assert report.values() == (1, 1, 1, 1, 1, 1)
 
 
-def test_quadruples_memo_is_bounded():
+def _memo_sizes():
+    return {key: len(quads) for key, quads in lattice._quadruple_memo.items()}
+
+
+def test_quadruples_memo_is_bounded(monkeypatch):
     # the bound must hold the full pre-identity grid, 2 <= n <= 60
-    maxsize = quadruples.cache_info().maxsize
-    assert maxsize is not None and maxsize >= 59
-    quadruples.cache_clear()
-    for _ in range(2):
-        for n in range(2, 61):
-            quadruples(n, "Bprime")
-    info = quadruples.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (59, 59, 59)
+    grid = sum(len(quadruples(n, "Bprime")) for n in range(2, 61))
+    assert grid <= lattice._QUADRUPLE_MEMO_LIMIT
+    lattice._quadruple_memo.clear()
+    for n in range(2, 61):
+        quadruples(n, "Bprime")
+    held = _memo_sizes()
+    assert len(held) == 59 and sum(held.values()) == grid
+
+    def enumerated(*args):
+        raise AssertionError("a kept set was enumerated again")
+
+    # every revisit of the grid hits
+    monkeypatch.setattr(lattice, "enumerate_quadruples", enumerated)
+    for n in range(2, 61):
+        quadruples(n, "Bprime")
+    assert _memo_sizes() == held
 
 
-def test_coprime_divisor_pairs_memo_is_bounded():
-    # the bound must hold every key (m, n - m) of the pre-identity grid, n <= 60
-    maxsize = _coprime_divisor_pairs.cache_info().maxsize
-    assert maxsize is not None and maxsize >= 1770
-    _coprime_divisor_pairs.cache_clear()
-    for _ in range(2):
-        for n in range(2, 61):
-            for m in range(1, n):
-                sigma_prime(1, 2, m, n - m)
-    info = _coprime_divisor_pairs.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1770, 1770, 1770)
+def test_quadruples_memo_keeps_no_large_set(monkeypatch):
+    # with room for 100 quadruples, a set of more is returned but not kept,
+    # and sets that fit push out the least recently used
+    monkeypatch.setattr(lattice, "_QUADRUPLE_MEMO_LIMIT", 100)
+    lattice._quadruple_memo.clear()
+    small = {n: len(quadruples(n, "B")) for n in (6, 7, 8)}
+    assert _memo_sizes() == {(n, "B"): size for n, size in small.items()}
+    for n in (20, 21):
+        assert len(quadruples(n, "B")) > 100
+    assert _memo_sizes() == {(n, "B"): size for n, size in small.items()}
+    quadruples(6, "B")  # now the most recently used
+    # |B(6)|, |B(7)|, |B(8)| and |B(10)| are 20, 28, 37 and 58
+    quadruples(10, "B")
+    assert _memo_sizes() == {(6, "B"): 20, (10, "B"): 58}
 
 
 def test_quadruple_bound_holds_over_the_admitted_range(monkeypatch):
