@@ -237,8 +237,8 @@ def test_power_and_degree_budget_exit_3(args, work, message, monkeypatch, capsys
 
 
 def test_sigma_prime_answers_past_the_old_pair_scan_limit(monkeypatch, capsys):
-    # 97821761637600 has 17280 divisors, whose pair scan the parent refused;
-    # the product over its primes needs no scan, so a tiny work limit is moot
+    # 97821761637600 has 17280 divisors, so a divisor-pair scan would test 3e8
+    # pairs; the product over its primes needs no scan, so a tiny work limit is moot
     monkeypatch.setattr(arith, "_WORK_LIMIT", 1)
     argv = ["sigma-prime", "--r", "1", "--s", "1", "--m", "97821761637600", "--n", "97821761637600"]
     assert cli.main(argv) == 0

@@ -231,8 +231,8 @@ def test_main_identity_enumerates_nothing(monkeypatch):
 
 
 def test_main_identity_large_n_is_small_in_memory():
-    # B(2000) with the t111 proof polynomial: the parent's argument table
-    # peaked near 110 MB above the import
+    # B(2000) with the t111 proof polynomial: a table of the left side's
+    # argument rows, one per quadruple, would take about 100 MB
     tracemalloc.start()
     try:
         lhs, rhs = main_identity_sides(PROOF_POLYNOMIALS[6], 2000, "B")
