@@ -283,18 +283,17 @@ def _moment_sums(moments: dict[tuple[int, ...], int], ns: Collection[int], which
                 value = memo.get(big_n)
                 if value is None:
                     # M_B(N) = Σ_{0<m<N} g_ik(m) g_jl(N - m): each ax + by = N splits at m = ax
-                    value = memo[big_n] = sum(
-                        c * sum(map(mul, g_ik[1:big_n], reversed(g_jl[1:big_n])))
-                        for c, g_ik, g_jl in terms
-                    )
+                    value = 0
+                    for c, g_ik, g_jl in terms:
+                        value += c * sum(map(mul, g_ik[1:big_n], reversed(g_jl[1:big_n])))
+                    memo[big_n] = value
                 total += h * value
         out.append(total)
     return out
 
 
 def _convolutions(r: int, s: int, ns: Collection[int], which: str) -> list[int]:
-    # brute_convolution for every n of ns, in order: the one moment (0, 0, r, s),
-    # Σ x**r y**s, whose g tables are sigma_r and sigma_s
+    # brute_convolution for every n of ns: the one moment (0, 0, r, s), Σ x**r y**s
     _check_set(which)
     if r < 0 or s < 0:
         raise ValueError(f"brute_convolution requires r, s >= 0, got ({r}, {s})")
