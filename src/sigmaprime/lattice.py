@@ -53,11 +53,17 @@ def enumerate_quadruples(
     Enumeration order is deterministic: ascending a, then x, then b.  For
     each (a, x) with ax <= n - 1 the remainder m = n - ax is split as
     b * y over the divisors b of m.  Memory use is constant; callers who
-    want a materialized list should use quadruples() instead.
+    want a materialized list should use quadruples() instead.  Raises
+    BudgetExceededError, before enumerating, when _QUADRUPLE_COST units for
+    each of up to _quadruple_bound(n) quadruples exceed the work limit.
     """
     coprime = _check_set(which)
     if n < 2:
         raise ValueError(f"solution sets are defined for n >= 2, got {n}")
+    work = _QUADRUPLE_COST * _quadruple_bound(n)
+    arith._check_work(
+        work, "listing {which}({n}) needs about {work} units of work", which=which, n=n
+    )
     count = 0
     for a in range(1, n):
         for x in range(1, (n - 1) // a + 1):
@@ -89,8 +95,9 @@ def _quadruple_bound(n: int) -> int:
 # at 115 MB above the import's RSS (2-CPU container, Python 3.11.7).
 _QUADRUPLE_COST = 6
 
-# The quadruples memo holds at most this many quadruples: the pre-identity grid,
-# B'(n) for 2 <= n <= 60, lists 14,599, so every revisit of it hits.
+# The quadruples memo holds at most this many quadruples, so every revisit by
+# either reader hits: the pre-identity grid, B'(n) for 2 <= n <= 60, lists
+# 14,599, and the raw counters' checks, B(n) and B'(n) for n <= 12, 603.
 _QUADRUPLE_MEMO_LIMIT = 2**14
 _quadruple_memo: dict[tuple[int, str], tuple[tuple[int, int, int, int], ...]] = {}
 
@@ -98,17 +105,13 @@ _quadruple_memo: dict[tuple[int, str], tuple[tuple[int, int, int, int], ...]] = 
 def quadruples(n: int, which: str = "Bprime") -> tuple[tuple[int, int, int, int], ...]:
     """Materialized, memoized tuple of the quadruples in enumeration order.
 
-    Convenient for check_pre_identity, which revisits the same small-n sets
-    for many exponent pairs; the memo drops the least recently used sets to
-    hold at most _QUADRUPLE_MEMO_LIMIT quadruples and keeps no larger set.
-    Raises BudgetExceededError, before enumerating, when _QUADRUPLE_COST
-    units for each of up to _quadruple_bound(n) quadruples exceed the limit.
+    The one materialized set, read by check_pre_identity and the raw
+    counters, which revisit the same small-n sets for many exponent pairs;
+    the memo drops the least recently used sets to hold at most
+    _QUADRUPLE_MEMO_LIMIT quadruples and keeps no larger set.  A set not
+    held is enumerated, through enumerate_quadruples' work limit.
     """
     _check_set(which)
-    work = _QUADRUPLE_COST * _quadruple_bound(n)
-    arith._check_work(
-        work, "listing {which}({n}) needs about {work} units of work", which=which, n=n
-    )
     memo = _quadruple_memo
     quads = memo.pop((n, which), None)
     if quads is None:

@@ -12,12 +12,11 @@ Four counting problems share one shape: attach to every quadruple
 
 count_fast is the collapsed sum, Σ u**r v**s over the counter's set,
 which is exactly the convolution oracle brute_convolution; it walks no
-set.  count_raw is the only route here that enumerates: it visits the
-tuples one by one, independent of the collapsing step and of the oracle,
-so the two routes check each other.  The oracle keeps its own work limit;
-count_raw and verify_lm refuse raw work by one tuple-budget rule: the fast
-count, a lower bound on the visits and exact for L, before the set is
-enumerated, then, for M alone, a visit estimate before the loops.
+set.  count_raw visits the tuples one by one, independent of the
+collapsing step and of the oracle, so the two routes check each other; it
+reads the set from lattice.quadruples, the memo check_pre_identity reads
+too.  count_raw and verify_lm refuse raw work in the order count_raw
+states, each refusal before the work it guards.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .lattice import (
     _convolutions,
     _sigma_prime_convolution,
     brute_convolution,
-    enumerate_quadruples,
+    quadruples,
 )
 
 __all__ = [
@@ -92,47 +91,43 @@ def count_raw(spec: CountSpec, budget: int = DEFAULT_BUDGET) -> int:
     For L the loop ranges over every split pair (a, c), (b, d); for M it
     additionally ranges over the divisor factorizations and filters splits
     by coprimality, one gcd at a time.  Work over ``budget`` raises
-    BudgetExceededError rather than grinding for hours.  The fast count
-    (every counted tuple is visited, so it bounds the visits below, and for
-    L it is exact) is checked before anything is enumerated; then, for M
-    alone, an estimate free of the phi collapse, Σ sigma(u**r) *
-    (1 + sigma(v**s)) over the enumerated set, is checked before the loops.
+    BudgetExceededError rather than grinding for hours.  Refusals come in
+    this order, each before the work it guards: the fast count (every
+    counted tuple is visited, so it bounds the visits below, and for L it
+    is exact) over ``budget``; listing the set, by lattice.quadruples, over
+    the enumerator's work limit, for n > 8503; then, for M alone, an
+    estimate free of the phi collapse, Σ sigma(u**r) * (1 + sigma(v**s))
+    over the set, over ``budget``.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    return _raw_count(spec, count_fast(spec), budget, {})
+    return _raw_count(spec, count_fast(spec), budget)
 
 
-def _raw_count(
-    spec: CountSpec, fast: int, budget: int, held: dict[str, list[tuple[int, int]]]
-) -> int:
-    # Every raw refusal is made here, by the rule count_raw states.  ``held``
-    # maps a solution set to the (u, v) = (a, b) of its quadruples at spec.n,
-    # enumerated by the first counter over the set whose fast count fits.
+def _raw_count(spec: CountSpec, fast: int, budget: int) -> int:
+    # Every raw refusal is made here or by the listing, in count_raw's order;
+    # (u, v) is the (a, b) of each quadruple of the set at spec.n.
     label = f"{spec.which}({spec.r},{spec.s};{spec.n})"
     if fast > budget:
         raise BudgetExceededError(
             f"raw enumeration of {label} needs at least {fast} tuple visits, budget is {budget}"
         )
-    quads = held.get(spec.solution_set)
-    if quads is None:
-        quads = held[spec.solution_set] = []
-        enumerate_quadruples(spec.n, spec.solution_set, lambda u, v, x, y: quads.append((u, v)))
+    quads = quadruples(spec.n, spec.solution_set)
     total = 0
     if spec.which in ("L", "Lprime"):
-        for u, v in quads:
+        for u, v, _, _ in quads:
             ur, vs = u**spec.r, v**spec.s
             for _a in range(ur):  # c = ur - a >= 1
                 for _b in range(vs):  # d = vs - b >= 1
                     total += 1
     else:
         # M also scans rejected splits: at most sigma(u**r) * (1 + sigma(v**s))
-        est = sum(sigma_k(1, u**spec.r) * (1 + sigma_k(1, v**spec.s)) for u, v in quads)
+        est = sum(sigma_k(1, u**spec.r) * (1 + sigma_k(1, v**spec.s)) for u, v, _, _ in quads)
         if est > budget:
             raise BudgetExceededError(
                 f"raw enumeration of {label} needs about {est} tuple visits, budget is {budget}"
             )
-        for u, v in quads:
+        for u, v, _, _ in quads:
             ur, vs = u**spec.r, v**spec.s
             for e in divisors(ur):
                 for a in range(e):
@@ -173,8 +168,8 @@ def verify_lm(r: int, s: int, lo: int, hi: int, budget: int = DEFAULT_BUDGET) ->
     convolution Σ sigma_r(m) sigma_s(n - m), and that Lprime equals
     Σ sigma_prime(r, s, m, n - m).  The fast values come from one oracle
     call per solution set over the whole range.  Raw counts follow
-    count_raw's budget rule, so a set is enumerated at n at most once, and
-    only when its fast count fits.
+    count_raw's budget rule and memo: a set is enumerated at n only when a
+    fast count over it fits and the memo does not hold it.
     """
     if lo < 2 or hi < lo:
         raise ValueError(f"need 2 <= lo <= hi, got {lo}..{hi}")
@@ -184,7 +179,6 @@ def verify_lm(r: int, s: int, lo: int, hi: int, budget: int = DEFAULT_BUDGET) ->
     ns = range(lo, hi + 1)
     sums = {ss: dict(zip(ns, _convolutions(r, s, ns, ss))) for ss in SOLUTION_SETS}
     for n in ns:
-        held: dict[str, list[tuple[int, int]]] = {}
         fast: dict[str, int] = {}
         raw: dict[str, int] = {}
         skipped: list[str] = []
@@ -193,7 +187,7 @@ def verify_lm(r: int, s: int, lo: int, hi: int, budget: int = DEFAULT_BUDGET) ->
             spec = CountSpec(which, r, s, n)
             fast[which] = sums[spec.solution_set][n]
             try:
-                raw[which] = _raw_count(spec, fast[which], budget, held)
+                raw[which] = _raw_count(spec, fast[which], budget)
             except BudgetExceededError:
                 skipped.append(which)
                 continue

@@ -21,7 +21,7 @@ def test_one_patch_of_the_limit_moves_every_bound(monkeypatch):
         (identities, "_left_moments"),
         (powersums, "gcd"),
         (powersums, "faulhaber_sum"),
-        (lattice, "enumerate_quadruples"),
+        (lattice, "divisors"),
         (lattice, "_sigma_prime_convolution"),
     ):
         monkeypatch.setattr(module, name, _no_work)

@@ -127,11 +127,21 @@ def test_count_fast_and_raw():
 
 
 def test_count_budget_exit_3():
-    proc = run(
-        "count", "--which", "M", "--r", "3", "--s", "3", "--n", "12", "--raw", "--budget", "1000"
-    )
-    assert proc.returncode == 3
-    assert len(proc.stderr.strip().splitlines()) == 1
+    for args, message in (
+        (
+            ("--which", "M", "--r", "3", "--s", "3", "--n", "12", "--budget", "1000"),
+            "raw enumeration of M(3,3;12) needs at least 301070 tuple visits, budget is 1000",
+        ),
+        # the tuple budget admits it, but listing B(9000) is over the work limit
+        (
+            ("--which", "L", "--r", "1", "--s", "1", "--n", "9000", "--budget", str(10**40)),
+            "listing B(9000) needs about 10584000 units of work, the limit is 10000000",
+        ),
+    ):
+        proc = run("count", "--raw", *args)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

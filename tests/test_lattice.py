@@ -467,16 +467,18 @@ def _enumerated(*args):
 
 
 def test_quadruples_refuse_over_budget_before_enumerating(monkeypatch):
-    monkeypatch.setattr(lattice, "enumerate_quadruples", _enumerated)
+    # the streamer holds the gate, so listing and streaming refuse alike
+    monkeypatch.setattr(lattice, "divisors", _enumerated)
     for which in SOLUTION_SETS:
-        with pytest.raises(BudgetExceededError) as info:
-            quadruples(8504, which)
-        assert str(info.value) == (
-            f"listing {which}(8504) needs about 10000704 units of work, the limit is 10000000"
-        )
-        # at the largest admitted n the call gets as far as enumerating
-        with pytest.raises(AssertionError, match="enumerated"):
-            quadruples(8503, which)
+        for route in (quadruples, enumerate_quadruples):
+            with pytest.raises(BudgetExceededError) as info:
+                route(8504, which)
+            assert str(info.value) == (
+                f"listing {which}(8504) needs about 10000704 units of work, the limit is 10000000"
+            )
+            # at the largest admitted n the call gets as far as enumerating
+            with pytest.raises(AssertionError, match="enumerated"):
+                route(8503, which)
 
 
 def test_pre_identity_refuses_over_budget_before_its_sums(monkeypatch):

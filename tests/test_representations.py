@@ -5,8 +5,8 @@ from math import gcd
 import pytest
 
 from sigmaprime.arith import sigma_k, totient
-from sigmaprime import lattice, representations
-from sigmaprime.lattice import enumerate_quadruples, sigma_prime
+from sigmaprime import lattice
+from sigmaprime.lattice import check_pre_identity, enumerate_quadruples, sigma_prime
 from sigmaprime.representations import (
     COUNTERS,
     BudgetExceededError,
@@ -82,19 +82,20 @@ def test_counting_does_not_enumerate(monkeypatch):
     def refuse(*args):
         raise AssertionError("enumerate_quadruples was called")
 
-    monkeypatch.setattr(representations, "enumerate_quadruples", refuse)
     monkeypatch.setattr(lattice, "enumerate_quadruples", refuse)
     assert [count_fast(spec) for spec in specs] == expected
 
     # an enumerator that visits nothing: the raw route sees empty sets, while
-    # the fast column must not notice
+    # the fast column must not notice; the memo still holds the real B(2) and
+    # B'(2) from the first pass, so it is emptied first
     calls = []
 
     def empty(n, which, visit=None):
         calls.append((n, which))
         return 0
 
-    monkeypatch.setattr(representations, "enumerate_quadruples", empty)
+    monkeypatch.setattr(lattice, "enumerate_quadruples", empty)
+    lattice._quadruple_memo.clear()
     report = verify_lm(2, 1, 2, 12, budget=1)
     assert [row.fast for row in report.rows] == [row.fast for row in expected_lm.rows]
     # only at n = 2 is a fast count (1) within the budget
@@ -136,7 +137,7 @@ def test_count_raw_enumerates_once(monkeypatch):
         calls.append(args)
         return enumerate_quadruples(*args)
 
-    monkeypatch.setattr(representations, "enumerate_quadruples", counted)
+    monkeypatch.setattr(lattice, "enumerate_quadruples", counted)
     assert count_raw(spec) == expected
     assert len(calls) == 1
     # the fast count alone is over budget: refused without enumerating
@@ -159,13 +160,42 @@ def test_count_raw_refuses_before_enumerating(monkeypatch):
     def refuse(*args):
         raise AssertionError("enumerated before the budget check")
 
-    monkeypatch.setattr(representations, "enumerate_quadruples", refuse)
+    monkeypatch.setattr(lattice, "enumerate_quadruples", refuse)
     with pytest.raises(BudgetExceededError) as info:
         count_raw(CountSpec("L", 1, 1, 20000))
     prefix, sep, rest = str(info.value).partition("needs at least ")
     assert prefix == "raw enumeration of L(1,1;20000) " and sep
     visits, _, tail = rest.partition(" ")
     assert int(visits) > 10**8 and tail == "tuple visits, budget is 100000000"
+
+
+def test_count_raw_refuses_to_list_past_the_limit(monkeypatch):
+    # with the widest tuple budget the fast counts fit, but B(8504) and B'(8504)
+    # are over the listing's work limit: refused before the first divisor list
+    def refuse(*args):
+        raise AssertionError("the set was enumerated")
+
+    monkeypatch.setattr(lattice, "divisors", refuse)
+    for which, listed in (("L", "B"), ("Mprime", "Bprime")):
+        with pytest.raises(BudgetExceededError) as info:
+            count_raw(CountSpec(which, 1, 1, 8504), budget=10**40)
+        assert str(info.value) == (
+            f"listing {listed}(8504) needs about 10000704 units of work, the limit is 10000000"
+        )
+    row = verify_lm(1, 1, 8504, 8504, budget=10**40).rows[0]
+    assert row.skipped == COUNTERS and row.ok
+
+
+def test_pre_identity_reads_the_sets_the_counters_listed(monkeypatch):
+    # one memo serves both literal routes: B'(9), listed for Mprime, is not
+    # enumerated again by the pre-identity
+    assert count_raw(CountSpec("Mprime", 2, 1, 9)) == count_fast(CountSpec("Mprime", 2, 1, 9))
+
+    def refuse(*args):
+        raise AssertionError("enumerate_quadruples was called")
+
+    monkeypatch.setattr(lattice, "enumerate_quadruples", refuse)
+    assert check_pre_identity(2, 1, 9).all_equal
 
 
 def test_verify_lm_enumerates_each_set_once_per_n(monkeypatch):
@@ -176,10 +206,16 @@ def test_verify_lm_enumerates_each_set_once_per_n(monkeypatch):
         calls.append((n, which))
         return enumerate_quadruples(n, which, visit)
 
-    monkeypatch.setattr(representations, "enumerate_quadruples", counted)
+    monkeypatch.setattr(lattice, "enumerate_quadruples", counted)
+    # the first pass left every set in the memo; emptied, each is listed again
+    lattice._quadruple_memo.clear()
     assert verify_lm(2, 1, 2, 12) == expected
     assert calls == [(n, which) for n in range(2, 13) for which in ("B", "Bprime")]
+    # a pass that finds the sets held enumerates none
     calls.clear()
+    assert verify_lm(2, 1, 2, 12) == expected
+    assert calls == []
+    lattice._quadruple_memo.clear()
     assert verify_lm(2, 1, 2, 12, budget=1).skipped_any
     # a set is enumerated only where its fast count fits: at n = 2 it is 1
     assert calls == [(2, "B"), (2, "Bprime")]
@@ -226,8 +262,8 @@ def test_verify_lm_budget_refusals(monkeypatch):
     def refuse(*args):
         raise AssertionError("enumerate_quadruples was called")
 
-    monkeypatch.setattr(representations, "enumerate_quadruples", refuse)
     monkeypatch.setattr(lattice, "enumerate_quadruples", refuse)
+    lattice._quadruple_memo.clear()
     for r in (1, 2, 3):
         for s in (1, 2, 3):
             report = verify_lm(r, s, 3, 60, budget=1)
