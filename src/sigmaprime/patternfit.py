@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .identities import THEOREM_RS, TheoremId, parse_theorem_id, theorem_form
 from .lattice import _convolutions
-from .powersums import ClosedForm, psi
+from .powersums import ClosedForm
 
 __all__ = [
     "PatternCoeffs",
@@ -129,7 +129,7 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
 
 
 def _design_row(columns: tuple[tuple[int, int], ...], n: int) -> list[Fraction]:
-    return [Fraction(n) ** power * psi(order, n) for power, order in columns]
+    return [ClosedForm(((Fraction(1), power, order),)).evaluate(n) for power, order in columns]
 
 
 def fit(r: int, s: int, train_ns: tuple[int, ...] | list[int]) -> FitReport:
@@ -152,7 +152,7 @@ def fit(r: int, s: int, train_ns: tuple[int, ...] | list[int]) -> FitReport:
         raise ValueError(f"training points must be >= 2, got {ns[0]}")
     # with r == s the D column equals the C column, so it is left out
     columns = _columns(r, s)[: 3 if r == s else 4]
-    # the oracle first: it refuses over-budget points before psi factorizes them
+    # the oracle first: it refuses over-budget points before the rows factorize them
     rhs = list(map(Fraction, _convolutions(r, s, ns, "Bprime")))
     solution = _solve_exact([_design_row(columns, n) for n in ns], rhs)
     if solution is None:

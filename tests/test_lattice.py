@@ -26,6 +26,8 @@ from sigmaprime.lattice import (
     quadruples,
     sigma_prime,
 )
+from sigmaprime.patternfit import _design_row
+from sigmaprime.powersums import ClosedForm
 
 
 def oracle_set(n, coprime):
@@ -331,6 +333,13 @@ def test_oracle_names_no_arith_kernel_function():
     kernel = {"mobius", "divisors", "factorize", "sigma_k"}
     for func in (_convolutions, _moment_sums, _factor_table, _sigma_table, _inversion_terms):
         assert not _code_names(func.__code__) & kernel, func.__name__
+
+
+def test_closed_forms_name_no_psi():
+    # psi is the Fraction reference that evaluate is tested against, so the
+    # integer route must not fall back to it
+    for func in (ClosedForm.evaluate, _design_row):
+        assert "psi" not in _code_names(func.__code__), func.__qualname__
 
 
 def test_factor_table_matches_factorize():

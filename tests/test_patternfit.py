@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sigmaprime import patternfit
+from sigmaprime import patternfit, powersums
 from sigmaprime.identities import THEOREM_RS, parse_theorem_id
 from sigmaprime.lattice import BudgetExceededError, brute_convolution
 from sigmaprime.patternfit import (
@@ -147,11 +147,11 @@ def test_theorem_pattern_round_trip():
 
 
 def test_fit_refuses_before_factorizing(monkeypatch):
-    # psi trial-divides, so a point far over the oracle's limit must be
-    # refused before any design row is built
+    # a design row trial-divides its point, so a point far over the oracle's
+    # limit must be refused before any design row is built
     def refuse(*args):
-        raise AssertionError("psi ran before the oracle's refusal")
+        raise AssertionError("a point was factorized before the oracle's refusal")
 
-    monkeypatch.setattr(patternfit, "psi", refuse)
+    monkeypatch.setattr(powersums, "factorize", refuse)
     with pytest.raises(BudgetExceededError):
         fit(1, 3, (2, 3, 4, 5, 10**30))

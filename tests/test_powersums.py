@@ -35,6 +35,11 @@ def test_psi_rejects_zero_order():
         psi(0, 6)
 
 
+def test_psi_keeps_no_cache():
+    # closed forms no longer call psi, so a process-wide cache would only grow
+    assert not hasattr(psi, "cache_info")
+
+
 def test_totient_is_n_times_psi():
     for n in range(2, 800):
         assert totient(n) == n * psi(-1, n)
@@ -98,7 +103,8 @@ def test_closed_table_shape():
 
 
 def fraction_route(form, n):
-    # term by term with n**power taken as a Fraction power
+    # the reference for evaluate: term by term through psi's Fraction product,
+    # with n**power taken as a Fraction power
     return sum((c * Fraction(n) ** p * psi(o, n) for c, p, o in form.terms), Fraction(0))
 
 
@@ -113,8 +119,57 @@ def test_evaluate_keeps_negative_powers_exact():
 def test_evaluate_matches_fraction_route_on_stored_forms():
     # the theorem forms (both t13 variants) and the power-sum table
     for form in (*_FORMS.values(), *COPRIME_POWER_FORMS.values()):
-        for n in range(2, 150):
+        for n in range(2, 600):
             assert form.evaluate(n) == fraction_route(form, n)
+
+
+_TERMS = st.tuples(
+    st.fractions(max_denominator=10**4).filter(bool),
+    st.integers(-4, 14),
+    st.integers(-12, 12).filter(bool),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_TERMS, min_size=1, max_size=6), st.integers(2, 10**6))
+def test_evaluate_matches_fraction_route_on_random_forms(terms, n):
+    form = ClosedForm(tuple(terms))
+    value = form.evaluate(n)
+    assert type(value) is Fraction
+    assert value == fraction_route(form, n)
+
+
+def test_evaluate_refuses_as_psi_does_before_factorizing(monkeypatch):
+    # n first, then each term in turn: a zero order, then an order whose
+    # powers would pass 2**20 bits; no refusal needs n factorized
+    def no_factorize(*args):
+        raise AssertionError("evaluate factorized n")
+
+    monkeypatch.setattr(powersums, "factorize", no_factorize)
+    one = Fraction(1)
+    cases = (
+        (((one, 1, 1),), 1, ValueError, "closed forms are defined for n >= 2, got 1"),
+        (((one, 1, 0),), 1, ValueError, "closed forms are defined for n >= 2, got 1"),
+        (((one, 1, 0),), 6, ValueError, "psi order s must be nonzero"),
+        (((one, 1, 0), (one, 1, 2**20)), 2, ValueError, "psi order s must be nonzero"),
+        (
+            ((one, 1, 2**20), (one, 1, 0)),
+            2,
+            BudgetExceededError,
+            "psi(1048576, 2) needs powers of more than 1048576 bits",
+        ),
+        (
+            ((one, -3, -349526),),
+            6,
+            BudgetExceededError,
+            "psi(-349526, 6) needs powers of more than 1048576 bits",
+        ),
+    )
+    for terms, n, error, message in cases:
+        with pytest.raises(error) as info:
+            ClosedForm(terms).evaluate(n)
+        assert type(info.value) is error
+        assert str(info.value) == message
 
 
 def test_closed_table_rejects_large_k():
