@@ -12,11 +12,12 @@ Four counting problems share one shape: attach to every quadruple
 
 count_fast is the collapsed sum, Σ u**r v**s over the counter's set,
 which is exactly the convolution oracle brute_convolution; it walks no
-set.  count_raw visits the tuples one by one, independent of the
-collapsing step and of the oracle, so the two routes check each other; it
-reads the set from lattice.quadruples, the memo check_pre_identity reads
-too.  count_raw and verify_lm refuse raw work in the order count_raw
-states, each refusal before the work it guards.
+set.  count_raw scans each half split by split and multiplies per
+quadruple, independent of the collapsing step and of the oracle, so the
+two routes check each other; it reads the set from lattice.quadruples,
+the memo check_pre_identity reads too.  count_raw and verify_lm refuse
+raw work in the order count_raw states, each refusal before the work it
+guards.
 """
 
 from __future__ import annotations
@@ -88,55 +89,69 @@ def count_fast(spec: CountSpec) -> int:
 def count_raw(spec: CountSpec, budget: int = DEFAULT_BUDGET) -> int:
     """Literal tuple enumeration of the counter, independent of count_fast.
 
-    For L the loop ranges over every split pair (a, c), (b, d); for M it
-    additionally ranges over the divisor factorizations and filters splits
-    by coprimality, one gcd at a time.  Work over ``budget`` raises
-    BudgetExceededError rather than grinding for hours.  Refusals come in
-    this order, each before the work it guards: the fast count (every
-    counted tuple is visited, so it bounds the visits below, and for L it
-    is exact) over ``budget``; listing the set, by lattice.quadruples, over
-    the enumerator's work limit, for n > 8503; then, for M alone, an
+    Each half of a tuple is counted on its own and the two counts are
+    multiplied per quadruple.  For L a half counts every split a + c = w
+    with a >= 0, c >= 1; for M it ranges over the divisors e of w and
+    counts the splits a + c = e with gcd(a, c) = 1, one gcd at a time.
+    Each distinct w is scanned once per call.  ``budget`` bounds the tuples
+    counted: a count over it raises BudgetExceededError rather than
+    grinding for hours.  Refusals come in this order, each before the work
+    it guards: the fast count (the number of tuples counted, when the two
+    routes agree) over ``budget``; listing the set, by lattice.quadruples,
+    over the enumerator's work limit, for n > 8503; then, for M alone, an
     estimate free of the phi collapse, Σ sigma(u**r) * (1 + sigma(v**s))
-    over the set, over ``budget``.
+    over the set, over ``budget``.  That estimate bounds the nested scan
+    over (e, a, f, b), which does more work than the product, and stays the
+    refusal rule so that the same inputs are refused.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    return _raw_count(spec, count_fast(spec), budget)
+    return _raw_count(spec, count_fast(spec), budget, {})
 
 
-def _raw_count(spec: CountSpec, fast: int, budget: int) -> int:
+def _raw_count(spec: CountSpec, fast: int, budget: int, splits: dict[tuple[str, int], int]) -> int:
     # Every raw refusal is made here or by the listing, in count_raw's order;
-    # (u, v) is the (a, b) of each quadruple of the set at spec.n.
+    # (u, v) is the (a, b) of each quadruple of the set at spec.n.  splits
+    # maps (kind, w) to the splits of w and lives for one count_raw or
+    # verify_lm call.
     label = f"{spec.which}({spec.r},{spec.s};{spec.n})"
     if fast > budget:
         raise BudgetExceededError(
             f"raw enumeration of {label} needs at least {fast} tuple visits, budget is {budget}"
         )
     quads = quadruples(spec.n, spec.solution_set)
-    total = 0
     if spec.which in ("L", "Lprime"):
-        for u, v, _, _ in quads:
-            ur, vs = u**spec.r, v**spec.s
-            for _a in range(ur):  # c = ur - a >= 1
-                for _b in range(vs):  # d = vs - b >= 1
-                    total += 1
+        kind = "L"
     else:
-        # M also scans rejected splits: at most sigma(u**r) * (1 + sigma(v**s))
+        # bounds the nested scan of the M splits, rejected ones included:
+        # at most sigma(u**r) * (1 + sigma(v**s)) per quadruple
         est = sum(sigma_k(1, u**spec.r) * (1 + sigma_k(1, v**spec.s)) for u, v, _, _ in quads)
         if est > budget:
             raise BudgetExceededError(
                 f"raw enumeration of {label} needs about {est} tuple visits, budget is {budget}"
             )
-        for u, v, _, _ in quads:
-            ur, vs = u**spec.r, v**spec.s
-            for e in divisors(ur):
-                for a in range(e):
-                    if gcd(a, e - a) != 1:
-                        continue
-                    for f in divisors(vs):
-                        for b in range(f):
-                            if gcd(b, f - b) == 1:
-                                total += 1
+        kind = "M"
+
+    def half(w: int) -> int:
+        # the splits of one half are independent of the other's, so a
+        # quadruple's tuples number half(u**r) * half(v**s)
+        key = (kind, w)
+        if key not in splits:
+            count = 0
+            if kind == "L":
+                for _a in range(w):  # c = w - a >= 1
+                    count += 1
+            else:
+                for e in divisors(w):
+                    for a in range(e):
+                        if gcd(a, e - a) == 1:
+                            count += 1
+            splits[key] = count
+        return splits[key]
+
+    total = 0
+    for u, v, _, _ in quads:
+        total += half(u**spec.r) * half(v**spec.s)
     return total
 
 
@@ -169,7 +184,8 @@ def verify_lm(r: int, s: int, lo: int, hi: int, budget: int = DEFAULT_BUDGET) ->
     Σ sigma_prime(r, s, m, n - m).  The fast values come from one oracle
     call per solution set over the whole range.  Raw counts follow
     count_raw's budget rule and memo: a set is enumerated at n only when a
-    fast count over it fits and the memo does not hold it.
+    fast count over it fits and the memo does not hold it.  Every row and
+    both sets share one table of split counts, which lives for this call.
     """
     if lo < 2 or hi < lo:
         raise ValueError(f"need 2 <= lo <= hi, got {lo}..{hi}")
@@ -178,6 +194,7 @@ def verify_lm(r: int, s: int, lo: int, hi: int, budget: int = DEFAULT_BUDGET) ->
     rows: list[LMRow] = []
     ns = range(lo, hi + 1)
     sums = {ss: dict(zip(ns, _convolutions(r, s, ns, ss))) for ss in SOLUTION_SETS}
+    splits: dict[tuple[str, int], int] = {}
     for n in ns:
         fast: dict[str, int] = {}
         raw: dict[str, int] = {}
@@ -187,7 +204,7 @@ def verify_lm(r: int, s: int, lo: int, hi: int, budget: int = DEFAULT_BUDGET) ->
             spec = CountSpec(which, r, s, n)
             fast[which] = sums[spec.solution_set][n]
             try:
-                raw[which] = _raw_count(spec, fast[which], budget)
+                raw[which] = _raw_count(spec, fast[which], budget, splits)
             except BudgetExceededError:
                 skipped.append(which)
                 continue

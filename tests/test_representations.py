@@ -1,16 +1,18 @@
 """Representation counters: raw enumeration vs the convolution oracle."""
 
 from math import gcd
+from types import CodeType
 
 import pytest
 
-from sigmaprime.arith import sigma_k, totient
-from sigmaprime import lattice
+from sigmaprime.arith import divisors, sigma_k, totient
+from sigmaprime import lattice, representations
 from sigmaprime.lattice import check_pre_identity, enumerate_quadruples, sigma_prime
 from sigmaprime.representations import (
     COUNTERS,
     BudgetExceededError,
     CountSpec,
+    _raw_count,
     count_fast,
     count_raw,
     verify_lm,
@@ -45,6 +47,76 @@ def test_raw_matches_fast_small_grid():
             for which in ("L", "M", "Lprime", "Mprime"):
                 spec = CountSpec(which, r, s, n)
                 assert count_raw(spec) == count_fast(spec), (which, r, s, n)
+
+
+def _nested_raw(spec):
+    # the literal tuple loop: every (a, b) pair for L, and for M every
+    # (e, a, f, b) with e | u**r, f | v**s and both splits coprime
+    quads = []
+    enumerate_quadruples(spec.n, spec.solution_set, lambda u, v, x, y: quads.append((u, v)))
+    total = 0
+    for u, v in quads:
+        ur, vs = u**spec.r, v**spec.s
+        if spec.which in ("L", "Lprime"):
+            for _a in range(ur):  # c = ur - a >= 1
+                for _b in range(vs):  # d = vs - b >= 1
+                    total += 1
+            continue
+        for e in divisors(ur):
+            for a in range(e):
+                if gcd(a, e - a) != 1:
+                    continue
+                for f in divisors(vs):
+                    for b in range(f):
+                        if gcd(b, f - b) == 1:
+                            total += 1
+    return total
+
+
+def test_raw_matches_nested_tuple_loop():
+    for r in (1, 2, 3):
+        for s in (1, 2, 3):
+            for n in range(2, 11):
+                for which in COUNTERS:
+                    spec = CountSpec(which, r, s, n)
+                    assert count_raw(spec) == _nested_raw(spec), (which, r, s, n)
+
+
+def _code_names(code):
+    # global and attribute names read by code and by every code object nested in it
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, CodeType):
+            names |= _code_names(const)
+    return names
+
+
+def test_raw_count_names_no_collapse_or_oracle():
+    # the raw route checks the phi collapse and the convolution oracle, so it
+    # must count splits itself rather than call either
+    collapsed = {
+        "totient",
+        "mobius",
+        "sigma_convolution",
+        "_sigma_prime_convolution",
+        "_convolutions",
+        "brute_convolution",
+        "count_fast",
+    }
+    assert not _code_names(_raw_count.__code__) & collapsed
+
+
+def test_split_counts_live_for_one_call():
+    # the split table belongs to one count_raw or verify_lm call: no function
+    # the module defines keeps counts between calls (divisors and sigma_k
+    # are arith's caches, imported)
+    own = [
+        obj
+        for obj in vars(representations).values()
+        if getattr(obj, "__module__", None) == representations.__name__
+    ]
+    assert _raw_count in own and not any(hasattr(obj, "cache_info") for obj in own)
+    assert verify_lm(3, 2, 2, 9) == verify_lm(3, 2, 2, 9)
 
 
 def test_fast_equals_convolutions():
@@ -225,9 +297,8 @@ def test_verify_lm_enumerates_each_set_once_per_n(monkeypatch):
 
 def test_verify_lm_and_count_raw_refuse_alike():
     # budgets below, at and between each set's fast count and the M visit
-    # estimate Σ sigma(u**r) * (1 + sigma(v**s)), computed here from the set;
-    # n stops at 12, as n = 13 and 14 would add some 4 s of raw loops
-    for n in range(2, 13):
+    # estimate Σ sigma(u**r) * (1 + sigma(v**s)), computed here from the set
+    for n in range(2, 15):
         sets = {}
         for ss in ("B", "Bprime"):
             quads = []
