@@ -8,13 +8,17 @@ consumers never face 64-bit overflow.  Identical invocations produce
 byte-identical stdout.
 
 Every subcommand is one row of a table: its help text, its handler and its
-option rows.  A run builds the subparser of the subcommand it names and no
-other; with no arguments, -h or an unknown command it builds them all, so
-the usage message lists every subcommand.  A handler returns the document
-without its "command" key, its exit code, and its CSV rows (header first)
-or None; main adds "command" and alone writes stdout, so a run that errs
-writes nothing there.  CSV is joined by hand, as the csv module would drop
-the quotes that selftest puts around every detail.
+option rows.  A plain well-formed argv is read straight from those rows and
+builds no parser, so a cold command never imports the locale module that
+argparse's messages pull in.  Help, every usage error and every unusual
+form go to argparse, the one source of help and error text; a run then
+builds the subparser of the subcommand it names and no other, and with no
+arguments, -h or an unknown command it builds them all, so the usage
+message lists every subcommand.  A handler returns the document without
+its "command" key, its exit code, and its CSV rows (header first) or None;
+main adds "command" and alone writes stdout, so a run that errs writes
+nothing there.  CSV is joined by hand, as the csv module would drop the
+quotes that selftest puts around every detail.
 
 Exit codes: 0 success or verified, 1 verification failure or inconsistent
 fit, 2 usage error, 3 a budget refused the work before it started: arith's
@@ -30,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 
@@ -69,10 +72,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    m = re.fullmatch(r"(\d+)\.\.(\d+)", text)
-    if not m:
+    # isdecimal() accepts exactly what \d+ matches: one or more Unicode digits
+    lo, sep, hi = text.partition("..")
+    if not (sep and lo.isdecimal() and hi.isdecimal()):
         raise ValueError(f"range must look like LO..HI, got {text!r}")
-    lo, hi = int(m.group(1)), int(m.group(2))
+    lo, hi = int(lo), int(hi)
     if lo < 2 or hi < lo:
         raise ValueError(f"range must satisfy 2 <= LO <= HI, got {text!r}")
     return lo, hi
@@ -295,13 +299,66 @@ def _build_parser(names=_COMMANDS) -> _Parser:
     return parser
 
 
+def _parse_table(argv: list[str]) -> argparse.Namespace | None:
+    # The Namespace that _build_parser().parse_args(argv) returns, read from
+    # the option rows, or None where that is not certain: help, every usage
+    # error and every unusual form are left to argparse, which writes the
+    # message and picks the exit code.
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    rows = dict(_COMMANDS[argv[0]][2])
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in rows:
+            # a unique prefix names its option; argparse counts --help too.
+            # A token without "--" matches no option, or all of them.
+            matches = [f for f in (*rows, "--help") if f.startswith(flag)]
+            if len(matches) != 1 or matches == ["--help"]:
+                return None
+            flag = matches[0]
+        kwargs = rows[flag]
+        if kwargs.get("action") == "store_true":
+            if eq:
+                return None
+            given[flag] = True
+            continue
+        if not eq:
+            # argparse takes a token that starts with "-" as an option unless
+            # it is a negative number; a missing value is left to it the same way
+            value = next(tokens, "--")
+            if value.startswith("-") and not value[1:].isdecimal():
+                return None
+        if value == "--":
+            # argparse drops a "--" value and stores an empty list
+            return None
+        if kwargs.get("type") is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[flag] = value
+    args = argparse.Namespace(command=argv[0])
+    for flag, kwargs in rows.items():
+        if kwargs.get("required") and flag not in given:
+            return None
+        default = kwargs.get("default", False if kwargs.get("action") else None)
+        setattr(args, kwargs.get("dest", flag[2:].replace("-", "_")), given.get(flag, default))
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _parse_table(argv)
+    if args is None:
+        parser = _build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         body, code, rows = _COMMANDS[args.command][1](args)
         if getattr(args, "csv", False):

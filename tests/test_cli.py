@@ -3,18 +3,20 @@
 Most invocations go through ``python -m sigmaprime`` so the argv parsing,
 JSON emission, stderr diagnostics, and exit codes are exercised exactly as a
 shell user would see them.  The golden digests, the budget refusals that
-patch a module and the argv property call ``cli.main`` in process.
+patch a module and the argv properties call ``cli.main`` in process; the
+table parser is held to argparse by a differential property.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sigmaprime import arith, cli, identities, lattice, powersums
@@ -500,3 +502,142 @@ def test_any_argv_exits_cleanly_with_one_document(argv):
         assert all(row.count(",") == header.count(",") for row in rows)
     else:
         assert json.loads(out)["command"] == argv[0]
+
+
+def test_plain_argv_builds_no_parser(monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    assert cli.main(["psi", "--s", "3", "--n", "100"]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "psi"
+    assert built == []
+
+
+def test_plain_command_imports_no_locale():
+    # -X importtime lists on stderr every module the run imports; argparse's
+    # messages would pull in locale
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *CMD[1:], "psi", "--s", "3", "--n", "100"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
+    assert "argparse" in imported
+    assert "locale" not in imported
+
+
+_ROW_KEYWORDS = {"type", "required", "choices", "default", "action", "dest", "metavar", "help"}
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_option_rows_use_only_what_the_table_parser_reads(name):
+    # a row with nargs, another action or another type would silently part
+    # the table parser from argparse; this fails instead
+    for flag, kwargs in cli._COMMANDS[name][2]:
+        assert flag.startswith("--") and set(kwargs) <= _ROW_KEYWORDS, flag
+        assert kwargs.get("type", int) is int, flag
+        assert kwargs.get("action", "store_true") == "store_true", flag
+        # argparse converts a str default through the type; the table parser does not
+        assert not ("type" in kwargs and isinstance(kwargs.get("default"), str)), flag
+
+
+_WHOLE_TABLE = cli._build_parser()
+
+
+def _argparse(argv):
+    # argparse's Namespace for argv, or None where it prints help or an error
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return _WHOLE_TABLE.parse_args(argv)
+        except SystemExit:
+            return None
+
+
+_ODD_VALUES = st.sampled_from(
+    [" 7", "+3", "1_0", "7 8", "-3", "-٣", "-1.5", "-", "--", "", "-1 x^2", "B", "t11", "a=b"]
+)
+_ODD_TOKENS = st.sampled_from(
+    ["-", "--", "-h", "--help", "--he", "stray", "7", "-5", "--bogus", "-n", "--=3", "--n 5"]
+)
+
+
+@st.composite
+def _wild_argvs(draw):
+    # an _argvs() draw recast into the other forms argparse reads: spaced
+    # values, prefixes unique or ambiguous, odd values, a repeated flag, help
+    # flags and stray tokens; one draw per token keeps 2000 examples quick
+    name, *tokens = draw(_argvs())
+    argv = [name]
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        shape = draw(st.integers(0, 15))
+        if shape < 4:
+            flag = flag[: draw(st.integers(2, len(flag)))]
+        if shape in (4, 5):
+            eq, value = "=", draw(_ODD_VALUES)
+        if not eq:
+            argv.append(flag)
+        elif shape % 2:
+            argv += [flag, value]
+        else:
+            argv.append(f"{flag}={value}")
+    extra = draw(st.integers(0, 3))
+    if extra == 1 and len(argv) > 1:
+        start = draw(st.integers(1, len(argv) - 1))
+        argv += argv[start : start + 2]
+    elif extra == 2:
+        argv.insert(draw(st.integers(1, len(argv))), draw(_ODD_TOKENS))
+    return argv
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_wild_argvs())
+@example(["check-main", "--poly=--", "--n", "6"])  # argparse stores [] for a "--" value
+def test_table_parse_is_argparse_where_it_answers(argv):
+    args = cli._parse_table(list(argv))
+    if args is not None:
+        assert args == _argparse(argv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs())
+def test_table_parse_answers_every_argv_argparse_accepts(argv):
+    assert cli._parse_table(list(argv)) == _argparse(argv)
+
+
+def _regex_parse_range(text):
+    # the regex form of cli._parse_range, kept as its oracle
+    m = re.fullmatch(r"(\d+)\.\.(\d+)", text)
+    if not m:
+        raise ValueError(f"range must look like LO..HI, got {text!r}")
+    lo, hi = int(m.group(1)), int(m.group(2))
+    if lo < 2 or hi < lo:
+        raise ValueError(f"range must satisfy 2 <= LO <= HI, got {text!r}")
+    return lo, hi
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["2..9", "٢..٩", "2..3..4", "..3", "2..", " 2..3", "9..2", "1..4", "+2..3", "2..3\n"],
+)
+def test_parse_range_matches_the_regex_form(text):
+    assert _outcome(cli._parse_range, text) == _outcome(_regex_parse_range, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="019.٢ +-\n_", max_size=8))
+def test_parse_range_matches_the_regex_form_on_any_text(text):
+    assert _outcome(cli._parse_range, text) == _outcome(_regex_parse_range, text)
