@@ -70,6 +70,12 @@ class _Parser(argparse.ArgumentParser):
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(2)
 
+    # argparse drops a "--" value, as in --n=--, and would store an empty list
+    def _get_values(self, action, arg_strings):
+        if action.nargs is None and arg_strings == ["--"]:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
+
 
 def _parse_range(text: str) -> tuple[int, int]:
     # isdecimal() accepts exactly what \d+ matches: one or more Unicode digits

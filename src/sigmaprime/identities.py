@@ -5,8 +5,10 @@ six-term main identity and its divisor-sum analogue over B(n), the stored
 closed forms for the nine proven (r, s) convolution evaluations, range
 verification against the enumeration oracle, and the two classical
 convolution checks (besge_check, glaisher_check).
-The identity's left side is a combination of quadruple moments, which
-lattice's moment core sums without walking the set; nothing is kept.
+The identity's left side pairs its six terms into binomial sums of
+quadruple moments, which lattice's moment core sums without walking the
+set; its right side is f at six literal rows per totative or divisor pair,
+summed as they are generated.  Nothing is listed or kept.
 
 A test function f(a, b, x, y) qualifies for the identities when it
 satisfies, as a polynomial identity,
@@ -50,6 +52,7 @@ __all__ = [
 ]
 
 _VARS = "abxy"
+_DIGITS = re.compile(r"\d+")
 
 Monomials = dict[tuple[int, int, int, int], int]
 
@@ -100,11 +103,11 @@ class Poly4:
                 else:
                     raise ValueError(f"expected '+' or '-' at position {i} of {text!r}")
                 i += 1
-            m = re.match(r"\d+", s[i:])
+            m = _DIGITS.match(s, i)
             if not m:
                 raise ValueError(f"expected an integer coefficient at position {i} of {text!r}")
             coeff = sign * int(m.group())
-            i += m.end()
+            i = m.end()
             expo = [0, 0, 0, 0]
             while i < len(s) and s[i] in _VARS:
                 slot = _VARS.index(s[i])
@@ -112,11 +115,11 @@ class Poly4:
                 e = 1
                 if i < len(s) and s[i] == "^":
                     i += 1
-                    m = re.match(r"\d+", s[i:])
+                    m = _DIGITS.match(s, i)
                     if not m:
                         raise ValueError(f"expected an exponent at position {i} of {text!r}")
                     e = int(m.group())
-                    i += m.end()
+                    i = m.end()
                 expo[slot] += e
             key = (expo[0], expo[1], expo[2], expo[3])
             terms[key] = terms.get(key, 0) + coeff
@@ -196,72 +199,33 @@ def symmetry_holds(f: Poly4) -> bool:
     )
 
 
-# The six substitutions of the left side, as (sign, the linear forms put in
-# f's four slots): the left side is Σ sign * f(forms(a, b, x, y)) over the set.
-_SUBSTITUTIONS = (
-    (1, ("1a", "1b", "1x", "-1y")),
-    (-1, ("1a", "-1b", "1x", "1y")),
-    (1, ("1a", "1a - 1b", "1x + 1y", "1y")),
-    (-1, ("1a", "1a + 1b", "-1x + 1y", "1y")),
-    (1, ("-1a + 1b", "1b", "1x", "1x + 1y")),
-    (-1, ("1a + 1b", "1b", "1x", "1x - 1y")),
-)
-# each form as its (variable, coefficient) pairs, variables numbered as in abxy
-_LINEAR_MAPS = tuple(
-    (sign, tuple(tuple((e.index(1), c) for e, c in Poly4.from_text(t)._terms.items()) for t in forms))
-    for sign, forms in _SUBSTITUTIONS
-)
-
-
 def _left_moments(f: Poly4) -> dict[tuple[int, int, int, int], int]:
     """The left side as {(i, j, k, l): c}, Σ c M(i, j, k, l; n) for the moments M.
 
-    Each substitution makes a monomial a product of powers of linear forms,
-    each expanded binomially, with a^i b^j x^k y^l keyed as i + j B + k B^2 +
-    l B^3 (B = 1 + deg f) so that multiplying adds keys.  The sets are closed
-    under (a, b, x, y) -> (b, a, y, x) and -> (x, y, a, b), so a moment is
-    kept under the least of its four images; moments that cancel are dropped.
+    The six terms pair off by the keys they make of c a^i b^j x^k y^l:
+    f(a,b,x,-y) - f(a,-b,x,y) keeps (i, j, k, l) with c((-1)^l - (-1)^j);
+    f(a,a-b,x+y,y) - f(a,a+b,y-x,y) makes (i+p, j-p, q, l+k-q) with
+    c C(j,p) C(k,q) ((-1)^(j-p) - (-1)^q); and f(b-a,b,x,x+y) - f(a+b,b,x,x-y)
+    makes (p, i-p+j, k+q, l-q) with c C(i,p) C(l,q) ((-1)^p - (-1)^(l-q)).
+    The sets are closed under (a, b, x, y) -> (b, a, y, x) and -> (x, y, a, b),
+    so a moment is kept under the least of its four images; moments that
+    cancel are dropped.
     """
-    base = 1 + max(map(sum, f._terms), default=0)
-    units = (1, base, base * base, base**3)
-    out: dict[int, int] = {}
-    get = out.get
-    for expo, coeff in f._terms.items():
-        for sign, forms in _LINEAR_MAPS:
-            key, value, terms = 0, sign * coeff, None
-            for form, e in zip(forms, expo):
-                if not e:
-                    continue
-                if len(form) == 1:
-                    ((v, c),) = form
-                    key += e * units[v]
-                    value *= c**e
-                    continue
-                # (cu u + cv v)**e term by term: each trades one u for one v
-                (u, cu), (v, cv) = form
-                k, c, step, ratio = e * units[u], cu**e, units[v] - units[u], cu * cv
-                power = [(k, c)]
-                for t in range(e):
-                    k += step
-                    c = c * (e - t) // (t + 1) * ratio
-                    power.append((k, c))
-                if terms is not None:
-                    power = [(k1 + k2, c1 * c2) for k1, c1 in terms for k2, c2 in power]
-                terms = power
-            if terms is None:
-                out[key] = get(key, 0) + value
-                continue
-            for k, c in terms:
-                k += key
-                out[k] = get(k, 0) + value * c
     moments: dict[tuple[int, int, int, int], int] = {}
-    for key, c in out.items():
-        if c:
-            key, i = divmod(key, base)
-            key, j = divmod(key, base)
-            l, k = divmod(key, base)
-            key = min((i, j, k, l), (j, i, l, k), (k, l, i, j), (l, k, j, i))
-            moments[key] = moments.get(key, 0) + c
+    for (i, j, k, l), c in f._terms.items():
+        paired = [((i, j, k, l), (-1) ** l - (-1) ** j)]
+        paired += (
+            ((i + p, j - p, q, l + k - q), comb(j, p) * comb(k, q) * ((-1) ** (j - p) - (-1) ** q))
+            for p in range(j + 1) for q in range(k + 1)
+        )
+        paired += (
+            ((p, i - p + j, k + q, l - q), comb(i, p) * comb(l, q) * ((-1) ** p - (-1) ** (l - q)))
+            for p in range(i + 1) for q in range(l + 1)
+        )
+        for (a, b, x, y), weight in paired:
+            if weight:
+                key = min((a, b, x, y), (b, a, y, x), (x, y, a, b), (y, x, b, a))
+                moments[key] = moments.get(key, 0) + c * weight
     return {key: c for key, c in moments.items() if c}
 
 
@@ -288,9 +252,13 @@ def main_identity_sides(f: Poly4, n: int, which: str = "Bprime") -> tuple[int, i
 
     It is linear in f and the substitutions are linear, so it is a sum of
     moments Σ a**i b**j x**k y**l over the set, taken from lattice's moment
-    core; the right side (totatives of n over B'(n), a divisor double sum
-    over B(n)) is summed from its literal rows.  Nothing is enumerated or
-    kept.  Raises ValueError if f fails the symmetry hypothesis or n < 2,
+    core.  The right side is f at six literal rows, summed over the
+    totatives t of n for B'(n) and over de = n, 0 < x < d for B(n):
+
+        f(1,0,n,t) + f(0,1,t,n) + f(1,1,n-t,-t) - f(n,t,1,0) - f(t,n,0,1) - f(n-t,-t,1,1),
+        f(0,e,x,d) + f(e,0,d,x) + f(e,e,d-x,-x) - f(x,x-d,e,e) - f(x,d,0,e) - f(d,x,e,0).
+
+    Nothing is enumerated, listed or kept.  Raises ValueError if f fails the symmetry hypothesis or n < 2,
     and BudgetExceededError, before anything is allocated, if
     _identity_work is above the work limit.
     """
@@ -301,23 +269,20 @@ def main_identity_sides(f: Poly4, n: int, which: str = "Bprime") -> tuple[int, i
     work = _identity_work(f, n, which)
     arith._check_work(work, "identity sides at n = {n} need about {work} units of work", n=n)
     lhs = _moment_sums(_left_moments(f), (n,), which)[0]
-    added, subtracted = [], []  # the right side's argument tuples (a, b, x, y)
     if which == "Bprime":
-        for t in range(1, n):
-            if gcd(t, n) == 1:
-                added += ((1, 0, n, t), (0, 1, t, n), (1, 1, n - t, -t))
-                subtracted += ((n, t, 1, 0), (t, n, 0, 1), (n - t, -t, 1, 1))
+        rhs = sum(
+            f(1, 0, n, t) + f(0, 1, t, n) + f(1, 1, n - t, -t)
+            - f(n, t, 1, 0) - f(t, n, 0, 1) - f(n - t, -t, 1, 1)
+            for t in range(1, n)
+            if gcd(t, n) == 1
+        )
     else:
-        for d in divisors(n):
-            nd = n // d
-            for x in range(1, d):
-                added += ((0, nd, x, d), (nd, 0, d, x), (nd, nd, d - x, -x))
-                subtracted += ((x, x - d, nd, nd), (x, d, 0, nd), (d, x, nd, 0))
-    rhs = sum(
-        c * (sum(a**i * b**j * x**k * y**l for a, b, x, y in added)
-             - sum(a**i * b**j * x**k * y**l for a, b, x, y in subtracted))
-        for (i, j, k, l), c in f._terms.items()
-    )
+        rhs = sum(
+            f(0, e, x, d) + f(e, 0, d, x) + f(e, e, d - x, -x)
+            - f(x, x - d, e, e) - f(x, d, 0, e) - f(d, x, e, 0)
+            for d, e in ((d, n // d) for d in divisors(n))
+            for x in range(1, d)
+        )
     return lhs, rhs
 
 

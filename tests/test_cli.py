@@ -472,7 +472,9 @@ def _argvs(draw):
         if kwargs.get("action") == "store_true":
             argv += [flag] if draw(st.booleans()) else []
             continue
-        if "choices" in kwargs:
+        if not draw(st.integers(0, 19)):
+            value = "--"
+        elif "choices" in kwargs:
             value = draw(st.sampled_from([*kwargs["choices"], "bogus"]))
         elif kwargs.get("type") is int:
             value = draw(_INT_VALUES[flag])
@@ -598,7 +600,7 @@ def _wild_argvs(draw):
 
 @settings(max_examples=2000, deadline=None)
 @given(_wild_argvs())
-@example(["check-main", "--poly=--", "--n", "6"])  # argparse stores [] for a "--" value
+@example(["check-main", "--poly=--", "--n", "6"])  # argparse alone would store [] for a "--" value
 def test_table_parse_is_argparse_where_it_answers(argv):
     args = cli._parse_table(list(argv))
     if args is not None:
@@ -609,6 +611,27 @@ def test_table_parse_is_argparse_where_it_answers(argv):
 @given(_argvs())
 def test_table_parse_answers_every_argv_argparse_accepts(argv):
     assert cli._parse_table(list(argv)) == _argparse(argv)
+
+
+_VALUE_OPTIONS = [
+    (name, flag)
+    for name, (_, _, options) in cli._COMMANDS.items()
+    for flag, kwargs in options
+    if kwargs.get("action") != "store_true"
+]
+
+
+@pytest.mark.parametrize("name, flag", _VALUE_OPTIONS, ids=[n + f for n, f in _VALUE_OPTIONS])
+def test_dash_dash_value_is_one_usage_line(name, flag, capsys):
+    # a lone "--" value is dropped by argparse, which would hand the handler []
+    argv = [name, f"{flag}=--"]
+    message = f"error: argument {flag}: expected one argument\n"
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", message)
+    with pytest.raises(SystemExit) as info:
+        cli._build_parser().parse_args(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr() == ("", message)
 
 
 def _regex_parse_range(text):

@@ -4,6 +4,7 @@ import ast
 import concurrent.futures
 import os
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from math import gcd
@@ -99,6 +100,15 @@ def test_parser_rejects_bad_input():
         Poly4.from_text("3z^2")
     with pytest.raises(ValueError):
         Poly4.from_text("")
+
+
+def test_parser_reads_a_long_text_in_linear_time():
+    # 160k terms; reading each number from a copy of the unread tail took 18 s
+    text = " + ".join(f"{i}a^{i % 7}b^{i % 5}x^{i % 11}y^{i % 13}" for i in range(1, 160001))
+    start = time.perf_counter()
+    poly = Poly4.from_text(text)
+    assert time.perf_counter() - start < 5
+    assert len(poly.monomials) == 7 * 5 * 11 * 13
 
 
 def test_poly_evaluation():
@@ -207,6 +217,39 @@ def test_main_identity_sides_match_per_quadruple_oracle(which):
             assert main_identity_sides(f, n, which) == expected, (f.to_text(), n, "warm")
 
 
+def _images(a, b, x, y):
+    # the point's orbit under the two symmetries of B(n) and B'(n)
+    return (a, b, x, y), (b, a, y, x), (x, y, a, b), (y, x, b, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(st.tuples(*[st.integers(0, 9)] * 4), st.integers(-9, 9), min_size=1, max_size=4),
+    st.tuples(*[st.integers(-6, 6)] * 4),
+)
+def test_left_moments_are_the_six_terms_on_any_f(terms, point):
+    # summed over the four images g·P of a point P, a moment's value does not
+    # change when its key is replaced by an image of the key, so the literal
+    # six terms and the returned moments agree there for any f, qualified or not
+    f = Poly4(terms)
+    literal = 0
+    for a, b, x, y in _images(*point):
+        literal += (
+            f(a, b, x, -y)
+            - f(a, -b, x, y)
+            + f(a, a - b, x + y, y)
+            - f(a, a + b, y - x, y)
+            + f(b - a, b, x, x + y)
+            - f(a + b, b, x, x - y)
+        )
+    moments = identities._left_moments(f)
+    assert literal == sum(
+        c * a**i * b**j * x**k * y**l
+        for (i, j, k, l), c in moments.items()
+        for a, b, x, y in _images(*point)
+    )
+
+
 def test_identities_defines_no_lru_cache():
     # the engine keeps nothing between calls
     tree = ast.parse(Path(identities.__file__).read_text())
@@ -232,15 +275,18 @@ def test_main_identity_enumerates_nothing(monkeypatch):
 
 def test_main_identity_large_n_is_small_in_memory():
     # B(2000) with the t111 proof polynomial: a table of the left side's
-    # argument rows, one per quadruple, would take about 100 MB
-    tracemalloc.start()
-    try:
-        lhs, rhs = main_identity_sides(PROOF_POLYNOMIALS[6], 2000, "B")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert lhs == rhs
-    assert peak < 16 * 2**20
+    # argument rows, one per quadruple, would take about 100 MB; at B(20833),
+    # the largest admitted n for 1x^2y^2, a list of the right side's rows
+    # would take about 12 MB
+    for f, n, limit in ((PROOF_POLYNOMIALS[6], 2000, 16), (Poly4.from_text("1x^2y^2"), 20833, 4)):
+        tracemalloc.start()
+        try:
+            lhs, rhs = main_identity_sides(f, n, "B")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert lhs == rhs
+        assert peak < limit * 2**20, (f.to_text(), n, peak)
 
 
 def test_main_identity_ceiling_refuses_before_enumerating(monkeypatch):

@@ -49,3 +49,32 @@ def test_modules_import_only_from_lower_layers():
     for depth, name in enumerate(LAYERS):
         assert _package_imports(name) <= set(LAYERS[:depth]), name
 
+
+def _unused_imports(name, reexported):
+    # module-level imported names that the module never reads, lists in
+    # __all__, or lends to the package's __init__
+    tree = ast.parse(Path(sigmaprime.__file__).with_name(f"{name}.py").read_text())
+    imported = {
+        (alias.asname or alias.name).partition(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    listed = {
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    }
+    return imported - read - listed - reexported
+
+
+def test_every_module_level_import_is_used():
+    init = ast.parse(Path(sigmaprime.__file__).read_text())
+    reexported = {}
+    for node in init.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            reexported.setdefault(node.module, set()).update(alias.name for alias in node.names)
+    for name in LAYERS:
+        assert not _unused_imports(name, reexported.get(name, set())), name
