@@ -9,6 +9,13 @@ independent routes that the test suite plays against each other:
 * ``moebius_faulhaber`` Moebius inversion with Bernoulli-expanded inner sums,
 * ``closed_table``      a frozen table of closed forms in ψ for 0 <= k <= 12.
 
+The direct route finds the primes of n by its own trial division and walks
+range(n) in blocks of _DIRECT_BLOCK residues.  In each block it strikes every
+multiple of each prime from a bytearray by slice assignment, then sums t**k
+over the residues left standing, so the coprimality test runs in C and memory
+stays one block whatever n is.  The one-gcd-per-residue form is its oracle in
+the tests.
+
 The closed forms are stored as ClosedForm values rather than code so the
 identity verifier and the pattern fitter share one representation.
 ClosedForm.evaluate factorizes n once and adds every term as a plain int
@@ -20,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from itertools import compress
+from math import lcm, prod
 
 from . import arith
 from .arith import divisors, factorize, faulhaber_sum, mobius
@@ -160,6 +168,40 @@ COPRIME_POWER_FORMS: dict[int, ClosedForm] = {
 }
 
 
+# The direct route strikes composites from one block of this many residues at
+# a time, so its bytearray stays 64 KiB however large n is.
+_DIRECT_BLOCK = 2**16
+
+
+def _direct_power_sum(k: int, n: int) -> int:
+    """S_k(n) by literal enumeration of the residues t < n prime to n.
+
+    The primes of n come from trial division here rather than arith, so the
+    route stays independent of the kernel that the other two routes read.
+    Each block of range(n) keeps a byte per residue; every multiple of a
+    prime of n (t = 0 among them) is struck, and t**k is summed over the rest.
+    """
+    primes = []
+    m, p = n, 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1 if p == 2 else 2
+    if m > 1:
+        primes.append(m)
+    total = 0
+    for lo in range(0, n, _DIRECT_BLOCK):
+        size = min(_DIRECT_BLOCK, n - lo)
+        keep = bytearray(b"\x01") * size
+        for p in primes:
+            first = -lo % p
+            keep[first::p] = bytes(len(range(first, size, p)))
+        total += sum(t**k for t in compress(range(lo, lo + size), keep))
+    return total
+
+
 # One term of the Moebius route, a few Fraction operations, costs this many
 # units of work before its bit weight.  Cold, the largest admitted k took 1.2 s
 # at n = 7 (k = 615) and 1.4 s at n = 30030 (k = 476), each at 16 MB peak RSS;
@@ -185,7 +227,9 @@ def coprime_power_sum(k: int, n: int, method: str = "direct") -> int:
 
     ``method`` selects one of the three independent routes listed in the
     module docstring.  The closed table covers 0 <= k <= 12 only; the other
-    two routes take any k >= 0.  Requires n >= 2.  Two routes raise
+    two routes take any k >= 0.  Requires n >= 2.  The direct route strikes
+    the multiples of n's primes from range(n) block by block and sums t**k
+    over the residues that remain.  Two routes raise
     BudgetExceededError before their work when its estimate exceeds the work
     limit: the direct route counts its n terms, each weighted by the bit
     length of n**k, and the Moebius route the estimate of _moebius_work.
@@ -195,9 +239,13 @@ def coprime_power_sum(k: int, n: int, method: str = "direct") -> int:
     if k < 0:
         raise ValueError(f"coprime_power_sum requires k >= 0, got {k}")
     if method == "direct":
+        # n terms, each weighted by the length of n**k, so n = 10**7 is admitted
+        # for k <= 21.  There, k = 0 took 0.50 s (2.08 s with one gcd per
+        # residue) and k = 21 2.22 s (3.60 s), the CLI at 16.5-16.7 MB peak RSS
+        # either way, a trivial call's own (2-CPU container, Python 3.11.7).
         work = n * arith._bit_weight(k, n)
         arith._check_work(work, "the direct power sum needs {work} units of work")
-        return sum(t**k for t in range(1, n) if gcd(t, n) == 1)
+        return _direct_power_sum(k, n)
     if method == "moebius_faulhaber":
         work = _moebius_work(k, n)
         arith._check_work(work, "the Moebius-Faulhaber power sum needs about {work} units of work")

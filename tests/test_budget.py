@@ -19,7 +19,7 @@ def test_one_patch_of_the_limit_moves_every_bound(monkeypatch):
     for module, name in (
         (lattice, "_factor_table"),
         (identities, "_left_moments"),
-        (powersums, "gcd"),
+        (powersums, "_direct_power_sum"),
         (powersums, "faulhaber_sum"),
         (lattice, "divisors"),
         (lattice, "_sigma_prime_convolution"),

@@ -1,12 +1,12 @@
 """Solution set enumeration, sigma_prime, and the pre-identity."""
 
 from math import gcd
-from types import CodeType
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import code_names
 from sigmaprime import arith, lattice
 from sigmaprime.arith import divisors, factorize, mobius, sigma_k
 from sigmaprime.identities import THEOREM_RS
@@ -319,27 +319,18 @@ def test_plain_oracle_touches_no_divisor_cache():
     assert (divisors.cache_info(), factorize.cache_info()) == before
 
 
-def _code_names(code):
-    # global and attribute names read by code and by every code object nested in it
-    names = set(code.co_names)
-    for const in code.co_consts:
-        if isinstance(const, CodeType):
-            names |= _code_names(const)
-    return names
-
-
 def test_oracle_names_no_arith_kernel_function():
     # the oracle checks the kernel behind the closed forms, so it must not call it
     kernel = {"mobius", "divisors", "factorize", "sigma_k"}
     for func in (_convolutions, _moment_sums, _factor_table, _sigma_table, _inversion_terms):
-        assert not _code_names(func.__code__) & kernel, func.__name__
+        assert not code_names(func.__code__) & kernel, func.__name__
 
 
 def test_closed_forms_name_no_psi():
     # psi is the Fraction reference that evaluate is tested against, so the
     # integer route must not fall back to it
     for func in (ClosedForm.evaluate, _design_row):
-        assert "psi" not in _code_names(func.__code__), func.__qualname__
+        assert "psi" not in code_names(func.__code__), func.__qualname__
 
 
 def test_factor_table_matches_factorize():

@@ -1,12 +1,14 @@
 """psi and the coprime power sums: route agreement and closed-table checks."""
 
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import code_names
 from sigmaprime import arith, powersums
 from sigmaprime.arith import BudgetExceededError, divisors, faulhaber_sum, mobius, totient
 from sigmaprime.identities import _FORMS
@@ -73,6 +75,51 @@ def test_methods_agree_on_a_grid():
             direct = coprime_power_sum(k, n, "direct")
             assert direct == coprime_power_sum(k, n, "moebius_faulhaber")
             assert direct == coprime_power_sum(k, n, "closed_table")
+
+
+def gcd_power_sum(k, n):
+    # the direct route's oracle: one gcd per residue
+    return sum(t**k for t in range(1, n) if gcd(t, n) == 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 14), st.integers(2, 2**18))
+@example(14, 2**16 - 1)
+@example(3, 2**16)
+@example(14, 2**16 + 1)
+@example(1, 3 * 2**16)
+@example(14, 65537)  # prime: its only prime is larger than a block
+@example(2, 2 * 65537)
+@example(12, 510510)  # 2*3*5*7*11*13*17
+def test_direct_matches_gcd_oracle(k, n):
+    assert coprime_power_sum(k, n, "direct") == gcd_power_sum(k, n)
+
+
+def test_direct_keeps_one_block_in_memory():
+    # a mask over all of range(n) would peak near 4 MB here
+    tracemalloc.start()
+    try:
+        coprime_power_sum(0, 2_000_000, "direct")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_direct_names_no_other_route():
+    # the direct route checks the kernel and the other two routes, so it finds
+    # n's primes and its totatives itself
+    others = {
+        "factorize",
+        "divisors",
+        "mobius",
+        "totient",
+        "faulhaber_sum",
+        "bernoulli",
+        "COPRIME_POWER_FORMS",
+        "psi",
+    }
+    assert not code_names(powersums._direct_power_sum.__code__) & others
 
 
 def test_inner_limit_variants_agree():
@@ -195,7 +242,7 @@ def test_direct_power_sum_refuses_over_budget_before_looping(monkeypatch):
     def no_loop(*args):
         raise AssertionError("the direct route looped")
 
-    monkeypatch.setattr(powersums, "gcd", no_loop)
+    monkeypatch.setattr(powersums, "_direct_power_sum", no_loop)
     for k, n in ((2, 1001), (600, 112)):
         with pytest.raises(BudgetExceededError, match="limit is 1000"):
             coprime_power_sum(k, n, "direct")

@@ -1,10 +1,10 @@
 """Representation counters: raw enumeration vs the convolution oracle."""
 
 from math import gcd
-from types import CodeType
 
 import pytest
 
+from helpers import code_names
 from sigmaprime.arith import divisors, sigma_k, totient
 from sigmaprime import lattice, representations
 from sigmaprime.lattice import check_pre_identity, enumerate_quadruples, sigma_prime
@@ -82,15 +82,6 @@ def test_raw_matches_nested_tuple_loop():
                     assert count_raw(spec) == _nested_raw(spec), (which, r, s, n)
 
 
-def _code_names(code):
-    # global and attribute names read by code and by every code object nested in it
-    names = set(code.co_names)
-    for const in code.co_consts:
-        if isinstance(const, CodeType):
-            names |= _code_names(const)
-    return names
-
-
 def test_raw_count_names_no_collapse_or_oracle():
     # the raw route checks the phi collapse and the convolution oracle, so it
     # must count splits itself rather than call either
@@ -103,7 +94,7 @@ def test_raw_count_names_no_collapse_or_oracle():
         "brute_convolution",
         "count_fast",
     }
-    assert not _code_names(_raw_count.__code__) & collapsed
+    assert not code_names(_raw_count.__code__) & collapsed
 
 
 def test_split_counts_live_for_one_call():
