@@ -44,9 +44,13 @@ _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
 
 # factorize tries no divisor above this; reaching it takes about 75 ms (the
 # prime 100000000000031; 2-core container, Python 3.11).  Every n <= 10**12 stays
-# within it, and the bounded routes stay far below it: the convolution
-# oracle's n, at most about 1.5e5, needs divisors up to 391, and count_raw's
-# u**r stops at the largest prime of u <= n.
+# within it.  The convolution oracle factorizes nothing.  The routes that do
+# are the closed forms, psi, sigma_prime, the Moebius power sum (its work
+# estimate factorizes n first) and count_raw's M estimate.  The first four
+# take any n, so this ceiling is their only bound; the benchmark gives psi
+# n <= 10**6, sigma_prime m, n <= 5000, and the closed forms and the Moebius
+# route n <= 44015.  count_raw's u**r, for u < n <= 8503, stops at the
+# largest prime of u.
 _TRIAL_DIVISOR_LIMIT = 10**6
 
 # A power outside the convolution oracle has at most this many bits.  psi(s, n)

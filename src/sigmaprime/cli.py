@@ -47,7 +47,7 @@ from .identities import (
     parse_theorem_id,
     verify_theorem,
 )
-from .lattice import brute_convolution, sigma_prime
+from .lattice import SOLUTION_SETS, brute_convolution, sigma_prime
 from .patternfit import (
     DEFAULT_TEST_NS,
     DEFAULT_TRAIN_NS,
@@ -257,7 +257,7 @@ def _cmd_selftest(args):
 
 _INT = {"type": int, "required": True}
 _FLAG = {"action": "store_true"}
-_SET = {"choices": ("B", "Bprime"), "default": "Bprime"}
+_SET = {"choices": SOLUTION_SETS, "default": "Bprime"}
 _R, _S, _N = ("--r", _INT), ("--s", _INT), ("--n", _INT)
 
 # subcommand -> (help, handler, option rows (flag, add_argument keywords))

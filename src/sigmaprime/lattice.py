@@ -16,7 +16,7 @@ work is refused through arith's gate before that work starts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 from operator import mul
 from typing import Callable, Collection
 
@@ -200,45 +200,36 @@ def _moment_work(degree: int, ns: Collection[int], moments: int = 1, rows: int =
 
 def _factor_table(top: int) -> tuple[list[int], list[int]]:
     # (least, power): for 2 <= m < top, least[m] is the least prime p of m and
-    # power[m] the full power of p in m.  A linear sieve: each composite is
-    # struck once, as i * p with p <= least[i], so no divisor list is built or
-    # cached.
-    least = [0] * top
-    power = [0] * top
-    primes: list[int] = []
-    for i in range(2, top):
-        if not least[i]:
-            least[i] = power[i] = i
-            primes.append(i)
-        p_i, q_i = least[i], power[i]
-        for p in primes:
-            m = i * p
-            if m >= top:
-                break
-            least[m] = p
-            if p == p_i:
-                power[m] = q_i * p
-                break
-            power[m] = p
+    # power[m] the full power of p in m.  Eratosthenes by slice assignment: for
+    # p from isqrt(top - 1) down to 2, prime or not, the multiples of p from p*p
+    # are struck with p, so each m is struck last by its least prime.  The
+    # strike holds a list of about top / 2 entries; least[1] = 1 ends each
+    # power chain.  No divisor list is built or cached.
+    least = list(range(top))
+    for p in range(isqrt(top - 1), 1, -1):
+        least[p * p :: p] = [p] * len(range(p * p, top, p))
+    power = least[:]
+    for m in range(2, top):
+        p = least[m]
+        if least[m // p] == p:
+            power[m] = power[m // p] * p
     return least, power
 
 
 def _sigma_table(i: int, k: int, factors: tuple[list[int], list[int]]) -> list[int]:
     # [0, g(1), ..., g(top - 1)] for the multiplicative g(m) = Σ_{ax = m} a**i x**k,
     # one product per entry: g(m) = g(m / q) g(q) for q the full power of m's least
-    # prime p, and g(p**e) = p**(ie) + p**k g(p**(e-1)); sigma_k is the case i = 0
+    # prime p, and g(p**e) = p**(ie) + p**k g(p**(e-1)) with g(1) = 1; sigma_k is
+    # the case i = 0
     least, power = factors
     table = [0] * len(least)
     table[1] = 1
     for m in range(2, len(least)):
-        q = power[m]
-        if q != m:
-            table[m] = table[m // q] * table[q]
-        elif least[m] == m:
-            table[m] = m**i + m**k
+        p, q = least[m], power[m]
+        if q == m:
+            table[m] = m**i + p**k * table[m // p]
         else:
-            p = least[m]
-            table[m] = m**i + (table[p] - p**i) * table[m // p]
+            table[m] = table[m // q] * table[q]
     return table
 
 

@@ -217,6 +217,20 @@ def test_main_identity_sides_match_per_quadruple_oracle(which):
             assert main_identity_sides(f, n, which) == expected, (f.to_text(), n, "warm")
 
 
+def test_swap_symmetric_polynomials_have_zero_sides():
+    # f = f(x, y, a, b) adds nothing to either side: its left moments cancel
+    # under the sets' (x, y, a, b) symmetry and the right side's rows pair off
+    # under the swap, so only f's swap-antisymmetric part reaches the sums
+    rng = random.Random(2203)
+    for _ in range(12):
+        g = Poly4({tuple(rng.randint(0, 3) for _ in range(4)): rng.randint(-9, 9) for _ in range(4)})
+        f = g + g.swapped()
+        assert identities._left_moments(f) == {}, f.to_text()
+        for which in SOLUTION_SETS:
+            for n in range(2, 31):
+                assert main_identity_sides(f, n, which) == (0, 0), (f.to_text(), n, which)
+
+
 def _images(a, b, x, y):
     # the point's orbit under the two symmetries of B(n) and B'(n)
     return (a, b, x, y), (b, a, y, x), (x, y, a, b), (y, x, b, a)

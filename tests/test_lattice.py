@@ -334,10 +334,13 @@ def test_closed_forms_name_no_psi():
 
 
 def test_factor_table_matches_factorize():
-    least, power = _factor_table(5000)
-    for m in range(2, 5000):
-        p, e = factorize(m)[0]
-        assert (least[m], power[m]) == (p, p**e), m
+    # every top up to 300 covers the edges where top - 1 = p**2 (5, 10, 26, 50,
+    # 122, 170, ...), the last square the strike must reach
+    for top in [*range(2, 301), 5000]:
+        least, power = _factor_table(top)
+        for m in range(2, top):
+            p, e = factorize(m)[0]
+            assert (least[m], power[m]) == (p, p**e), (top, m)
 
 
 def test_sigma_table_matches_sigma_k():
