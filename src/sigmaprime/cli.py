@@ -10,7 +10,10 @@ byte-identical stdout.
 Every subcommand is one row of a table: its help text, its handler and its
 option rows.  A plain well-formed argv is read straight from those rows and
 builds no parser, so a cold command never imports the locale module that
-argparse's messages pull in.  Help, every usage error and every unusual
+argparse's messages pull in.  A value in its own token may start with "-"
+where argparse too reads it as a value: a negative integer, or text with a
+space that starts with neither -h nor --, such as a polynomial with a
+negative leading coefficient.  Help, every usage error and every unusual
 form go to argparse, the one source of help and error text; a run then
 builds the subparser of the subcommand it names and no other, and with no
 arguments, -h or an unknown command it builds them all, so the usage
@@ -331,10 +334,15 @@ def _parse_table(argv: list[str]) -> argparse.Namespace | None:
             given[flag] = True
             continue
         if not eq:
-            # argparse takes a token that starts with "-" as an option unless
-            # it is a negative number; a missing value is left to it the same way
+            # argparse takes a token that starts with "-" as a value when it is
+            # a negative number, or when it contains a space and does not start
+            # with -h, an option string.  One that starts with -- is left to it,
+            # as its text before "=" may name an option ("--n=1 2"), and so is
+            # a missing value
             value = next(tokens, "--")
-            if value.startswith("-") and not value[1:].isdecimal():
+            if value.startswith("-") and not value[1:].isdecimal() and (
+                " " not in value or value[:2] in ("-h", "--")
+            ):
                 return None
         if value == "--":
             # argparse drops a "--" value and stores an empty list

@@ -8,11 +8,12 @@ Every proven convolution evaluation in this package matches the template
 with rational A, B, C, D.  The template is a ClosedForm over four
 (n_power, psi_order) columns, stated once in _columns; evaluation, the fit's
 design rows and the reading of stored forms all read them.  fit() recovers
-the coefficients from oracle values by exact Gaussian elimination (no
-floats anywhere), validate() replays a fitted ansatz against the oracle on
-fresh n, and probe_weight10() runs the machinery at the unproven weight-10
-exponent pairs, labeling the outcome as numerical evidence rather than a
-theorem.
+the coefficients from oracle values by Gauss-Jordan elimination on rows
+scaled to integers, reading each coefficient as one exact Fraction at the
+end (no floats anywhere), validate() replays a fitted ansatz against the
+oracle on fresh n, and probe_weight10() runs the machinery at the unproven
+weight-10 exponent pairs, labeling the outcome as numerical evidence rather
+than a theorem.
 
 The oracle is always the convolution oracle behind brute_convolution over
 B'(n), never a stored form.  fit() and validate() each call it once for
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd, lcm
 
 from .identities import THEOREM_RS, TheoremId, parse_theorem_id, theorem_form
 from .lattice import _convolutions
@@ -94,18 +96,32 @@ def pattern_value(coeffs: PatternCoeffs, r: int, s: int, n: int) -> Fraction:
     return ClosedForm(terms).evaluate(n)
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve an overdetermined exact linear system by Gaussian elimination.
+def _solve_exact(rows: list[list[Fraction]], rhs: list[int | Fraction]) -> list[Fraction] | None:
+    """Solve an overdetermined exact linear system by Gauss-Jordan elimination.
 
-    Pivoting picks the largest-magnitude entry in the column (Fraction
-    comparison is exact cross multiplication), rows are eliminated in
-    place, and leftover rows decide consistency.  Returns the solution, or
-    None when some leftover row reads 0 == nonzero.  A rank below the
-    number of unknowns raises, naming the deficiency, since the caller then
-    supplied a structurally degenerate training set.
+    Each augmented row is scaled to integers by the lcm of its denominators,
+    so elimination runs on ints alone, fraction-free in the manner of
+    Bareiss (1968).  The pivot is the largest-magnitude entry left in its
+    column.  Each other row i becomes p*row_i - f*row_pivot, with p the
+    pivot and f the row's entry in the pivot column, and is then divided by
+    the gcd of its entries (1 for a row of zeros) to keep the ints small.
+    Each unknown is read at the end as Fraction(rhs, pivot).
+
+    Every step scales a row by a nonzero rational or adds a multiple of
+    another row to it, so the system keeps its solutions; a consistent
+    full-rank one has exactly one, which elimination over Fractions finds
+    too.  A column lacks a pivot exactly when it depends on the columns
+    before it, whichever rows were chosen as pivots, so the rank check
+    names the same column too.  Returns the solution, or None when some
+    leftover row reads 0 == nonzero.  A rank below the number of unknowns
+    raises, naming the deficiency, since the caller then supplied a
+    structurally degenerate training set.
     """
     m, k = len(rows), len(rows[0])
-    aug = [row[:] + [val] for row, val in zip(rows, rhs)]
+    aug = []
+    for row, val in zip(rows, rhs):
+        scale = lcm(*(v.denominator for v in row), val.denominator)
+        aug.append([v.numerator * (scale // v.denominator) for v in (*row, val)])
     rank = 0
     for col in range(k):
         pivot = max(range(rank, m), key=lambda i: abs(aug[i][col]), default=None)
@@ -115,17 +131,19 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
                 "choose structurally more diverse training points"
             )
         aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = 1 / aug[rank][col]
-        aug[rank] = [v * inv for v in aug[rank]]
+        prow = aug[rank]
+        p = prow[col]
         for i in range(m):
-            if i != rank and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [v - factor * w for v, w in zip(aug[i], aug[rank])]
+            f = aug[i][col]
+            if i != rank and f:
+                row = [p * v - f * w for v, w in zip(aug[i], prow)]
+                g = gcd(*row) or 1
+                aug[i] = [v // g for v in row]
         rank += 1
     for i in range(rank, m):
         if aug[i][k] != 0:
             return None
-    return [aug[i][k] for i in range(k)]
+    return [Fraction(aug[i][k], aug[i][i]) for i in range(k)]
 
 
 def _design_row(columns: tuple[tuple[int, int], ...], n: int) -> list[Fraction]:
@@ -153,7 +171,7 @@ def fit(r: int, s: int, train_ns: tuple[int, ...] | list[int]) -> FitReport:
     # with r == s the D column equals the C column, so it is left out
     columns = _columns(r, s)[: 3 if r == s else 4]
     # the oracle first: it refuses over-budget points before the rows factorize them
-    rhs = list(map(Fraction, _convolutions(r, s, ns, "Bprime")))
+    rhs = _convolutions(r, s, ns, "Bprime")
     solution = _solve_exact([_design_row(columns, n) for n in ns], rhs)
     if solution is None:
         return FitReport(r, s, None, ns, (), (), "inconsistent")

@@ -11,6 +11,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import re
 import subprocess
 import sys
@@ -437,6 +438,9 @@ _TEXT_VALUES = {
             "1a^2b^2 + 1x^2y^2",
             "1x^4 - 1y^4",
             "1 x^1 y^5 - 10 x^3 y^3",
+            "-1 x^3 y^3 + 1 x^1 y^5",
+            "-22 x^7 y^1 + 112 x^5 y^3",
+            "-1x^2 - 1y^2",
             "0",
             "",
             "x^2",
@@ -506,6 +510,14 @@ def test_any_argv_exits_cleanly_with_one_document(argv):
         assert json.loads(out)["command"] == argv[0]
 
 
+# the check-main polynomial starts with "-", as to_text prints a negative
+# leading coefficient
+_PLAIN_ARGVS = [
+    ["psi", "--s", "3", "--n", "100"],
+    ["check-main", "--poly", "-1 x^3 y^3 + 1 x^1 y^5", "--n", "13", "--set", "B"],
+]
+
+
 def test_plain_argv_builds_no_parser(monkeypatch, capsys):
     built = []
     init = cli._Parser.__init__
@@ -515,23 +527,25 @@ def test_plain_argv_builds_no_parser(monkeypatch, capsys):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(cli._Parser, "__init__", counting_init)
-    assert cli.main(["psi", "--s", "3", "--n", "100"]) == 0
-    assert json.loads(capsys.readouterr().out)["command"] == "psi"
+    for argv in _PLAIN_ARGVS:
+        assert cli.main(list(argv)) == 0
+        assert json.loads(capsys.readouterr().out)["command"] == argv[0]
     assert built == []
 
 
 def test_plain_command_imports_no_locale():
     # -X importtime lists on stderr every module the run imports; argparse's
     # messages would pull in locale
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", *CMD[1:], "psi", "--s", "3", "--n", "100"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
-    assert "argparse" in imported
-    assert "locale" not in imported
+    for argv in _PLAIN_ARGVS:
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", *CMD[1:], *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
+        assert "argparse" in imported
+        assert "locale" not in imported, argv
 
 
 _ROW_KEYWORDS = {"type", "required", "choices", "default", "action", "dest", "metavar", "help"}
@@ -562,7 +576,10 @@ def _argparse(argv):
 
 
 _ODD_VALUES = st.sampled_from(
-    [" 7", "+3", "1_0", "7 8", "-3", "-٣", "-1.5", "-", "--", "", "-1 x^2", "B", "t11", "a=b"]
+    [
+        " 7", "+3", "1_0", "7 8", "-3", "-٣", "-1.5", "-", "--", "", "-1 x^2", "-1x^2",
+        "-h x", "-- x", "--n=1 2", "- 7", "-3 ", "B", "t11", "a=b",
+    ]
 )
 _ODD_TOKENS = st.sampled_from(
     ["-", "--", "-h", "--help", "--he", "stray", "7", "-5", "--bogus", "-n", "--=3", "--n 5"]
@@ -601,6 +618,8 @@ def _wild_argvs(draw):
 @settings(max_examples=2000, deadline=None)
 @given(_wild_argvs())
 @example(["check-main", "--poly=--", "--n", "6"])  # argparse alone would store [] for a "--" value
+@example(["check-main", "--poly", "-h x", "--n", "6"])  # -h with an explicit argument
+@example(["check-main", "--poly", "--n=1 2", "--n", "6"])  # --n with an explicit argument
 def test_table_parse_is_argparse_where_it_answers(argv):
     args = cli._parse_table(list(argv))
     if args is not None:
@@ -611,6 +630,20 @@ def test_table_parse_is_argparse_where_it_answers(argv):
 @given(_argvs())
 def test_table_parse_answers_every_argv_argparse_accepts(argv):
     assert cli._parse_table(list(argv)) == _argparse(argv)
+
+
+def test_table_parse_reads_every_printed_polynomial():
+    # to_text starts a negative leading coefficient with "-", and argparse
+    # reads such a spaced value as a value, so the table parser must too
+    rng = random.Random(23)
+    polys = list(identities.PROOF_POLYNOMIALS)
+    polys += [identities.Poly4() - f for f in polys]
+    polys += [identities.random_symmetric_poly(rng) for _ in range(20)]
+    for f in polys:
+        argv = ["check-main", "--poly", f.to_text(), "--n", "13"]
+        args = cli._parse_table(argv)
+        assert args is not None, argv
+        assert args == _argparse(argv)
 
 
 _VALUE_OPTIONS = [

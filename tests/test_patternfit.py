@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 
 from sigmaprime import patternfit, powersums
 from sigmaprime.identities import THEOREM_RS, parse_theorem_id
-from sigmaprime.lattice import BudgetExceededError, brute_convolution
+from sigmaprime.lattice import BudgetExceededError, _convolutions, brute_convolution
 from sigmaprime.patternfit import (
     DEFAULT_TEST_NS,
     DEFAULT_TRAIN_NS,
     EVIDENCE_LABEL,
     WEIGHT10_PAIRS,
     PatternCoeffs,
+    _columns,
+    _design_row,
+    _solve_exact,
     fit,
     fit_and_validate,
     pattern_value,
@@ -111,6 +114,14 @@ def test_fit_usage_errors():
         fit(1, 1, (1, 2, 3, 4, 5))  # points must be >= 2
     with pytest.raises(ValueError):
         fit(0, 1, DEFAULT_TRAIN_NS)
+    # at a power of 2, psi_s(n) = 1 - 2**s does not depend on n, so the C
+    # column n*psi_3(n) = -7n is -14 times the B column n*psi_{-1}(n) = n/2
+    with pytest.raises(ValueError) as info:
+        fit(1, 3, (2, 4, 8, 16, 32))
+    assert str(info.value) == (
+        "training system is rank deficient (column 2 has no pivot); "
+        "choose structurally more diverse training points"
+    )
 
 
 def test_validate_usage_errors():
@@ -155,3 +166,100 @@ def test_fit_refuses_before_factorizing(monkeypatch):
     monkeypatch.setattr(powersums, "factorize", refuse)
     with pytest.raises(BudgetExceededError):
         fit(1, 3, (2, 3, 4, 5, 10**30))
+
+
+def test_one_spare_equation_decides_consistency():
+    # five points for four unknowns leave exactly one row to check
+    assert fit(1, 3, (2, 3, 4, 5, 7)).verdict == "consistent"
+    for r, s in WEIGHT10_PAIRS:
+        assert fit(r, s, (2, 3, 4, 5, 7)).verdict == "inconsistent"
+
+
+def _fraction_solve(rows, rhs):
+    # Gauss-Jordan over Fractions, the form _solve_exact had before it ran
+    # on integer rows; kept as its oracle
+    m, k = len(rows), len(rows[0])
+    aug = [[Fraction(v) for v in row] + [Fraction(val)] for row, val in zip(rows, rhs)]
+    rank = 0
+    for col in range(k):
+        pivot = max(range(rank, m), key=lambda i: abs(aug[i][col]), default=None)
+        if pivot is None or aug[pivot][col] == 0:
+            raise ValueError(
+                f"training system is rank deficient (column {col} has no pivot); "
+                "choose structurally more diverse training points"
+            )
+        aug[rank], aug[pivot] = aug[pivot], aug[rank]
+        inv = 1 / aug[rank][col]
+        aug[rank] = [v * inv for v in aug[rank]]
+        for i in range(m):
+            if i != rank and aug[i][col]:
+                factor = aug[i][col]
+                aug[i] = [v - factor * w for v, w in zip(aug[i], aug[rank])]
+        rank += 1
+    for i in range(rank, m):
+        if aug[i][k] != 0:
+            return None
+    return [aug[i][k] for i in range(k)]
+
+
+def _solve_outcome(solve, rows, rhs):
+    try:
+        return solve(rows, rhs)
+    except ValueError as exc:
+        return str(exc)
+
+
+_ENTRIES = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 5]))
+
+
+@st.composite
+def _systems(draw):
+    # 5-9 rows, 3-4 columns; a column may be zero or repeat an earlier one,
+    # and the right-hand side is consistent unless one entry is perturbed
+    m, k = draw(st.integers(5, 9)), draw(st.integers(3, 4))
+    rows = [[draw(_ENTRIES) for _ in range(k)] for _ in range(m)]
+    shape = draw(st.sampled_from(["plain", "zero", "repeat"]))
+    if shape == "zero":
+        j = draw(st.integers(0, k - 1))
+        for row in rows:
+            row[j] = Fraction(0)
+    elif shape == "repeat":
+        j = draw(st.integers(1, k - 1))
+        i = draw(st.integers(0, j - 1))
+        for row in rows:
+            row[j] = row[i]
+    x = [draw(_ENTRIES) for _ in range(k)]
+    rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    if draw(st.booleans()):
+        rhs[draw(st.integers(0, m - 1))] += draw(_ENTRIES.filter(bool))
+    return rows, rhs
+
+
+_UNIT_ROWS = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 1, 1]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+@example((_UNIT_ROWS, [1, 2, 3, 4, 10]))  # the spare row reduces to all zeros
+@example((_UNIT_ROWS, [1, 2, 3, 4, 11]))  # the one spare row reads 0 == nonzero
+def test_integer_solve_matches_fraction_solve(system):
+    rows, rhs = system
+    got = _solve_outcome(_solve_exact, rows, rhs)
+    assert got == _solve_outcome(_fraction_solve, rows, rhs)
+    if isinstance(got, list):
+        assert all(type(v) is Fraction for v in got)
+
+
+_FIT_PAIRS = sorted({*THEOREM_RS.values(), *WEIGHT10_PAIRS})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_FIT_PAIRS), st.sets(st.integers(2, 40), min_size=5, max_size=8))
+def test_integer_solve_matches_fraction_solve_on_fit_systems(pair, points):
+    # the design rows and oracle values fit() builds, at random training sets
+    r, s = pair
+    ns = sorted(points)
+    columns = _columns(r, s)[: 3 if r == s else 4]
+    rows = [_design_row(columns, n) for n in ns]
+    rhs = _convolutions(r, s, ns, "Bprime")
+    assert _solve_outcome(_solve_exact, rows, rhs) == _solve_outcome(_fraction_solve, rows, rhs)
