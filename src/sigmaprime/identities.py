@@ -52,7 +52,10 @@ __all__ = [
 ]
 
 _VARS = "abxy"
-_DIGITS = re.compile(r"\d+")
+# Poly4's text grammar, stated in its docstring; (?!\Z) keeps finditer from
+# ending on an empty term at the end of the text
+_TERM = re.compile(r"(?!\Z)([+-]?)(\d*)((?:[abxy](?:\^\d*)?)*)")
+_FACTOR = re.compile(r"([abxy])(?:\^(\d*))?")
 
 Monomials = dict[tuple[int, int, int, int], int]
 
@@ -62,12 +65,18 @@ class Poly4:
 
     Internally a mapping from exponent quadruples (i, j, k, l) to nonzero
     integer coefficients; evaluation, addition and the slot transforms the
-    symmetry check needs are all exact.
+    symmetry check needs are all exact.  The constructor takes such a
+    mapping and raises ValueError on an exponent or coefficient that is not
+    an int (a bool is not one) and on a negative exponent.
 
-    Text form, accepted by from_text and produced by to_text: terms joined
-    by '+' or '-', each term an integer coefficient followed by optional
-    factors v^e with v in {a, b, x, y} (a bare variable means exponent 1);
-    whitespace is insignificant.  Example: ``1 x^1 y^5 - 10 x^3 y^3``.
+    Text form, accepted by from_text and produced by to_text.  Whitespace is
+    removed before parsing; what remains is a run of terms, each a sign ('+'
+    or '-', optional on the first term only), an integer coefficient, then
+    factors v or v^e with v in {a, b, x, y} and e an integer (a bare v means
+    v^1).  Numbers are runs of Unicode decimal digits, read as int() reads
+    them.  Example: ``1 x^1 y^5 - 10 x^3 y^3``.  A malformed text raises
+    ValueError naming what was expected and its position in the text with
+    whitespace removed.
     """
 
     __slots__ = ("_terms",)
@@ -75,8 +84,11 @@ class Poly4:
     def __init__(self, terms: Monomials | None = None):
         clean: Monomials = {}
         for expo, coeff in (terms or {}).items():
-            if len(expo) != 4 or any(e < 0 or not isinstance(e, int) for e in expo):
+            # type() rather than isinstance(), so that bools are refused
+            if len(expo) != 4 or not all(type(e) is int and e >= 0 for e in expo):
                 raise ValueError(f"bad exponent quadruple {expo!r}")
+            if type(coeff) is not int:
+                raise ValueError(f"coefficient {coeff!r} is not an integer")
             if coeff:
                 clean[tuple(expo)] = clean.get(tuple(expo), 0) + coeff
         self._terms = {e: c for e, c in clean.items() if c}
@@ -87,40 +99,19 @@ class Poly4:
         if not s:
             raise ValueError("empty polynomial text")
         terms: Monomials = {}
-        i, first = 0, True
-        while i < len(s):
-            sign = 1
-            if first:
-                first = False
-                if s[i] in "+-":
-                    sign = -1 if s[i] == "-" else 1
-                    i += 1
-            else:
-                if s[i] == "+":
-                    sign = 1
-                elif s[i] == "-":
-                    sign = -1
-                else:
-                    raise ValueError(f"expected '+' or '-' at position {i} of {text!r}")
-                i += 1
-            m = _DIGITS.match(s, i)
-            if not m:
-                raise ValueError(f"expected an integer coefficient at position {i} of {text!r}")
-            coeff = sign * int(m.group())
-            i = m.end()
+        for term in _TERM.finditer(s):
+            sign, digits, _ = term.groups()
+            if term.start() and not sign:
+                raise ValueError(f"expected '+' or '-' at position {term.start()} of {text!r}")
+            if not digits:
+                raise ValueError(f"expected an integer coefficient at position {term.end(1)} of {text!r}")
+            coeff = int(sign + digits)
             expo = [0, 0, 0, 0]
-            while i < len(s) and s[i] in _VARS:
-                slot = _VARS.index(s[i])
-                i += 1
-                e = 1
-                if i < len(s) and s[i] == "^":
-                    i += 1
-                    m = _DIGITS.match(s, i)
-                    if not m:
-                        raise ValueError(f"expected an exponent at position {i} of {text!r}")
-                    e = int(m.group())
-                    i = m.end()
-                expo[slot] += e
+            for factor in _FACTOR.finditer(s, term.start(3), term.end(3)):
+                var, e = factor.groups()
+                if e == "":
+                    raise ValueError(f"expected an exponent at position {factor.end()} of {text!r}")
+                expo[_VARS.index(var)] += 1 if e is None else int(e)
             key = (expo[0], expo[1], expo[2], expo[3])
             terms[key] = terms.get(key, 0) + coeff
         return cls(terms)

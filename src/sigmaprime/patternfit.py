@@ -18,7 +18,11 @@ than a theorem.
 The oracle is always the convolution oracle behind brute_convolution over
 B'(n), never a stored form.  fit() and validate() each call it once for
 their whole point set, so one pair of σ tables serves every point, in this
-process.
+process.  Both are bounded by the shared work limit: fit() first estimates
+its exact solve from the number of points and unknowns and the length of
+n**(r+s+1) at the largest point, and raises BudgetExceededError before
+any work when that estimate is over the limit; the oracle then checks its
+own estimate.
 When r == s the C and D columns coincide; the fit then drops D, so C
 carries the combined coefficient and D is fixed at 0.
 """
@@ -27,8 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
+from . import arith
 from .identities import THEOREM_RS, TheoremId, parse_theorem_id, theorem_form
 from .lattice import _convolutions
 from .powersums import ClosedForm
@@ -146,6 +151,30 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[int | Fraction]) -> list[
     return [Fraction(aug[i][k], aug[i][i]) for i in range(k)]
 
 
+# One entry of one row update in _solve_exact, two products and a share of the
+# row's gcd, costs this many units of work times w * isqrt(w), w its bit
+# weight: their time grew as about the 1.6th power of the entries' length, and
+# w**2 refused 3x too early at large w.  At the bound the solve took 0.8-1.1 s:
+# (1, 13309) on the six default points, (1, 2728) on the 38 points 2..39, and
+# (1, 137) on the 2000 points 2..2001, whose oracle, near its own bound, took
+# 0.5 s more (2-CPU container, Python 3.11.7).  Every fit with r + s <= 12 on
+# points up to 300 has weight 1, so 300 points cost 480,000 units;
+# fit(1, 99991) on the default points, which ran 41 s, costs 2e8 and is refused.
+_SOLVE_ENTRY_COST = 80
+
+
+def _solve_work(r: int, s: int, ns: tuple[int, ...], unknowns: int) -> int:
+    """Estimated work of _solve_exact on the fit's rows, before they exist.
+
+    Each of the unknowns pivots updates every row, unknowns + 1 entries each.
+    The entries are about as long as n**(r+s+1) at the largest point, the
+    longest column, and each is weighted by w * isqrt(w), w that length's
+    arith._bit_weight.
+    """
+    weight = arith._bit_weight(r + s + 1, ns[-1])
+    return _SOLVE_ENTRY_COST * len(ns) * unknowns * (unknowns + 1) * weight * isqrt(weight)
+
+
 def _design_row(columns: tuple[tuple[int, int], ...], n: int) -> list[Fraction]:
     return [ClosedForm(((Fraction(1), power, order),)).evaluate(n) for power, order in columns]
 
@@ -159,7 +188,9 @@ def fit(r: int, s: int, train_ns: tuple[int, ...] | list[int]) -> FitReport:
     primes, a proper prime power and composite radicals keeps the system
     well conditioned; what fit() actually enforces is full column rank,
     raising a usage error when the basis degenerates.  The oracle values of
-    all points come from one call, which shares one pair of σ tables.
+    all points come from one call, which shares one pair of σ tables.  A
+    solve or oracle estimated above the work limit raises
+    BudgetExceededError before either starts.
     """
     if r < 1 or s < 1:
         raise ValueError(f"fit requires r, s >= 1, got ({r}, {s})")
@@ -170,7 +201,10 @@ def fit(r: int, s: int, train_ns: tuple[int, ...] | list[int]) -> FitReport:
         raise ValueError(f"training points must be >= 2, got {ns[0]}")
     # with r == s the D column equals the C column, so it is left out
     columns = _columns(r, s)[: 3 if r == s else 4]
-    # the oracle first: it refuses over-budget points before the rows factorize them
+    # the solve's estimate, then the oracle's: each refuses before any work,
+    # and the oracle refuses over-budget points before the rows factorize them
+    work = _solve_work(r, s, ns, len(columns))
+    arith._check_work(work, "the exact solve of the fit needs about {work} units of work")
     rhs = _convolutions(r, s, ns, "Bprime")
     solution = _solve_exact([_design_row(columns, n) for n in ns], rhs)
     if solution is None:

@@ -231,19 +231,23 @@ def coprime_power_sum(k: int, n: int, method: str = "direct") -> int:
     the multiples of n's primes from range(n) block by block and sums t**k
     over the residues that remain.  Two routes raise
     BudgetExceededError before their work when its estimate exceeds the work
-    limit: the direct route counts its n terms, each weighted by the bit
-    length of n**k, and the Moebius route the estimate of _moebius_work.
+    limit: the direct route counts its n terms, each weighted by the square
+    of the bit weight of n**k, and the Moebius route the estimate of
+    _moebius_work.
     """
     if n < 2:
         raise ValueError(f"coprime_power_sum requires n >= 2, got {n}")
     if k < 0:
         raise ValueError(f"coprime_power_sum requires k >= 0, got {k}")
     if method == "direct":
-        # n terms, each weighted by the length of n**k, so n = 10**7 is admitted
-        # for k <= 21.  There, k = 0 took 0.50 s (2.08 s with one gcd per
-        # residue) and k = 21 2.22 s (3.60 s), the CLI at 16.5-16.7 MB peak RSS
-        # either way, a trivial call's own (2-CPU container, Python 3.11.7).
-        work = n * arith._bit_weight(k, n)
+        # n terms, each weighted by the square of n**k's bit weight, as a power
+        # costs more than its length; k <= 21 keeps weight 1 up to n = 10**7.
+        # There k = 0 took 0.51 s and k = 21, the slowest admitted call,
+        # 1.9-2.6 s; along the bound (76, 10**6) took 0.47 s, (1133, 10**4)
+        # 0.21 s and (5119, 1000) 0.08 s.  (10007, 10007), which ran 19.9 s
+        # under n times the weight, is refused at 7.5e8 units, as are
+        # (200000, 1000) and (1000000, 100) (2-CPU container, Python 3.11.7).
+        work = n * arith._bit_weight(k, n) ** 2
         arith._check_work(work, "the direct power sum needs {work} units of work")
         return _direct_power_sum(k, n)
     if method == "moebius_faulhaber":

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sigmaprime import arith, cli, identities, lattice, powersums
+from sigmaprime import arith, cli, identities, lattice, patternfit, powersums
 from sigmaprime.lattice import sigma_prime
 
 CMD = [sys.executable, "-m", "sigmaprime"]
@@ -188,6 +188,36 @@ def test_trial_division_budget_exit_3(args, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: factorizing 100000000000031 needs trial divisors above 1000000\n"
+
+
+@pytest.mark.parametrize(
+    "args, needs",
+    [
+        (
+            ("fit", "--r", "10007", "--s", "99991", "--train", "2,3,4,5,7,9", "--test", "11,13"),
+            "the exact solve of the fit needs about 239424000",
+        ),
+        (("powersum", "--k", "200000", "--n", "1000"), "the direct power sum needs 15264649000"),
+        (("powersum", "--k", "1000000", "--n", "100"), "the direct power sum needs 18692358400"),
+        (("powersum", "--k", "10007", "--n", "10007"), "the direct power sum needs 751285532"),
+    ],
+)
+def test_big_power_budget_exit_3(args, needs, capsys, monkeypatch):
+    # each ran 20-57 s and then exited 1 or 3 while its estimate missed the
+    # cost of its big powers; now each is refused before its first power
+    def no_work(*args):
+        raise AssertionError("the work started")
+
+    for module, name in (
+        (powersums, "_direct_power_sum"),
+        (patternfit, "_solve_exact"),
+        (patternfit, "_convolutions"),
+    ):
+        monkeypatch.setattr(module, name, no_work)
+    assert cli.main(list(args)) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {needs} units of work, the limit is 10000000\n"
 
 
 @pytest.mark.parametrize(

@@ -88,18 +88,43 @@ def test_parser_round_trip():
 def test_parser_whitespace_and_implicit_exponent():
     assert Poly4.from_text("2 x y") == Poly4.from_text("2xy")
     assert Poly4.from_text("1a^1b^1") == Poly4.from_text("1ab")
+    # whitespace goes first, so split digits join; any Unicode decimal digit
+    # reads as int() reads it, and an exponent may have leading zeros
+    assert Poly4.from_text("1 2") == Poly4({(0, 0, 0, 0): 12})
+    assert Poly4.from_text("\u0661x^\u0662") == Poly4({(0, 0, 2, 0): 1})
+    assert Poly4.from_text("1x^02") == Poly4({(0, 0, 2, 0): 1})
 
 
 def test_parser_rejects_bad_input():
-    # every monomial needs an explicit integer coefficient
-    with pytest.raises(ValueError):
-        Poly4.from_text("x^2")
-    with pytest.raises(ValueError):
-        Poly4.from_text("2x +")
-    with pytest.raises(ValueError):
-        Poly4.from_text("3z^2")
-    with pytest.raises(ValueError):
-        Poly4.from_text("")
+    # every monomial needs an explicit integer coefficient; positions count
+    # in the text with whitespace removed
+    for text, message in (
+        ("x^2", "expected an integer coefficient at position 0 of 'x^2'"),
+        ("2x +", "expected an integer coefficient at position 3 of '2x +'"),
+        ("3z^2", "expected '+' or '-' at position 1 of '3z^2'"),
+        ("1x^", "expected an exponent at position 3 of '1x^'"),
+        ("1a^b", "expected an exponent at position 3 of '1a^b'"),
+        ("+-1", "expected an integer coefficient at position 1 of '+-1'"),
+        ("", "empty polynomial text"),
+    ):
+        with pytest.raises(ValueError) as info:
+            Poly4.from_text(text)
+        assert str(info.value) == message
+
+
+def test_poly_rejects_non_integer_terms():
+    for terms in (
+        {(True, 0, 0, 0): 1},
+        {(0, 0, "2", 0): 1},
+        {(0, 0, 2.0, 0): 1},
+        {(0, 0, -1, 0): 1},
+        {(0, 0, 2): 1},
+    ):
+        with pytest.raises(ValueError, match="bad exponent quadruple"):
+            Poly4(terms)
+    for coeff in (1.5, True, Fraction(1)):
+        with pytest.raises(ValueError, match="is not an integer"):
+            Poly4({(0, 0, 2, 0): coeff})
 
 
 def test_parser_reads_a_long_text_in_linear_time():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sigmaprime import patternfit, powersums
+from sigmaprime import arith, patternfit, powersums
 from sigmaprime.identities import THEOREM_RS, parse_theorem_id
 from sigmaprime.lattice import BudgetExceededError, _convolutions, brute_convolution
 from sigmaprime.patternfit import (
@@ -166,6 +166,36 @@ def test_fit_refuses_before_factorizing(monkeypatch):
     monkeypatch.setattr(powersums, "factorize", refuse)
     with pytest.raises(BudgetExceededError):
         fit(1, 3, (2, 3, 4, 5, 10**30))
+
+
+def test_solve_work_estimate():
+    work = patternfit._solve_work
+    # 80 units per entry of each row update: points * unknowns * (unknowns + 1)
+    assert work(1, 3, DEFAULT_TRAIN_NS, 4) == 80 * 6 * 4 * 5
+    assert work(5, 5, tuple(range(2, 302)), 3) == 80 * 300 * 3 * 4
+    # weight w = 1 + (r + s + 1) * bits(max n) // 512, counted as w * isqrt(w):
+    # w = 104 admits s = 13309 on the default points, and w = 105 refuses 13310
+    assert work(1, 13309, DEFAULT_TRAIN_NS, 4) == 80 * 120 * 104 * 10 <= arith._WORK_LIMIT
+    assert work(1, 13310, DEFAULT_TRAIN_NS, 4) == 80 * 120 * 105 * 10 > arith._WORK_LIMIT
+    # every fit with r + s <= 12 on points up to 300 has weight 1
+    assert work(5, 7, tuple(range(2, 302)), 4) == 80 * 300 * 20
+
+
+def test_fit_refuses_its_solve_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the fit started its work")
+
+    monkeypatch.setattr(patternfit, "_convolutions", no_work)
+    monkeypatch.setattr(patternfit, "_solve_exact", no_work)
+    # estimated only, never run: this fit took 41 s, most of it in the solve
+    with pytest.raises(BudgetExceededError, match="the exact solve of the fit needs about"):
+        fit(1, 99991, DEFAULT_TRAIN_NS)
+    monkeypatch.setattr(arith, "_WORK_LIMIT", 10**4)
+    with pytest.raises(BudgetExceededError) as info:
+        fit(1, 3, tuple(range(2, 12)))
+    assert str(info.value) == (
+        "the exact solve of the fit needs about 16000 units of work, the limit is 10000"
+    )
 
 
 def test_one_spare_equation_decides_consistency():

@@ -234,10 +234,12 @@ def test_power_sum_domain_errors():
 
 
 def test_direct_power_sum_refuses_over_budget_before_looping(monkeypatch):
-    # n terms, each weighted 1 + k * bit_length(n) // 512 as the oracle weighs powers
+    # n terms, each weighted by the square of 1 + k * bit_length(n) // 512,
+    # the oracle's weight of a power; every k <= 21 keeps weight 1 to n = 10**7
+    assert arith._bit_weight(21, 10**7) == 1
     monkeypatch.setattr(arith, "_WORK_LIMIT", 1000)
     assert coprime_power_sum(2, 1000, "direct") == coprime_power_sum(2, 1000, "moebius_faulhaber")
-    assert coprime_power_sum(600, 111, "direct") > 0  # weight 9: 999 units
+    assert coprime_power_sum(219, 111, "direct") > 0  # weight 3: 999 units
 
     def no_loop(*args):
         raise AssertionError("the direct route looped")
