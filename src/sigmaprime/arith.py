@@ -72,10 +72,12 @@ _POWER_BITS_LIMIT = 2**20
 # brute_convolution(1, 3, 150000, "B") takes 0.07-0.27 s and 16.1 MB above the
 # import's RSS, and over B' 0.09-0.30 s and 18.5 MB, the factor table being
 # held for the Möbius step (2-CPU container, Python 3.11.7, whose speed drifts
-# by about 2.5x).  It admits verify ranges up to about 2..4400 (0.5-1.1 s).  It
-# refuses brute_convolution(100000, 1, 600, "B"), which ran 14.8 s at a 187 MB
-# peak RSS unweighted.  The largest calls of the tests, selftest and benchmark,
-# B'(2310) and a few sparse points up to 2310, cost under 2e5 units.
+# by about 2.5x).  It admits verify ranges up to about 2..4400 for every stored
+# form: 0.07-0.20 s each, the oracle taking its product route, where dot
+# products alone took 0.7-1.4 s.  It refuses brute_convolution(100000, 1, 600,
+# "B"), which ran 14.8 s at a 187 MB peak RSS unweighted.  The largest calls of
+# the tests, selftest and benchmark, B'(2310) and a few sparse points up to
+# 2310, cost under 2e5 units.
 _WORK_LIMIT = 10**7
 _WORD_BITS = 512
 

@@ -442,7 +442,9 @@ def verify_theorem(tid: TheoremId | str, lo: int, hi: int, jobs: int = 1) -> Ver
 
     Every n is checked for exact equality, and rows are reported in
     ascending n.  One oracle call covers the whole range, so one pair of σ
-    tables, built up to hi, serves every row.  All rows run in this
+    tables, built up to hi, serves every row; a range dense enough takes
+    every oracle value from one big-integer product of the two tables
+    rather than a dot product per n.  All rows run in this
     process; ``jobs`` is accepted for compatibility and must lie in 1..256.
     Raises ValueError, before any work, on an empty or out-of-domain range
     (lo < 2 or hi < lo) and on jobs outside 1..256, and BudgetExceededError

@@ -9,8 +9,12 @@ The core never walks the set: a moment Σ a**i b**j x**k y**l over B(n) is a
 convolution of two multiplicative g tables from one least-prime sieve, and
 B'(n) follows by Möbius inversion.  It calls no arith kernel function, so it
 fills no process-wide cache, keeps nothing between calls, and serves a whole
-range of n from one sieve.  Every route here that can be asked for unbounded
-work is refused through arith's gate before that work starts.
+range of n from one sieve.  Each convolution M_B(N) is a dot product of the two
+tables, or, for a dense set of n, a slot of one big-integer product of the
+tables packed into fixed-width slots (Kronecker substitution), which gives
+every M_B(N) up to the largest n at once; one rule picks the cheaper route.
+Every route here that can be asked for unbounded work is refused through
+arith's gate before that work starts.
 """
 
 from __future__ import annotations
@@ -251,12 +255,58 @@ def _inversion_terms(
     return terms
 
 
+# The product route's cost, in the dot route's products: packing and reading one
+# slot costs about _SLOT_COST of them, and multiplying two ints of d 30-bit
+# digits takes about d**log2(3) digit steps (CPython's Karatsuba), of which
+# _STEPS_PER_PRODUCT cost one.  Measured: a small-int product in the dot route
+# takes 60-180 ns, a slot 1.0-1.3 us and a Karatsuba digit step 6-11 ns (2-CPU
+# container, Python 3.11.7).
+_SLOT_COST = 16
+_STEPS_PER_PRODUCT = 8
+
+
+def _product_is_cheaper(top: int, products: int, degree: int) -> bool:
+    """Whether the product route beats `products` dot products up to `top`.
+
+    A moment of this degree has M_B(N) below about top**(degree + 1), so its
+    slots are taken as (degree + 1) * top.bit_length() bits wide, and each
+    packed table is top slots long.  The dot route's count is Σn over the
+    distinct n, a floor on what it multiplies.  Karatsuba's exponent log2(3)
+    is taken as 8/5, so the rule stays in integers.
+    """
+    digits = top * (degree + 1) * top.bit_length() // 30 + 1
+    return digits**8 < (_STEPS_PER_PRODUCT * (products - _SLOT_COST * top)) ** 5
+
+
+def _packed(table: list[int], top: int, width: int) -> int:
+    # table[0], ..., table[top - 1] as width-byte little-endian slots of one int
+    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in table[:top]), "little")
+
+
+def _product_memo(terms: list[tuple[int, list[int], list[int]]], top: int) -> list[int]:
+    # [Σ c M_B(N) for N = 0 .. top] over the terms (c, g_ik, g_jl), one product a
+    # term: slot N of packed(g_ik) * packed(g_jl) is Σ_{0<m<N} g_ik(m) g_jl(N - m),
+    # since g(0) = 0.  Every slot sums at most top products of entries >= 0, so
+    # a width holding max g_ik * max g_jl * top takes no carry from below.
+    memo = [0] * (top + 1)
+    for c, g_ik, g_jl in terms:
+        width = (max(g_ik) * max(g_jl) * top).bit_length() // 8 + 1
+        product = _packed(g_ik, top, width) * _packed(g_jl, top, width)
+        slots = memoryview(product.to_bytes(2 * top * width, "little"))
+        for big_n in range(top + 1):
+            memo[big_n] += c * int.from_bytes(slots[big_n * width : (big_n + 1) * width], "little")
+    return memo
+
+
 def _moment_sums(moments: dict[tuple[int, ...], int], ns: Collection[int], which: str) -> list[int]:
     # Σ c M(i, j, k, l; n) for every n of ns over the moments {(i, j, k, l): c},
     # M being Σ a**i b**j x**k y**l over the set; one factor table, one g table
-    # per (i, k) and one memo of M_B(N) per (i + j, k + l) serve every n
+    # per (i, k) and one memo of M_B(N) per (i + j, k + l) serve every n.  The
+    # memo is filled N by N from dot products, or at once from one product per
+    # term where _product_is_cheaper says so
     coprime = _check_set(which)
-    factors = _factor_table(max(ns) + 1)
+    top = max(ns)
+    factors = _factor_table(top + 1)
     tables: dict[tuple[int, int], list[int]] = {}
     groups: dict[tuple[int, int], list[tuple[int, list[int], list[int]]]] = {}
     for (i, j, k, l), c in moments.items():
@@ -265,7 +315,14 @@ def _moment_sums(moments: dict[tuple[int, ...], int], ns: Collection[int], which
         groups.setdefault((i + j, k + l), []).append((c, *pair))
     if not coprime:
         factors = None  # B(n) factors nothing more; free the table before the sums
-    sums = [(weights, terms, {}) for weights, terms in groups.items()]
+    products = sum(set(ns))
+    sums = []
+    for weights, terms in groups.items():
+        if _product_is_cheaper(top, products, sum(weights)):
+            memo = _product_memo(terms, top)
+        else:
+            memo = [None] * (top + 1)
+        sums.append((weights, terms, memo))
     out = []
     for n in ns:
         total = 0
@@ -274,7 +331,7 @@ def _moment_sums(moments: dict[tuple[int, ...], int], ns: Collection[int], which
             # d·a', d·b', e·x', e·y' puts (a', b', x', y') in B(n / de) with weight d**u e**w
             for m, h in _inversion_terms(*weights, n, factors) if coprime else ((1, 1),):
                 big_n = n // m
-                value = memo.get(big_n)
+                value = memo[big_n]
                 if value is None:
                     # M_B(N) = Σ_{0<m<N} g_ik(m) g_jl(N - m): each ax + by = N splits at m = ax
                     value = 0
@@ -286,13 +343,19 @@ def _moment_sums(moments: dict[tuple[int, ...], int], ns: Collection[int], which
     return out
 
 
-def _convolutions(r: int, s: int, ns: Collection[int], which: str) -> list[int]:
-    # brute_convolution for every n of ns: the one moment (0, 0, r, s), Σ x**r y**s
-    _check_set(which)
+def _convolution_work(r: int, s: int, ns: Collection[int]) -> int:
+    # the oracle's estimate for brute_convolution at every n of ns, refused over the limit
     if r < 0 or s < 0:
         raise ValueError(f"brute_convolution requires r, s >= 0, got ({r}, {s})")
     work = _moment_work(r + s, ns)
     arith._check_work(work, "the convolution oracle needs at least {work} units of work")
+    return work
+
+
+def _convolutions(r: int, s: int, ns: Collection[int], which: str) -> list[int]:
+    # brute_convolution for every n of ns: the one moment (0, 0, r, s), Σ x**r y**s
+    _check_set(which)
+    _convolution_work(r, s, ns)
     return _moment_sums({(0, 0, r, s): 1}, ns, which)
 
 

@@ -22,7 +22,8 @@ process.  Both are bounded by the shared work limit: fit() first estimates
 its exact solve from the number of points and unknowns and the length of
 n**(r+s+1) at the largest point, and raises BudgetExceededError before
 any work when that estimate is over the limit; the oracle then checks its
-own estimate.
+own estimate, and fit() the sum of the two, so a whole fit stays within one
+limit.
 When r == s the C and D columns coincide; the fit then drops D, so C
 carries the combined coefficient and D is fixed at 0.
 """
@@ -35,7 +36,7 @@ from math import gcd, isqrt, lcm
 
 from . import arith
 from .identities import THEOREM_RS, TheoremId, parse_theorem_id, theorem_form
-from .lattice import _convolutions
+from .lattice import _convolution_work, _convolutions
 from .powersums import ClosedForm
 
 __all__ = [
@@ -96,9 +97,12 @@ def pattern_value(coeffs: PatternCoeffs, r: int, s: int, n: int) -> Fraction:
     In the degenerate case D is 0, and any D would add to C anyway.  Like
     every closed form, it refuses n < 2.
     """
+    return _pattern_form(coeffs, r, s).evaluate(n)
+
+
+def _pattern_form(coeffs: PatternCoeffs, r: int, s: int) -> ClosedForm:
     coefficients = (coeffs.A, coeffs.B, coeffs.C, coeffs.D)
-    terms = tuple((c, p, o) for c, (p, o) in zip(coefficients, _columns(r, s)))
-    return ClosedForm(terms).evaluate(n)
+    return ClosedForm(tuple((c, p, o) for c, (p, o) in zip(coefficients, _columns(r, s))))
 
 
 def _solve_exact(rows: list[list[Fraction]], rhs: list[int | Fraction]) -> list[Fraction] | None:
@@ -157,7 +161,10 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[int | Fraction]) -> list[
 # w**2 refused 3x too early at large w.  At the bound the solve took 0.8-1.1 s:
 # (1, 13309) on the six default points, (1, 2728) on the 38 points 2..39, and
 # (1, 137) on the 2000 points 2..2001, whose oracle, near its own bound, took
-# 0.5 s more (2-CPU container, Python 3.11.7).  Every fit with r + s <= 12 on
+# 0.5 s more (2-CPU container, Python 3.11.7).  fit() also bounds the solve and
+# the oracle together, which admits the second (9.83e6 units) and refuses the
+# first and third (1.005e7 and 1.60e7), as it does (1, 83) on 2..3001, whose
+# gates each admitted it and which took 1.45 s.  Every fit with r + s <= 12 on
 # points up to 300 has weight 1, so 300 points cost 480,000 units;
 # fit(1, 99991) on the default points, which ran 41 s, costs 2e8 and is refused.
 _SOLVE_ENTRY_COST = 80
@@ -175,8 +182,10 @@ def _solve_work(r: int, s: int, ns: tuple[int, ...], unknowns: int) -> int:
     return _SOLVE_ENTRY_COST * len(ns) * unknowns * (unknowns + 1) * weight * isqrt(weight)
 
 
-def _design_row(columns: tuple[tuple[int, int], ...], n: int) -> list[Fraction]:
-    return [ClosedForm(((Fraction(1), power, order),)).evaluate(n) for power, order in columns]
+def _design_rows(columns: tuple[tuple[int, int], ...], ns: tuple[int, ...]) -> list[list[Fraction]]:
+    # a row of column values per point, each column one ClosedForm for every row
+    forms = [ClosedForm(((Fraction(1), power, order),)) for power, order in columns]
+    return [[form.evaluate(n) for form in forms] for n in ns]
 
 
 def fit(r: int, s: int, train_ns: tuple[int, ...] | list[int]) -> FitReport:
@@ -189,8 +198,8 @@ def fit(r: int, s: int, train_ns: tuple[int, ...] | list[int]) -> FitReport:
     well conditioned; what fit() actually enforces is full column rank,
     raising a usage error when the basis degenerates.  The oracle values of
     all points come from one call, which shares one pair of σ tables.  A
-    solve or oracle estimated above the work limit raises
-    BudgetExceededError before either starts.
+    solve, an oracle or the two together estimated above the work limit
+    raise BudgetExceededError before either starts.
     """
     if r < 1 or s < 1:
         raise ValueError(f"fit requires r, s >= 1, got ({r}, {s})")
@@ -201,12 +210,15 @@ def fit(r: int, s: int, train_ns: tuple[int, ...] | list[int]) -> FitReport:
         raise ValueError(f"training points must be >= 2, got {ns[0]}")
     # with r == s the D column equals the C column, so it is left out
     columns = _columns(r, s)[: 3 if r == s else 4]
-    # the solve's estimate, then the oracle's: each refuses before any work,
-    # and the oracle refuses over-budget points before the rows factorize them
-    work = _solve_work(r, s, ns, len(columns))
-    arith._check_work(work, "the exact solve of the fit needs about {work} units of work")
+    # the solve's estimate, the oracle's, then their sum: each refuses before
+    # any work, and the oracle refuses over-budget points before the rows
+    # factorize them
+    solve = _solve_work(r, s, ns, len(columns))
+    arith._check_work(solve, "the exact solve of the fit needs about {work} units of work")
+    work = solve + _convolution_work(r, s, ns)
+    arith._check_work(work, "the fit's solve and oracle together need about {work} units of work")
     rhs = _convolutions(r, s, ns, "Bprime")
-    solution = _solve_exact([_design_row(columns, n) for n in ns], rhs)
+    solution = _solve_exact(_design_rows(columns, ns), rhs)
     if solution is None:
         return FitReport(r, s, None, ns, (), (), "inconsistent")
     coeffs = PatternCoeffs(*solution, *[Fraction(0)] * (4 - len(solution)), degenerate=r == s)
@@ -235,9 +247,9 @@ def validate(
     overlap = set(ns) & set(train_ns)
     if overlap:
         raise ValueError(f"test points {sorted(overlap)} overlap the training set")
+    form = _pattern_form(coeffs, r, s)
     residuals = tuple(
-        oracle - pattern_value(coeffs, r, s, n)
-        for n, oracle in zip(ns, _convolutions(r, s, ns, "Bprime"))
+        oracle - form.evaluate(n) for n, oracle in zip(ns, _convolutions(r, s, ns, "Bprime"))
     )
     verdict = "consistent" if all(res == 0 for res in residuals) else "inconsistent"
     return FitReport(r, s, coeffs, tuple(sorted(set(train_ns))), ns, residuals, verdict)

@@ -77,11 +77,21 @@ class ClosedForm:
     coefficient denominators, a the largest negative psi order and b the
     largest negative n power, so the sum is one of plain ints.  A positive
     order o gives ψ_o(n) = Π (1 - p**o) and a negative one Π (p**-o - 1) /
-    rad(n)**-o.  It refuses what psi refuses, in psi's order and words, for
-    every term before n is factorized.
+    rad(n)**-o.  L, a, b and the scaled numerators depend on the form alone
+    and are computed once, when it is made.  It refuses what psi
+    refuses, in psi's order and words, for every term before n is factorized.
     """
 
     terms: tuple[tuple[Fraction, int, int], ...]
+
+    def __post_init__(self) -> None:
+        # L, a, b and each coefficient's numerator over L: all that evaluate
+        # reads of the coefficients, computed once per form
+        common = lcm(*(coeff.denominator for coeff, _, _ in self.terms))
+        a = max([0, *(-order for _, _, order in self.terms)])
+        b = max([0, *(-power for _, power, _ in self.terms)])
+        numerators = tuple(coeff.numerator * (common // coeff.denominator) for coeff, _, _ in self.terms)
+        object.__setattr__(self, "_scaled", (common, a, b, numerators))
 
     def evaluate(self, n: int) -> Fraction:
         if n < 2:
@@ -94,18 +104,15 @@ class ClosedForm:
                 arith._refuse_power_bits("psi", order, n)
         if not self.terms:
             return Fraction(0)
+        common, a, b, numerators = self._scaled
         primes = [p for p, _ in factorize(n)]
         rad = prod(primes)
-        common = lcm(*(coeff.denominator for coeff, _, _ in self.terms))
-        a = max(0, *(-order for _, _, order in self.terms))
-        b = max(0, *(-power for _, power, _ in self.terms))
         total = 0
-        for coeff, power, order in self.terms:
+        for (_, power, order), numerator in zip(self.terms, numerators):
             if order > 0:
                 scaled_psi = prod(1 - p**order for p in primes) * rad**a
             else:
                 scaled_psi = prod(p**-order - 1 for p in primes) * rad ** (a + order)
-            numerator = coeff.numerator * (common // coeff.denominator)
             total += numerator * n ** (power + b) * scaled_psi
         return Fraction(total, common * rad**a * n**b)
 

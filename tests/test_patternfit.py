@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sigmaprime import arith, patternfit, powersums
 from sigmaprime.identities import THEOREM_RS, parse_theorem_id
-from sigmaprime.lattice import BudgetExceededError, _convolutions, brute_convolution
+from sigmaprime.lattice import BudgetExceededError, _convolutions, _moment_work, brute_convolution
 from sigmaprime.patternfit import (
     DEFAULT_TEST_NS,
     DEFAULT_TRAIN_NS,
@@ -16,7 +16,7 @@ from sigmaprime.patternfit import (
     WEIGHT10_PAIRS,
     PatternCoeffs,
     _columns,
-    _design_row,
+    _design_rows,
     _solve_exact,
     fit,
     fit_and_validate,
@@ -174,7 +174,8 @@ def test_solve_work_estimate():
     assert work(1, 3, DEFAULT_TRAIN_NS, 4) == 80 * 6 * 4 * 5
     assert work(5, 5, tuple(range(2, 302)), 3) == 80 * 300 * 3 * 4
     # weight w = 1 + (r + s + 1) * bits(max n) // 512, counted as w * isqrt(w):
-    # w = 104 admits s = 13309 on the default points, and w = 105 refuses 13310
+    # w = 104 passes the solve's gate at s = 13309 on the default points (the
+    # sum with the oracle's estimate is then refused), and w = 105 refuses 13310
     assert work(1, 13309, DEFAULT_TRAIN_NS, 4) == 80 * 120 * 104 * 10 <= arith._WORK_LIMIT
     assert work(1, 13310, DEFAULT_TRAIN_NS, 4) == 80 * 120 * 105 * 10 > arith._WORK_LIMIT
     # every fit with r + s <= 12 on points up to 300 has weight 1
@@ -195,6 +196,24 @@ def test_fit_refuses_its_solve_before_any_work(monkeypatch):
         fit(1, 3, tuple(range(2, 12)))
     assert str(info.value) == (
         "the exact solve of the fit needs about 16000 units of work, the limit is 10000"
+    )
+
+
+def test_fit_refuses_its_solve_and_oracle_together(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the fit started its work")
+
+    monkeypatch.setattr(patternfit, "_convolutions", no_work)
+    monkeypatch.setattr(patternfit, "_solve_exact", no_work)
+    # estimated only, never run: each gate admits this fit, which took 1.45 s
+    ns = tuple(range(2, 3002))
+    assert patternfit._solve_work(1, 83, ns, 4) == 9600000
+    assert _moment_work(84, ns) == 9393128
+    with pytest.raises(BudgetExceededError) as info:
+        fit(1, 83, ns)
+    assert str(info.value) == (
+        "the fit's solve and oracle together need about 18993128 units of work, "
+        "the limit is 10000000"
     )
 
 
@@ -290,6 +309,6 @@ def test_integer_solve_matches_fraction_solve_on_fit_systems(pair, points):
     r, s = pair
     ns = sorted(points)
     columns = _columns(r, s)[: 3 if r == s else 4]
-    rows = [_design_row(columns, n) for n in ns]
+    rows = _design_rows(columns, ns)
     rhs = _convolutions(r, s, ns, "Bprime")
     assert _solve_outcome(_solve_exact, rows, rhs) == _solve_outcome(_fraction_solve, rows, rhs)
