@@ -20,8 +20,11 @@ arguments, -h or an unknown command it builds them all, so the usage
 message lists every subcommand.  A handler returns the document without
 its "command" key, its exit code, and its CSV rows (header first) or None;
 main adds "command" and alone writes stdout, so a run that errs writes
-nothing there.  CSV is joined by hand, as the csv module would drop the
-quotes that selftest puts around every detail.
+nothing there.  One small writer gives a document exactly the bytes of
+json.dumps(doc, indent=2), each string through json's C escaper, as
+json.dumps itself runs its pure-Python encoder whenever indent is set.  CSV
+is joined by hand, as the csv module would drop the quotes that selftest
+puts around every detail.
 
 Exit codes: 0 success or verified, 1 verification failure or inconsistent
 fit, 2 usage error, 3 a budget refused the work before it started: arith's
@@ -30,15 +33,17 @@ check-main, whose estimate counts moments, degree and right-side rows, and
 the direct and Moebius power sums), arith's power-bits ceiling (psi,
 sigma-prime), arith's trial-division ceiling, a raw count's --budget, or the
 output size (a number of more than Python's integer-string limit, 4300
-digits by default).  Errors print a one-line diagnostic on stderr.
+digits by default; conv --method brute and count refuse a result that is
+certainly that large after the oracle's gate and before its work).  Errors
+print a one-line diagnostic on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .acceptance import run_all
 from .identities import (
@@ -50,7 +55,7 @@ from .identities import (
     parse_theorem_id,
     verify_theorem,
 )
-from .lattice import SOLUTION_SETS, brute_convolution, sigma_prime
+from .lattice import SOLUTION_SETS, _convolution_work, brute_convolution, sigma_prime
 from .patternfit import (
     DEFAULT_TEST_NS,
     DEFAULT_TRAIN_NS,
@@ -98,6 +103,55 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected a comma-separated integer list, got {text!r}") from None
 
 
+def _json(value, pad: str = "\n") -> str:
+    # json.dumps(value, indent=2) for the types the handlers return, each int
+    # through int.__repr__ as in json.  pad is the line break and indent that
+    # close the value's brackets; a dict's str values, most of the leaves, are
+    # escaped without a call.
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)  # over the digit limit, json's ValueError
+    inner = pad + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = [
+            encode_basestring_ascii(key) + ": "
+            + (encode_basestring_ascii(item) if type(item) is str else _json(item, inner))
+            for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(item, inner) for item in value]) + pad + "]"
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _digit_limit_message() -> str:
+    limit = sys.get_int_max_str_digits()
+    return f"a number has more than {limit} decimal digits, the integer-string limit"
+
+
+def _refuse_unprintable_oracle(r: int, s: int, n: int) -> None:
+    # The oracle's sum over B(n) or B'(n) takes in (n - 1, 1, 1, 1) and
+    # (1, n - 1, 1, 1), so it is at least (n - 1)**e, e = max(r, s).  After the
+    # oracle's own gate and before its work, refuse a result that this bound
+    # puts over the integer-string limit (0 means none): with bits the bit
+    # length of (n - 1)**64 less 1, (n - 1)**e >= 2**(e * bits / 64), and
+    # 10**limit < 2**(limit * 3322 // 1000 + 1).
+    _convolution_work(r, s, (n,))
+    limit = sys.get_int_max_str_digits()
+    if limit and max(r, s) * (((n - 1) ** 64).bit_length() - 1) >= 64 * (limit * 3322 // 1000 + 1):
+        raise BudgetExceededError(_digit_limit_message())
+
+
 def _rat(value: Fraction) -> dict[str, str]:
     return {"num": str(value.numerator), "den": str(value.denominator)}
 
@@ -127,6 +181,7 @@ def _cmd_conv(args):
         "inputs": {"r": args.r, "s": args.s, "n": args.n, "set": args.set, "method": args.method},
     }
     if args.method == "brute":
+        _refuse_unprintable_oracle(args.r, args.s, args.n)
         body["result"] = str(brute_convolution(args.r, args.s, args.n, args.set))
         return body, 0, None
     if args.set != "Bprime":
@@ -189,6 +244,7 @@ def _cmd_verify(args):
 
 def _cmd_count(args):
     spec = CountSpec(_COUNTER_MAP[args.which], args.r, args.s, args.n)
+    _refuse_unprintable_oracle(spec.r, spec.s, spec.n)
     value = count_raw(spec, args.budget) if args.raw else count_fast(spec)
     return {
         "inputs": {"which": args.which, "r": args.r, "s": args.s, "n": args.n, "raw": args.raw},
@@ -378,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "csv", False):
             sys.stdout.write("\n".join(",".join(row) for row in rows) + "\n")
         else:
-            sys.stdout.write(json.dumps({"command": args.command, **body}, indent=2) + "\n")
+            sys.stdout.write(_json({"command": args.command, **body}) + "\n")
         return code
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -388,12 +444,7 @@ def main(argv: list[str] | None = None) -> int:
         # digits to or from text with a plain ValueError.  Lifting the limit would
         # make str() quadratic in the output size, so the number is refused instead.
         if "integer string conversion" in str(exc):
-            limit = sys.get_int_max_str_digits()
-            print(
-                f"error: a number has more than {limit} decimal digits, "
-                "the integer-string limit",
-                file=sys.stderr,
-            )
+            print(f"error: {_digit_limit_message()}", file=sys.stderr)
             return 3
         print(f"error: {exc}", file=sys.stderr)
         return 2

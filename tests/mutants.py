@@ -1,0 +1,98 @@
+"""Mutants of the source, each killed by a named test when applied.
+
+Each row is (file, old, new, test): replacing the one occurrence of ``old``
+in ``file`` by ``new`` makes ``test`` fail.  test_mutants.py checks that
+every ``old`` is still in ``src/`` exactly once, so a refactor carries its
+mutants along rather than orphaning them.
+"""
+
+_LATTICE = "src/sigmaprime/lattice.py"
+_CLI = "src/sigmaprime/cli.py"
+_IDENTITIES = "src/sigmaprime/identities.py"
+_PATTERNFIT = "src/sigmaprime/patternfit.py"
+_POWERSUMS = "src/sigmaprime/powersums.py"
+
+_TABLE_PARSE_DASH = '                " " not in value or value[:2] in ("-h", "--")'
+_SIEVE_DOWN = "    for p in range(isqrt(top - 1), 1, -1):"
+
+MUTANTS = [
+    # the least-prime table and the g tables of the moment core
+    (_LATTICE, _SIEVE_DOWN, "    for p in range(2, isqrt(top - 1) + 1):",
+     "test_factor_table_matches_factorize"),
+    (_LATTICE, _SIEVE_DOWN, "    for p in range(isqrt(top - 1) - 1, 1, -1):",
+     "test_factor_table_matches_factorize"),
+    (_LATTICE, "            table[m] = m**i + p**k * table[m // p]",
+     "            table[m] = m**i + m**k * table[m // p]",
+     "test_sigma_table_matches_sigma_k"),
+    # the product route of the moment core
+    (_LATTICE, "width = (max(g_ik) * max(g_jl) * top).bit_length() // 8 + 1",
+     "width = (max(g_ik) * max(g_jl) * top).bit_length() // 8",
+     "test_product_route_matches_per_n_route"),
+    (_LATTICE, "slots[big_n * width : (big_n + 1) * width]",
+     "slots[(big_n + 1) * width : (big_n + 2) * width]",
+     "test_product_route_matches_per_n_route"),
+    (_LATTICE, 'for v in table[:top]), "little")', 'for v in table[:top - 1]), "little")',
+     "test_product_route_matches_per_n_route"),
+    (_LATTICE,
+     "    return digits**8 < (_STEPS_PER_PRODUCT * (products - _SLOT_COST * top)) ** 5",
+     "    return True",
+     "test_product_route_rule_decisions"),
+    (_LATTICE, "    digits = top * (degree + 1) * top.bit_length() // 30 + 1",
+     "    digits = top * top.bit_length() // 30 + 1",
+     "test_product_route_rule_decisions"),
+    (_LATTICE, "            memo = _product_memo(terms, top)",
+     "            memo = [None] * (top + 1)",
+     "test_moment_sums_takes_the_route_the_rule_picks"),
+    # the CLI's table parser, document writer and size check
+    (_CLI, _TABLE_PARSE_DASH, '                " " not in value or value[:2] == "--"',
+     "test_table_parse_is_argparse_where_it_answers"),
+    (_CLI, _TABLE_PARSE_DASH, '                " " not in value or value[:2] == "-h"',
+     "test_table_parse_is_argparse_where_it_answers"),
+    (_CLI, "    if kind is int:", "    if isinstance(value, int):",
+     "test_json_writer_matches_json_dumps"),
+    (_CLI, '    inner = pad + "  "', '    inner = pad + " "',
+     "test_json_writer_matches_json_dumps"),
+    (_CLI, "((n - 1) ** 64)", "(n ** 64)",
+     "test_unprintable_check_refuses_only_what_str_refuses"),
+    # the polynomial grammar
+    (_IDENTITIES, "            if term.start() and not sign:", "            if False:",
+     "test_parser_rejects_bad_input"),
+    (_IDENTITIES, '_FACTOR = re.compile(r"([abxy])(?:\\^(\\d*))?")',
+     '_FACTOR = re.compile(r"([abxy])(?:\\^(\\d+))?")',
+     "test_parser_rejects_bad_input"),
+    (_IDENTITIES, "1 if e is None else int(e)", "0 if e is None else int(e)",
+     "test_parser_whitespace_and_implicit_exponent"),
+    (_IDENTITIES, "            if type(coeff) is not int:", "            if False:",
+     "test_poly_rejects_non_integer_terms"),
+    (_IDENTITIES, "type(e) is int and e >= 0", "isinstance(e, int) and e >= 0",
+     "test_poly_rejects_non_integer_terms"),
+    # the exact fitter and its gates
+    (_PATTERNFIT, "                g = gcd(*row) or 1", "                g = gcd(*row)",
+     "test_fit_recovers_every_stored_theorem"),
+    (_PATTERNFIT, "    for i in range(rank, m):", "    for i in range(rank + 1, m):",
+     "test_one_spare_equation_decides_consistency"),
+    (_PATTERNFIT,
+     '    arith._check_work(solve, "the exact solve of the fit needs about {work} units of work")',
+     "    pass",
+     "test_fit_refuses_its_solve_before_any_work"),
+    (_PATTERNFIT, "weight * isqrt(weight)", "weight", "test_solve_work_estimate"),
+    (_PATTERNFIT,
+     "    arith._check_work(work, \"the fit's solve and oracle together need about {work} units of work\")",
+     "    pass",
+     "test_fit_refuses_its_solve_and_oracle_together"),
+    (_PATTERNFIT, "    return [[form.evaluate(n) for form in forms] for n in ns]",
+     "    return [[form.evaluate(n) for form in reversed(forms)] for n in ns]",
+     "test_fit_recovers_every_stored_theorem"),
+    (_PATTERNFIT, "    form = _pattern_form(coeffs, r, s)", "    form = _pattern_form(coeffs, s, r)",
+     "test_fit_and_validate_zero_residuals"),
+    # power sums and closed forms
+    (_POWERSUMS, "        work = n * arith._bit_weight(k, n) ** 2",
+     "        work = n * arith._bit_weight(k, n)",
+     "test_big_power_budget_exit_3"),
+    (_POWERSUMS,
+     "numerators = tuple(coeff.numerator * (common // coeff.denominator) for coeff, _, _ in self.terms)",
+     "numerators = tuple(coeff.numerator for coeff, _, _ in self.terms)",
+     "test_methods_agree_on_a_grid"),
+    (_POWERSUMS, "b = max([0, *(-power for _, power, _ in self.terms)])", "b = 0",
+     "test_evaluate_keeps_negative_powers_exact"),
+]

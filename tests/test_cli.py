@@ -4,17 +4,20 @@ Most invocations go through ``python -m sigmaprime`` so the argv parsing,
 JSON emission, stderr diagnostics, and exit codes are exercised exactly as a
 shell user would see them.  The golden digests, the budget refusals that
 patch a module and the argv properties call ``cli.main`` in process; the
-table parser is held to argparse by a differential property.
+table parser is held to argparse, and the document writer to
+``json.dumps(indent=2)``, by differential properties.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import math
 import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -279,6 +282,62 @@ def test_power_and_degree_budget_exit_3(args, work, message, monkeypatch, capsys
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+_DIGIT_LIMIT_LINE = "error: a number has more than 4300 decimal digits, the integer-string limit\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # computed, this ran 2.7-3.7 s before its result met the digit limit
+        ("conv", "--r", "131242", "--s", "131242", "--n", "50"),
+        ("conv", "--r", "2000", "--s", "1", "--n", "600", "--set", "B"),
+        ("count", "--which", "Lp", "--r", "1", "--s", "2000", "--n", "600"),
+        ("count", "--which", "M", "--r", "2000", "--s", "1", "--n", "600", "--raw"),
+    ],
+)
+def test_unprintable_oracle_result_exit_3_before_work(args, monkeypatch, capsys):
+    monkeypatch.setattr(lattice, "_moment_sums", _no_work)
+    assert cli.main(list(args)) == 3
+    assert capsys.readouterr() == ("", _DIGIT_LIMIT_LINE)
+
+
+def _refused(r, s, n):
+    try:
+        cli._refuse_unprintable_oracle(r, s, n)
+    except arith.BudgetExceededError as exc:
+        assert f"error: {exc}\n" == _DIGIT_LIMIT_LINE.replace("4300", "640")
+        return True
+    return False
+
+
+def test_unprintable_check_refuses_only_what_str_refuses():
+    # across each n's edge at the smallest limit Python allows: every refused
+    # result is one str() refuses, and every (n - 1)**e, e = max(r, s), of at
+    # least 653 digits, 2 % over the limit, is refused
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        refusals = 0
+        for n in (2, 3, 4, 5, 9, 17, 50, 600):
+            edge = 2127 if n == 2 else 640 / math.log10(n - 1)
+            for e in sorted({int(edge * f) for f in (0.5, 0.97, 0.99, 1, 1.01, 1.02, 1.03, 2)}):
+                for r, s in ((e, 0), (1, e)):
+                    refused = _refused(r, s, n)
+                    refusals += refused
+                    if (n - 1) ** e >= 10**652:
+                        assert refused, (r, s, n)
+                    for which in lattice.SOLUTION_SETS:
+                        value = lattice.brute_convolution(r, s, n, which)
+                        if refused:
+                            with pytest.raises(ValueError, match="integer string conversion"):
+                                str(value)
+        assert refusals > 20
+        sys.set_int_max_str_digits(0)  # no limit, so nothing is refused
+        assert not _refused(131242, 131242, 50)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def test_sigma_prime_answers_past_the_old_pair_scan_limit(monkeypatch, capsys):
     # 97821761637600 has 17280 divisors, so a divisor-pair scan would test 3e8
     # pairs; the product over its primes needs no scan, so a tiny work limit is moot
@@ -392,6 +451,83 @@ GOLDEN = [
     "argv, code, digest", GOLDEN, ids=[" ".join(argv) for argv, _, _ in GOLDEN]
 )
 def test_output_matches_golden_digest(argv, code, digest, capsys):
+    assert cli.main(list(argv)) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# strings with json's escapes, non-ASCII and astral characters; ints up to
+# about 4000 digits, either sign
+_JSON_TEXT = st.text(
+    st.sampled_from('"\\/\x00\x08\x1f\x7f\u00e9\u2028\U0001f600') | st.characters()
+)
+_JSON_INTS = st.integers() | st.builds(
+    lambda digits, sign, low: sign * (10**digits + low),
+    st.integers(3900, 3999), st.sampled_from((1, -1)), st.integers(0, 10**6),
+)
+_JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | _JSON_INTS | _JSON_TEXT,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_JSON_TEXT, kids, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(deadline=None)
+@given(_JSON_DOCS)
+@example({})
+@example([])
+@example({"a": [True, False, None, 0, -1, ""], "b": {}, "c": [[], {"d": {"e": []}}]})
+def test_json_writer_matches_json_dumps(doc):
+    # json.dumps(indent=2) is the writer's oracle
+    assert cli._json(doc) == json.dumps(doc, indent=2)
+
+
+def test_json_writer_raises_as_json_does():
+    over = {"result": [10**4300]}
+    with pytest.raises(ValueError, match="integer string conversion"):
+        json.dumps(over, indent=2)
+    with pytest.raises(ValueError, match="integer string conversion"):
+        cli._json(over)
+    for value in (1.5, (1,), Fraction(1, 2), b"x", {"a": {1, 2}}):
+        with pytest.raises(TypeError):
+            cli._json(value)
+
+
+def _document(argv):
+    # the document main writes for argv, "command" key first
+    args = cli._parse_table(list(argv))
+    body, _, _ = cli._COMMANDS[args.command][1](args)
+    return {"command": args.command, **body}
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv, code, _ in GOLDEN if code < 2], ids=lambda argv: " ".join(argv)
+)
+def test_json_writer_matches_json_dumps_on_golden_documents(argv, capsys):
+    doc = _document(argv)
+    assert cli._json(doc) == json.dumps(doc, indent=2)
+
+
+def _pure_python_encoder(*args, **kwargs):
+    raise AssertionError("json's pure-Python encoder ran")
+
+
+# the first golden run of each subcommand, as JSON and as CSV
+_ONE_PER_SUBCOMMAND = list({
+    (argv[0], "--csv" in argv): (argv, code, digest)
+    for argv, code, digest in reversed(GOLDEN)
+    if code < 2
+}.values())
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest", _ONE_PER_SUBCOMMAND, ids=[" ".join(row[0]) for row in _ONE_PER_SUBCOMMAND]
+)
+def test_documents_are_written_without_the_pure_python_encoder(
+    argv, code, digest, monkeypatch, capsys
+):
+    # json.dumps runs _make_iterencode whenever indent is set, at about twice
+    # the cost of the writer; an indent= edit in main fails here
+    monkeypatch.setattr(json.encoder, "_make_iterencode", _pure_python_encoder)
     assert cli.main(list(argv)) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
