@@ -12,11 +12,10 @@ well under a minute; the full ranges are the normative ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from random import Random
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .arith import bernoulli
 from .identities import (
@@ -46,15 +45,13 @@ from .representations import verify_lm
 __all__ = ["CriterionResult", "Criterion", "CRITERIA", "run_all"]
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class Criterion:
+class Criterion(NamedTuple):
     """One row of the checklist: ``check(*quick)`` or ``check(*full)`` gives (passed, detail)."""
 
     name: str
@@ -199,16 +196,8 @@ def _c10_pattern_fit() -> tuple[bool, str]:
 
 
 def _c11_bernoulli() -> tuple[bool, str]:
-    table = {
-        0: Fraction(1),
-        1: Fraction(-1, 2),
-        2: Fraction(1, 6),
-        4: Fraction(-1, 30),
-        6: Fraction(1, 42),
-        8: Fraction(-1, 30),
-        10: Fraction(5, 66),
-        12: Fraction(-691, 2730),
-    }
+    table = {0: Fraction(1), 1: Fraction(-1, 2), 2: Fraction(1, 6), 4: Fraction(-1, 30)}
+    table |= {6: Fraction(1, 42), 8: Fraction(-1, 30), 10: Fraction(5, 66), 12: Fraction(-691, 2730)}
     for j, expected in table.items():
         got = bernoulli(j)
         if got != expected:

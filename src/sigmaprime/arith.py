@@ -49,8 +49,8 @@ _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
 # estimate factorizes n first) and count_raw's M estimate.  The first four
 # take any n, so this ceiling is their only bound; the benchmark gives psi
 # n <= 10**6, sigma_prime m, n <= 5000, and the closed forms and the Moebius
-# route n <= 44015.  count_raw's u**r, for u < n <= 8503, stops at the
-# largest prime of u.
+# route n <= 44015.  count_raw's M estimate factorizes u < n <= 8503, not u**r;
+# its scan, run within the budget, divides u**r up to the largest prime of u.
 _TRIAL_DIVISOR_LIMIT = 10**6
 
 # A power outside the convolution oracle has at most this many bits.  psi(s, n)

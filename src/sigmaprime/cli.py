@@ -10,7 +10,8 @@ byte-identical stdout.
 Every subcommand is one row of a table: its help text, its handler and its
 option rows.  A plain well-formed argv is read straight from those rows and
 builds no parser, so a cold command never imports the locale module that
-argparse's messages pull in.  A value in its own token may start with "-"
+argparse's messages pull in, and the acceptance checklist is imported by
+selftest alone.  A value in its own token may start with "-"
 where argparse too reads it as a value: a negative integer, or text with a
 space that starts with neither -h nor --, such as a polynomial with a
 negative leading coefficient.  Help, every usage error and every unusual
@@ -45,7 +46,6 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .acceptance import run_all
 from .identities import (
     THEOREM_BY_RS,
     Poly4,
@@ -56,12 +56,7 @@ from .identities import (
     verify_theorem,
 )
 from .lattice import SOLUTION_SETS, _convolution_work, brute_convolution, sigma_prime
-from .patternfit import (
-    DEFAULT_TEST_NS,
-    DEFAULT_TRAIN_NS,
-    fit_and_validate,
-    probe_weight10,
-)
+from .patternfit import DEFAULT_TEST_NS, DEFAULT_TRAIN_NS, fit_and_validate, probe_weight10
 from .powersums import coprime_power_sum, psi
 from .representations import DEFAULT_BUDGET, BudgetExceededError, CountSpec, count_fast, count_raw
 
@@ -292,6 +287,8 @@ def _cmd_probe10(args):
 
 
 def _cmd_selftest(args):
+    from .acceptance import run_all  # the checklist is loaded by selftest alone
+
     results = run_all(quick=args.quick)
     for res in results:
         print(("PASS" if res.passed else "FAIL") + f" {res.name}: {res.detail}", file=sys.stderr)

@@ -22,10 +22,10 @@ identity checks never run on an unqualified f.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 from random import Random
+from typing import NamedTuple
 
 from . import arith
 from .arith import divisors, sigma_convolution, sigma_k
@@ -328,8 +328,12 @@ PROOF_POLYNOMIALS: tuple[Poly4, ...] = tuple(
 )
 
 
-@dataclass(frozen=True)
-class TheoremId:
+class _TheoremId(NamedTuple):
+    name: str
+    variant: str
+
+
+class TheoremId(_TheoremId):
     """A stored closed form: tag (t11 .. t57) plus coefficient variant.
 
     Only t13 actually has two variants.  Its ``printed`` coefficient set
@@ -339,14 +343,15 @@ class TheoremId:
     every other tag the two variant names resolve to the same form.
     """
 
-    name: str
-    variant: str = "corrected"
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace runs __new__
 
-    def __post_init__(self):
-        if self.name not in THEOREM_RS:
-            raise ValueError(f"unknown theorem tag {self.name!r}")
-        if self.variant not in ("printed", "corrected"):
-            raise ValueError(f"variant must be 'printed' or 'corrected', got {self.variant!r}")
+    def __new__(cls, name: str, variant: str = "corrected"):
+        if name not in THEOREM_RS:
+            raise ValueError(f"unknown theorem tag {name!r}")
+        if variant not in ("printed", "corrected"):
+            raise ValueError(f"variant must be 'printed' or 'corrected', got {variant!r}")
+        return tuple.__new__(cls, (name, variant))
 
     def __str__(self) -> str:
         if self.name == "t13":
@@ -357,9 +362,7 @@ class TheoremId:
 def parse_theorem_id(text: str) -> TheoremId:
     """Parse 'tag' or 'tag:printed' / 'tag:corrected'."""
     name, sep, variant = text.partition(":")
-    if sep:
-        return TheoremId(name, variant)
-    return TheoremId(name)
+    return TheoremId(name, variant) if sep else TheoremId(name)
 
 
 THEOREM_RS: dict[str, tuple[int, int]] = {
@@ -416,16 +419,14 @@ def eval_theorem(tid: TheoremId | str, n: int) -> Fraction:
     return theorem_form(tid).evaluate(n)
 
 
-@dataclass(frozen=True)
-class VerifyRow:
+class VerifyRow(NamedTuple):
     n: int
     oracle: int
     closed: Fraction
     ok: bool
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     theorem: TheoremId
     rows: tuple[VerifyRow, ...]
     all_pass: bool

@@ -19,10 +19,9 @@ arith's gate before that work starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 from operator import mul
-from typing import Callable, Collection
+from typing import Callable, Collection, NamedTuple
 
 from . import arith
 from .arith import BudgetExceededError, divisors, factorize, sigma_k
@@ -371,8 +370,7 @@ def brute_convolution(r: int, s: int, n: int, which: str = "Bprime") -> int:
     return _convolutions(r, s, (n,), which)[0]
 
 
-@dataclass(frozen=True)
-class PreIdentityReport:
+class PreIdentityReport(NamedTuple):
     """The six expressions that the pre-identity forces to agree on B'(n)."""
 
     r: int

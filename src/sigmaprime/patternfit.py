@@ -30,9 +30,9 @@ carries the combined coefficient and D is fixed at 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from typing import NamedTuple
 
 from . import arith
 from .identities import THEOREM_RS, TheoremId, parse_theorem_id, theorem_form
@@ -59,8 +59,7 @@ DEFAULT_TEST_NS = (11, 13, 16, 25, 30)
 EVIDENCE_LABEL = "numerical evidence"
 
 
-@dataclass(frozen=True)
-class PatternCoeffs:
+class PatternCoeffs(NamedTuple):
     """Fitted ansatz coefficients; all exact Fractions.
 
     ``degenerate`` marks the r == s case, where only C + D is determined:
@@ -74,8 +73,7 @@ class PatternCoeffs:
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
-class FitReport:
+class FitReport(NamedTuple):
     r: int
     s: int
     coefficients: PatternCoeffs | None  # None when the training system is inconsistent
@@ -264,7 +262,7 @@ def fit_and_validate(
     """fit() then validate(); an inconsistent training fit short-circuits."""
     report = fit(r, s, train_ns)
     if report.coefficients is None:
-        return replace(report, test_ns=tuple(sorted(set(test_ns))))
+        return report._replace(test_ns=tuple(sorted(set(test_ns))))
     return validate(report.coefficients, r, s, test_ns, report.train_ns)
 
 
@@ -282,7 +280,7 @@ def probe_weight10(
     """
     if tuple(sorted((r, s))) not in WEIGHT10_PAIRS:
         raise ValueError(f"weight-10 probes cover {WEIGHT10_PAIRS}, got ({r}, {s})")
-    return replace(fit_and_validate(r, s, train_ns, test_ns), label=EVIDENCE_LABEL)
+    return fit_and_validate(r, s, train_ns, test_ns)._replace(label=EVIDENCE_LABEL)
 
 
 def theorem_pattern(tid: TheoremId | str) -> PatternCoeffs:

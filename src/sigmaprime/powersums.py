@@ -25,10 +25,10 @@ the literal Fraction product, is the reference the tests hold it to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import lcm, prod
+from typing import NamedTuple
 
 from . import arith
 from .arith import divisors, factorize, faulhaber_sum, mobius
@@ -65,8 +65,11 @@ def psi(s: int, n: int) -> Fraction:
     return out
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+class _ClosedForm(NamedTuple):
+    terms: tuple[tuple[Fraction, int, int], ...]
+
+
+class ClosedForm(_ClosedForm):
     """Exact linear combination Σ c · n**p · psi_order(n).
 
     ``terms`` is a tuple of (coefficient, n_power, psi_order) triples with
@@ -82,16 +85,18 @@ class ClosedForm:
     refuses, in psi's order and words, for every term before n is factorized.
     """
 
-    terms: tuple[tuple[Fraction, int, int], ...]
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace runs __new__
 
-    def __post_init__(self) -> None:
+    def __new__(cls, terms: tuple[tuple[Fraction, int, int], ...]):
+        self = tuple.__new__(cls, (terms,))
         # L, a, b and each coefficient's numerator over L: all that evaluate
         # reads of the coefficients, computed once per form
-        common = lcm(*(coeff.denominator for coeff, _, _ in self.terms))
-        a = max([0, *(-order for _, _, order in self.terms)])
-        b = max([0, *(-power for _, power, _ in self.terms)])
-        numerators = tuple(coeff.numerator * (common // coeff.denominator) for coeff, _, _ in self.terms)
-        object.__setattr__(self, "_scaled", (common, a, b, numerators))
+        common = lcm(*(coeff.denominator for coeff, _, _ in terms))
+        a = max([0, *(-order for _, _, order in terms)])
+        b = max([0, *(-power for _, power, _ in terms)])
+        numerators = tuple(coeff.numerator * (common // coeff.denominator) for coeff, _, _ in terms)
+        self._scaled = (common, a, b, numerators)
+        return self
 
     def evaluate(self, n: int) -> Fraction:
         if n < 2:

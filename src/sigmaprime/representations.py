@@ -17,15 +17,16 @@ quadruple, independent of the collapsing step and of the oracle, so the
 two routes check each other; it reads the set from lattice.quadruples,
 the memo check_pre_identity reads too.  count_raw and verify_lm refuse
 raw work in the order count_raw states, each refusal before the work it
-guards.
+guards.  The M estimate reads sigma(u**r) from u's factors, kept for the
+call like the split counts, so no u**r reaches arith's caches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
+from typing import NamedTuple
 
-from .arith import divisors, sigma_convolution, sigma_k
+from .arith import divisors, factorize, sigma_convolution
 from .lattice import (
     SOLUTION_SETS,
     BudgetExceededError,
@@ -51,22 +52,27 @@ COUNTERS = ("L", "M", "Lprime", "Mprime")
 DEFAULT_BUDGET = 10**8
 
 
-@dataclass(frozen=True)
-class CountSpec:
-    """Which counter to evaluate, at which exponents and target n."""
-
+class _CountSpec(NamedTuple):
     which: str
     r: int
     s: int
     n: int
 
-    def __post_init__(self):
-        if self.which not in COUNTERS:
-            raise ValueError(f"counter must be one of {COUNTERS}, got {self.which!r}")
-        if self.r < 1 or self.s < 1:
-            raise ValueError(f"counters need r, s >= 1, got ({self.r}, {self.s})")
-        if self.n < 2:
-            raise ValueError(f"counters need n >= 2, got {self.n}")
+
+class CountSpec(_CountSpec):
+    """Which counter to evaluate, at which exponents and target n."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace runs __new__
+
+    def __new__(cls, which: str, r: int, s: int, n: int):
+        if which not in COUNTERS:
+            raise ValueError(f"counter must be one of {COUNTERS}, got {which!r}")
+        if r < 1 or s < 1:
+            raise ValueError(f"counters need r, s >= 1, got ({r}, {s})")
+        if n < 2:
+            raise ValueError(f"counters need n >= 2, got {n}")
+        return tuple.__new__(cls, (which, r, s, n))
 
     @property
     def solution_set(self) -> str:
@@ -109,11 +115,21 @@ def count_raw(spec: CountSpec, budget: int = DEFAULT_BUDGET) -> int:
     return _raw_count(spec, count_fast(spec), budget, {})
 
 
-def _raw_count(spec: CountSpec, fast: int, budget: int, splits: dict[tuple[str, int], int]) -> int:
+def _sigma_powers(r: int, bases: set[int], table: dict) -> dict[int, int]:
+    # u -> sigma(u**r) = Π (p**(r*e + 1) - 1) / (p - 1) over the factors p**e
+    # of u, for every u in bases, so only u < n reaches arith's caches; kept in
+    # the call's table under ("sigma", r)
+    known = table.setdefault(("sigma", r), {})
+    for u in bases - known.keys():
+        known[u] = prod((p ** (r * e + 1) - 1) // (p - 1) for p, e in factorize(u))
+    return known
+
+
+def _raw_count(spec: CountSpec, fast: int, budget: int, splits: dict) -> int:
     # Every raw refusal is made here or by the listing, in count_raw's order;
     # (u, v) is the (a, b) of each quadruple of the set at spec.n.  splits
-    # maps (kind, w) to the splits of w and lives for one count_raw or
-    # verify_lm call.
+    # maps (kind, w) to the splits of w, and ("sigma", r) to sigma(u**r) by u,
+    # and lives for one count_raw or verify_lm call.
     label = f"{spec.which}({spec.r},{spec.s};{spec.n})"
     if fast > budget:
         raise BudgetExceededError(
@@ -125,7 +141,9 @@ def _raw_count(spec: CountSpec, fast: int, budget: int, splits: dict[tuple[str, 
     else:
         # bounds the nested scan of the M splits, rejected ones included:
         # at most sigma(u**r) * (1 + sigma(v**s)) per quadruple
-        est = sum(sigma_k(1, u**spec.r) * (1 + sigma_k(1, v**spec.s)) for u, v, _, _ in quads)
+        su = _sigma_powers(spec.r, {u for u, _, _, _ in quads}, splits)
+        sv = _sigma_powers(spec.s, {v for _, v, _, _ in quads}, splits)
+        est = sum(su[u] * (1 + sv[v]) for u, v, _, _ in quads)
         if est > budget:
             raise BudgetExceededError(
                 f"raw enumeration of {label} needs about {est} tuple visits, budget is {budget}"
@@ -155,8 +173,7 @@ def _raw_count(spec: CountSpec, fast: int, budget: int, splits: dict[tuple[str, 
     return total
 
 
-@dataclass
-class LMRow:
+class LMRow(NamedTuple):
     n: int
     fast: dict[str, int]
     raw: dict[str, int]
@@ -166,8 +183,7 @@ class LMRow:
     ok: bool
 
 
-@dataclass
-class LMReport:
+class LMReport(NamedTuple):
     r: int
     s: int
     rows: tuple[LMRow, ...]
@@ -194,7 +210,7 @@ def verify_lm(r: int, s: int, lo: int, hi: int, budget: int = DEFAULT_BUDGET) ->
     rows: list[LMRow] = []
     ns = range(lo, hi + 1)
     sums = {ss: dict(zip(ns, _convolutions(r, s, ns, ss))) for ss in SOLUTION_SETS}
-    splits: dict[tuple[str, int], int] = {}
+    splits: dict = {}
     for n in ns:
         fast: dict[str, int] = {}
         raw: dict[str, int] = {}
@@ -215,10 +231,4 @@ def verify_lm(r: int, s: int, lo: int, hi: int, budget: int = DEFAULT_BUDGET) ->
         if fast["L"] != conv_plain or fast["Lprime"] != conv_coprime:
             ok = False
         rows.append(LMRow(n, fast, raw, tuple(skipped), conv_plain, conv_coprime, ok))
-    return LMReport(
-        r,
-        s,
-        tuple(rows),
-        all_pass=all(row.ok for row in rows),
-        skipped_any=any(row.skipped for row in rows),
-    )
+    return LMReport(r, s, tuple(rows), all(row.ok for row in rows), any(row.skipped for row in rows))

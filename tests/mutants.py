@@ -11,6 +11,7 @@ _CLI = "src/sigmaprime/cli.py"
 _IDENTITIES = "src/sigmaprime/identities.py"
 _PATTERNFIT = "src/sigmaprime/patternfit.py"
 _POWERSUMS = "src/sigmaprime/powersums.py"
+_REPRESENTATIONS = "src/sigmaprime/representations.py"
 
 _TABLE_PARSE_DASH = '                " " not in value or value[:2] in ("-h", "--")'
 _SIEVE_DOWN = "    for p in range(isqrt(top - 1), 1, -1):"
@@ -54,6 +55,9 @@ MUTANTS = [
      "test_json_writer_matches_json_dumps"),
     (_CLI, "((n - 1) ** 64)", "(n ** 64)",
      "test_unprintable_check_refuses_only_what_str_refuses"),
+    (_CLI, "def _cmd_selftest(args):\n    from .acceptance import run_all",
+     "from .acceptance import run_all\n\n\ndef _cmd_selftest(args):",
+     "test_cold_import_leaves_out_dataclasses_and_the_checklist"),
     # the polynomial grammar
     (_IDENTITIES, "            if term.start() and not sign:", "            if False:",
      "test_parser_rejects_bad_input"),
@@ -90,9 +94,13 @@ MUTANTS = [
      "        work = n * arith._bit_weight(k, n)",
      "test_big_power_budget_exit_3"),
     (_POWERSUMS,
-     "numerators = tuple(coeff.numerator * (common // coeff.denominator) for coeff, _, _ in self.terms)",
-     "numerators = tuple(coeff.numerator for coeff, _, _ in self.terms)",
+     "numerators = tuple(coeff.numerator * (common // coeff.denominator) for coeff, _, _ in terms)",
+     "numerators = tuple(coeff.numerator for coeff, _, _ in terms)",
      "test_methods_agree_on_a_grid"),
-    (_POWERSUMS, "b = max([0, *(-power for _, power, _ in self.terms)])", "b = 0",
+    (_POWERSUMS, "b = max([0, *(-power for _, power, _ in terms)])", "b = 0",
      "test_evaluate_keeps_negative_powers_exact"),
+    # the validating records and the raw count's M estimate
+    (_REPRESENTATIONS, "        if r < 1 or s < 1:", "        if r < 1:", "test_count_spec_refuses"),
+    (_REPRESENTATIONS, "(p ** (r * e + 1) - 1) // (p - 1)", "(p ** (r * e) - 1) // (p - 1)",
+     "test_sigma_of_a_power_from_the_factors_of_its_base"),
 ]

@@ -455,6 +455,33 @@ def test_output_matches_golden_digest(argv, code, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+# A fresh interpreter imports the CLI, lists what that import loaded, then
+# runs selftest --quick plain and as CSV in the same process.
+_COLD_IMPORT = """
+import contextlib, hashlib, io, json, sys
+before = set(sys.modules)
+import sigmaprime.cli as cli
+loaded = sorted({"dataclasses", "sigmaprime.acceptance"} & (set(sys.modules) - before))
+runs = []
+for argv in (["selftest", "--quick"], ["selftest", "--quick", "--csv"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    runs.append([argv, code, hashlib.sha256(out.getvalue().encode()).hexdigest()])
+print(json.dumps({"loaded": loaded, "runs": runs}))
+"""
+
+
+@pytest.mark.slow
+def test_cold_import_leaves_out_dataclasses_and_the_checklist():
+    # records are NamedTuples, and only selftest imports the acceptance checklist
+    proc = subprocess.run([sys.executable, "-c", _COLD_IMPORT], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["loaded"] == []
+    assert doc["runs"] == [list(row) for row in GOLDEN if row[0][0] == "selftest"]
+
+
 # strings with json's escapes, non-ASCII and astral characters; ints up to
 # about 4000 digits, either sign
 _JSON_TEXT = st.text(

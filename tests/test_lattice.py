@@ -401,7 +401,7 @@ def test_oracle_names_no_arith_kernel_function():
 def test_closed_forms_name_no_psi():
     # psi is the Fraction reference that evaluate is tested against, so the
     # integer route must not fall back to it
-    for func in (ClosedForm.evaluate, ClosedForm.__post_init__, _design_rows):
+    for func in (ClosedForm.evaluate, ClosedForm.__new__, _design_rows):
         assert "psi" not in code_names(func.__code__), func.__qualname__
 
 

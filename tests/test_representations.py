@@ -6,7 +6,7 @@ import pytest
 
 from helpers import code_names
 from sigmaprime.arith import divisors, sigma_k, totient
-from sigmaprime import lattice, representations
+from sigmaprime import arith, lattice, representations
 from sigmaprime.lattice import check_pre_identity, enumerate_quadruples, sigma_prime
 from sigmaprime.representations import (
     COUNTERS,
@@ -344,3 +344,46 @@ def test_count_spec_validation():
         CountSpec("L", 1, 1, 1)
     assert CountSpec("Mprime", 1, 1, 5).solution_set == "Bprime"
     assert CountSpec("M", 1, 1, 5).solution_set == "B"
+
+
+def test_sigma_of_a_power_from_the_factors_of_its_base():
+    table = {}
+    for r in range(1, 7):
+        sigmas = representations._sigma_powers(r, set(range(1, 100)), table)
+        assert representations._sigma_powers(r, set(range(50, 200)), table) is sigmas
+        assert sigmas == {u: sigma_k(1, u**r) for u in range(1, 200)}, r
+    assert list(table) == [("sigma", r) for r in range(1, 7)]
+
+
+def test_raw_m_estimate_passes_no_power_to_arith(monkeypatch):
+    # the estimate takes sigma(u**r) from the factors of u, so no argument
+    # above n reaches sigma_k or factorize.  The budget is the fast count, so
+    # the estimate, computed here from the set, refuses and no scan runs
+    seen = []
+
+    def record(fn):
+        def recorded(*args):
+            seen.append(args[-1])
+            return fn(*args)
+
+        return recorded
+
+    for which in ("M", "Mprime"):
+        for r, s, n in ((5, 4, 40), (1, 6, 61), (6, 6, 23)):
+            spec = CountSpec(which, r, s, n)
+            fast = count_fast(spec)
+            quads = []
+            enumerate_quadruples(n, spec.solution_set, lambda u, v, x, y: quads.append((u, v)))
+            est = sum(sigma_k(1, u**r) * (1 + sigma_k(1, v**s)) for u, v in quads)
+            seen.clear()
+            with monkeypatch.context() as patch:
+                for module in (arith, representations):
+                    for name in ("sigma_k", "factorize"):
+                        patch.setattr(module, name, record(getattr(arith, name)), raising=False)
+                with pytest.raises(BudgetExceededError) as info:
+                    count_raw(spec, budget=fast)
+            assert seen and max(seen) < n, (which, r, s, n, max(seen))
+            assert str(info.value) == (
+                f"raw enumeration of {which}({r},{s};{n}) needs about {est} tuple visits, "
+                f"budget is {fast}"
+            )
