@@ -46,11 +46,10 @@ _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
 # prime 100000000000031; 2-core container, Python 3.11).  Every n <= 10**12 stays
 # within it.  The convolution oracle factorizes nothing.  The routes that do
 # are the closed forms, psi, sigma_prime, the Moebius power sum (its work
-# estimate factorizes n first) and count_raw's M estimate.  The first four
-# take any n, so this ceiling is their only bound; the benchmark gives psi
+# estimate factorizes n first) and count_raw's M estimate and scan.  The first
+# four take any n, so this ceiling is their only bound; the benchmark gives psi
 # n <= 10**6, sigma_prime m, n <= 5000, and the closed forms and the Moebius
-# route n <= 44015.  count_raw's M estimate factorizes u < n <= 8503, not u**r;
-# its scan, run within the budget, divides u**r up to the largest prime of u.
+# route n <= 44015.  count_raw factorizes u < n <= 8503, never u**r.
 _TRIAL_DIVISOR_LIMIT = 10**6
 
 # A power outside the convolution oracle has at most this many bits.  psi(s, n)

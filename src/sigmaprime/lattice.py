@@ -2,14 +2,15 @@
 
 B(n) is the set of quadruples (a, b, x, y) of positive integers with
 ax + by = n.  B'(n) is the subset with gcd(a, b) = gcd(x, y) = 1.  Beside
-the enumerator sit the two-variable divisor sum sigma_prime, the six-way
-pre-identity check, and the moment core behind the identity engine and
-brute_convolution, the exact oracle every closed form is checked against.
-The core never walks the set: a moment Σ a**i b**j x**k y**l over B(n) is a
-convolution of two multiplicative g tables from one least-prime sieve, and
-B'(n) follows by Möbius inversion.  It calls no arith kernel function, so it
-fills no process-wide cache, keeps nothing between calls, and serves a whole
-range of n from one sieve.  Each convolution M_B(N) is a dot product of the two
+the enumerator, whose listings keep nothing between calls, sit the
+two-variable divisor sum sigma_prime and the moment core behind the
+identity engine, the six-way pre-identity check and brute_convolution, the
+exact oracle every closed form is checked against.  The core never walks
+the set: a moment Σ a**i b**j x**k y**l over B(n) is a convolution of two
+multiplicative g tables from one least-prime sieve, and B'(n) follows by
+Möbius inversion.  It calls no arith kernel function, so it fills no
+process-wide cache, keeps nothing between calls, and serves a whole range
+of n from one sieve.  Each convolution M_B(N) is a dot product of the two
 tables, or, for a dense set of n, a slot of one big-integer product of the
 tables packed into fixed-width slots (Kronecker substitution), which gives
 every M_B(N) up to the largest n at once; one rule picks the cheaper route.
@@ -98,36 +99,16 @@ def _quadruple_bound(n: int) -> int:
 # at 115 MB above the import's RSS (2-CPU container, Python 3.11.7).
 _QUADRUPLE_COST = 6
 
-# The quadruples memo holds at most this many quadruples, so every revisit by
-# either reader hits: the pre-identity grid, B'(n) for 2 <= n <= 60, lists
-# 14,599, and the raw counters' checks, B(n) and B'(n) for n <= 12, 603.
-_QUADRUPLE_MEMO_LIMIT = 2**14
-_quadruple_memo: dict[tuple[int, str], tuple[tuple[int, int, int, int], ...]] = {}
-
 
 def quadruples(n: int, which: str = "Bprime") -> tuple[tuple[int, int, int, int], ...]:
-    """Materialized, memoized tuple of the quadruples in enumeration order.
+    """Materialized tuple of the quadruples in enumeration order.
 
-    The one materialized set, read by check_pre_identity and the raw
-    counters, which revisit the same small-n sets for many exponent pairs;
-    the memo drops the least recently used sets to hold at most
-    _QUADRUPLE_MEMO_LIMIT quadruples and keeps no larger set.  A set not
-    held is enumerated, through enumerate_quadruples' work limit.
+    Listed by enumerate_quadruples, through its work limit, on every call;
+    nothing is kept between calls.
     """
-    _check_set(which)
-    memo = _quadruple_memo
-    quads = memo.pop((n, which), None)
-    if quads is None:
-        out: list[tuple[int, int, int, int]] = []
-        enumerate_quadruples(n, which, lambda a, b, x, y: out.append((a, b, x, y)))
-        quads = tuple(out)
-        if len(quads) > _QUADRUPLE_MEMO_LIMIT:
-            return quads
-        held = sum(map(len, memo.values()))
-        while held + len(quads) > _QUADRUPLE_MEMO_LIMIT:
-            held -= len(memo.pop(next(iter(memo))))
-    memo[n, which] = quads  # (re)inserted last, as the most recently used
-    return quads
+    out: list[tuple[int, int, int, int]] = []
+    enumerate_quadruples(n, which, lambda a, b, x, y: out.append((a, b, x, y)))
+    return tuple(out)
 
 
 def sigma_prime(r: int, s: int, m: int, n: int) -> int:
@@ -389,27 +370,32 @@ class PreIdentityReport(NamedTuple):
 
 
 def check_pre_identity(r: int, s: int, n: int) -> PreIdentityReport:
-    """Evaluate all six pre-identity expressions independently and compare.
+    """Evaluate all six pre-identity expressions by two routes and compare.
 
-    The two convolution routes go through sigma_prime; the four quadruple
-    sums enumerate B'(n) directly.  A report is returned rather than a bare
-    bool so tests and the CLI can show the actual values on a mismatch.
-    Raises BudgetExceededError before any of them when the quadruples'
-    work, each weighted by the length of its powers up to n**(r + s), is
-    above the work limit; n <= 8503 is admitted for r + s <= 36.
+    The two convolution routes go through sigma_prime.  The four quadruple
+    sums are the moments M(0, 0, r, s), M(0, 0, s, r), M(r, s, 0, 0) and
+    M(s, r, 0, 0) over B'(n), taken from one moment-core call that lists no
+    set: each is below n**(r + s + 3), as |B'(n)| < n**3, so moment i gets
+    the coefficient 2**(width * i) with width = (r + s + 3) * bits(n),
+    coincident keys add theirs, and shifts split the total back into four.
+    A report is returned rather than a bare bool so tests and the CLI can
+    show the actual values on a mismatch.  Raises BudgetExceededError before
+    any sum when the core's four moments and the 2n sigma_prime terms,
+    weighted by the slot width, are above the work limit; n <= 38167 is
+    admitted for r + s <= 28.
     """
     if n < 2:
         raise ValueError(f"solution sets are defined for n >= 2, got {n}")
-    work = _QUADRUPLE_COST * _quadruple_bound(n) * arith._bit_weight(r + s, n)
+    work = _moment_work(r + s + 3, (n,), moments=4, rows=2 * n)
     needs = "the pre-identity at ({r}, {s}, {n}) needs about {work} units of work"
     arith._check_work(work, needs, r=r, s=s, n=n)
     conv_rs = _sigma_prime_convolution(r, s, n)
     conv_sr = _sigma_prime_convolution(s, r, n)
-    xy_rs = xy_sr = ab_rs = ab_sr = 0
-    for a, b, x, y in quadruples(n, "Bprime"):
-        xy_rs += x**r * y**s
-        xy_sr += x**s * y**r
-        ab_rs += a**r * b**s
-        ab_sr += a**s * b**r
-    vals = (conv_rs, conv_sr, xy_rs, xy_sr, ab_rs, ab_sr)
+    width = (r + s + 3) * n.bit_length()
+    moments: dict[tuple[int, ...], int] = {}
+    for i, key in enumerate(((0, 0, r, s), (0, 0, s, r), (r, s, 0, 0), (s, r, 0, 0))):
+        moments[key] = moments.get(key, 0) + (1 << width * i)
+    total = _moment_sums(moments, (n,), "Bprime")[0]
+    mask = (1 << width) - 1
+    vals = (conv_rs, conv_sr, *((total >> width * i) & mask for i in range(4)))
     return PreIdentityReport(r, s, n, *vals, all_equal=len(set(vals)) == 1)

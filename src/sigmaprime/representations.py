@@ -14,11 +14,11 @@ count_fast is the collapsed sum, Σ u**r v**s over the counter's set,
 which is exactly the convolution oracle brute_convolution; it walks no
 set.  count_raw scans each half split by split and multiplies per
 quadruple, independent of the collapsing step and of the oracle, so the
-two routes check each other; it reads the set from lattice.quadruples,
-the memo check_pre_identity reads too.  count_raw and verify_lm refuse
-raw work in the order count_raw states, each refusal before the work it
-guards.  The M estimate reads sigma(u**r) from u's factors, kept for the
-call like the split counts, so no u**r reaches arith's caches.
+two routes check each other; it lists each set by lattice.quadruples
+once per call.  count_raw and verify_lm refuse raw work in the order
+count_raw states, each refusal before the work it guards.  The M estimate
+and scan read sigma(u**r) and the divisors of u**r from u's factors, so
+no u**r reaches arith's caches.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from math import gcd, prod
 from typing import NamedTuple
 
-from .arith import divisors, factorize, sigma_convolution
+from .arith import factorize, sigma_convolution
 from .lattice import (
     SOLUTION_SETS,
     BudgetExceededError,
@@ -99,9 +99,9 @@ def count_raw(spec: CountSpec, budget: int = DEFAULT_BUDGET) -> int:
     multiplied per quadruple.  For L a half counts every split a + c = w
     with a >= 0, c >= 1; for M it ranges over the divisors e of w and
     counts the splits a + c = e with gcd(a, c) = 1, one gcd at a time.
-    Each distinct w is scanned once per call.  ``budget`` bounds the tuples
-    counted: a count over it raises BudgetExceededError rather than
-    grinding for hours.  Refusals come in this order, each before the work
+    The set and each distinct w are scanned once per call.  ``budget``
+    bounds the tuples counted: a count over it raises BudgetExceededError
+    rather than grinding for hours.  Refusals come in this order, each before the work
     it guards: the fast count (the number of tuples counted, when the two
     routes agree) over ``budget``; listing the set, by lattice.quadruples,
     over the enumerator's work limit, for n > 8503; then, for M alone, an
@@ -128,14 +128,17 @@ def _sigma_powers(r: int, bases: set[int], table: dict) -> dict[int, int]:
 def _raw_count(spec: CountSpec, fast: int, budget: int, splits: dict) -> int:
     # Every raw refusal is made here or by the listing, in count_raw's order;
     # (u, v) is the (a, b) of each quadruple of the set at spec.n.  splits
-    # maps (kind, w) to the splits of w, and ("sigma", r) to sigma(u**r) by u,
-    # and lives for one count_raw or verify_lm call.
+    # maps (kind, w) to the splits of w, ("sigma", r) to sigma(u**r) by u and
+    # (n, set) to the listed set, for one count_raw or verify_lm call.
     label = f"{spec.which}({spec.r},{spec.s};{spec.n})"
     if fast > budget:
         raise BudgetExceededError(
             f"raw enumeration of {label} needs at least {fast} tuple visits, budget is {budget}"
         )
-    quads = quadruples(spec.n, spec.solution_set)
+    listing = (spec.n, spec.solution_set)
+    if listing not in splits:
+        splits[listing] = quadruples(*listing)
+    quads = splits[listing]
     if spec.which in ("L", "Lprime"):
         kind = "L"
     else:
@@ -150,9 +153,10 @@ def _raw_count(spec: CountSpec, fast: int, budget: int, splits: dict) -> int:
             )
         kind = "M"
 
-    def half(w: int) -> int:
+    def half(u: int, r: int) -> int:
         # the splits of one half are independent of the other's, so a
-        # quadruple's tuples number half(u**r) * half(v**s)
+        # quadruple's tuples number half(u, r) * half(v, s)
+        w = u**r
         key = (kind, w)
         if key not in splits:
             count = 0
@@ -160,7 +164,10 @@ def _raw_count(spec: CountSpec, fast: int, budget: int, splits: dict) -> int:
                 for _a in range(w):  # c = w - a >= 1
                     count += 1
             else:
-                for e in divisors(w):
+                divs = [1]  # the divisors e of w, from the factors of u
+                for p, e in factorize(u):
+                    divs = [d * p**k for d in divs for k in range(r * e + 1)]
+                for e in divs:
                     for a in range(e):
                         if gcd(a, e - a) == 1:
                             count += 1
@@ -169,7 +176,7 @@ def _raw_count(spec: CountSpec, fast: int, budget: int, splits: dict) -> int:
 
     total = 0
     for u, v, _, _ in quads:
-        total += half(u**spec.r) * half(v**spec.s)
+        total += half(u, spec.r) * half(v, spec.s)
     return total
 
 
@@ -199,9 +206,9 @@ def verify_lm(r: int, s: int, lo: int, hi: int, budget: int = DEFAULT_BUDGET) ->
     convolution Σ sigma_r(m) sigma_s(n - m), and that Lprime equals
     Σ sigma_prime(r, s, m, n - m).  The fast values come from one oracle
     call per solution set over the whole range.  Raw counts follow
-    count_raw's budget rule and memo: a set is enumerated at n only when a
-    fast count over it fits and the memo does not hold it.  Every row and
-    both sets share one table of split counts, which lives for this call.
+    count_raw's budget rule: a set is listed at n only when a fast count
+    over it fits, once for its two counters, and dropped after the row.
+    The rows share one table of split counts, which lives for this call.
     """
     if lo < 2 or hi < lo:
         raise ValueError(f"need 2 <= lo <= hi, got {lo}..{hi}")
@@ -226,6 +233,8 @@ def verify_lm(r: int, s: int, lo: int, hi: int, budget: int = DEFAULT_BUDGET) ->
                 continue
             if raw[which] != fast[which]:
                 ok = False
+        for ss in SOLUTION_SETS:
+            splits.pop((n, ss), None)
         conv_plain = sigma_convolution(r, s, n)
         conv_coprime = _sigma_prime_convolution(r, s, n)
         if fast["L"] != conv_plain or fast["Lprime"] != conv_coprime:

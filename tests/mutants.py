@@ -44,6 +44,12 @@ MUTANTS = [
     (_LATTICE, "            memo = _product_memo(terms, top)",
      "            memo = [None] * (top + 1)",
      "test_moment_sums_takes_the_route_the_rule_picks"),
+    # the pre-identity's four sums from one call of the core
+    (_LATTICE, "    width = (r + s + 3) * n.bit_length()", "    width = (r + s + 1) * n.bit_length()",
+     "test_pre_identity_matches_the_literal_sums"),
+    (_LATTICE, "        moments[key] = moments.get(key, 0) + (1 << width * i)",
+     "        moments[key] = 1 << width * i",
+     "test_pre_identity_matches_the_literal_sums"),
     # the CLI's table parser, document writer and size check
     (_CLI, _TABLE_PARSE_DASH, '                " " not in value or value[:2] == "--"',
      "test_table_parse_is_argparse_where_it_answers"),
@@ -99,8 +105,12 @@ MUTANTS = [
      "test_methods_agree_on_a_grid"),
     (_POWERSUMS, "b = max([0, *(-power for _, power, _ in terms)])", "b = 0",
      "test_evaluate_keeps_negative_powers_exact"),
-    # the validating records and the raw count's M estimate
+    # the validating records, the raw count's listing, M estimate and M scan
     (_REPRESENTATIONS, "        if r < 1 or s < 1:", "        if r < 1:", "test_count_spec_refuses"),
     (_REPRESENTATIONS, "(p ** (r * e + 1) - 1) // (p - 1)", "(p ** (r * e) - 1) // (p - 1)",
      "test_sigma_of_a_power_from_the_factors_of_its_base"),
+    (_REPRESENTATIONS, "    listing = (spec.n, spec.solution_set)", "    listing = (spec.n, spec.which)",
+     "test_verify_lm_enumerates_each_set_once_per_n"),
+    (_REPRESENTATIONS, "for k in range(r * e + 1)]", "for k in range(e + 1)]",
+     "test_raw_matches_nested_tuple_loop"),
 ]

@@ -44,7 +44,7 @@ def test_one_patch_of_the_limit_moves_every_bound(monkeypatch):
         ),
         (
             lambda: check_pre_identity(1, 1, 12),
-            "the pre-identity at (1, 1, 12) needs about 1152 units of work",
+            "the pre-identity at (1, 1, 12) needs about 3144 units of work",
         ),
         (lambda: quadruples(12, "B"), "listing B(12) needs about 1152 units of work"),
     ]

@@ -485,46 +485,6 @@ def test_pre_identity_examples():
     assert report.values() == (1, 1, 1, 1, 1, 1)
 
 
-def _memo_sizes():
-    return {key: len(quads) for key, quads in lattice._quadruple_memo.items()}
-
-
-def test_quadruples_memo_is_bounded(monkeypatch):
-    # the bound must hold the full pre-identity grid, 2 <= n <= 60
-    grid = sum(len(quadruples(n, "Bprime")) for n in range(2, 61))
-    assert grid <= lattice._QUADRUPLE_MEMO_LIMIT
-    lattice._quadruple_memo.clear()
-    for n in range(2, 61):
-        quadruples(n, "Bprime")
-    held = _memo_sizes()
-    assert len(held) == 59 and sum(held.values()) == grid
-
-    def enumerated(*args):
-        raise AssertionError("a kept set was enumerated again")
-
-    # every revisit of the grid hits
-    monkeypatch.setattr(lattice, "enumerate_quadruples", enumerated)
-    for n in range(2, 61):
-        quadruples(n, "Bprime")
-    assert _memo_sizes() == held
-
-
-def test_quadruples_memo_keeps_no_large_set(monkeypatch):
-    # with room for 100 quadruples, a set of more is returned but not kept,
-    # and sets that fit push out the least recently used
-    monkeypatch.setattr(lattice, "_QUADRUPLE_MEMO_LIMIT", 100)
-    lattice._quadruple_memo.clear()
-    small = {n: len(quadruples(n, "B")) for n in (6, 7, 8)}
-    assert _memo_sizes() == {(n, "B"): size for n, size in small.items()}
-    for n in (20, 21):
-        assert len(quadruples(n, "B")) > 100
-    assert _memo_sizes() == {(n, "B"): size for n, size in small.items()}
-    quadruples(6, "B")  # now the most recently used
-    # |B(6)|, |B(7)|, |B(8)| and |B(10)| are 20, 28, 37 and 58
-    quadruples(10, "B")
-    assert _memo_sizes() == {(6, "B"): 20, (10, "B"): 58}
-
-
 def test_quadruple_bound_holds_over_the_admitted_range(monkeypatch):
     # quadruples admits n <= 8503; over B(n) at r = s = 0 the oracle gives
     # |B(n)| = Σ_{0<m<n} d(m) d(n - m), so the limit is raised to let it run
@@ -557,18 +517,46 @@ def test_quadruples_refuse_over_budget_before_enumerating(monkeypatch):
 
 
 def test_pre_identity_refuses_over_budget_before_its_sums(monkeypatch):
-    monkeypatch.setattr(lattice, "enumerate_quadruples", _enumerated)
+    monkeypatch.setattr(lattice, "_moment_sums", _enumerated)
     monkeypatch.setattr(lattice, "_sigma_prime_convolution", _enumerated)
     with pytest.raises(BudgetExceededError) as info:
-        check_pre_identity(1, 1, 8504)
+        check_pre_identity(1, 1, 38168)
     assert str(info.value) == (
-        "the pre-identity at (1, 1, 8504) needs about 10000704 units of work, the limit is 10000000"
+        "the pre-identity at (1, 1, 38168) needs about 10000016 units of work, the limit is 10000000"
     )
-    # powers of 37 * 14 = 518 bits, over 512, count twice
-    with pytest.raises(BudgetExceededError, match="about 19999056 units"):
-        check_pre_identity(37, 0, 8503)
+    # slots of (29 + 3) * 16 = 512 bits, at 512, count twice
+    with pytest.raises(BudgetExceededError, match="about 19999508 units"):
+        check_pre_identity(29, 0, 38167)
     with pytest.raises(AssertionError, match="enumerated"):
-        check_pre_identity(36, 0, 8503)
+        check_pre_identity(28, 0, 38167)
+
+
+def test_pre_identity_matches_the_literal_sums():
+    # the four quadruple sums, from the core in one call, against a literal
+    # walk of B'(n): every r, s <= 5, r = s included, so swapped or merged
+    # slots show, and one larger n
+    def literal(r, s, quads):
+        return (
+            sum(x**r * y**s for _, _, x, y in quads),
+            sum(x**s * y**r for _, _, x, y in quads),
+            sum(a**r * b**s for a, b, _, _ in quads),
+            sum(a**s * b**r for a, b, _, _ in quads),
+        )
+
+    def listed(n):
+        quads = []
+        enumerate_quadruples(n, "Bprime", lambda *quad: quads.append(quad))
+        return quads
+
+    for n in range(2, 61):
+        quads = listed(n)
+        for r in range(6):
+            for s in range(6):
+                report = check_pre_identity(r, s, n)
+                assert report.values()[2:] == literal(r, s, quads), (r, s, n)
+                assert report.all_equal, (r, s, n)
+    report = check_pre_identity(1, 3, 2000)
+    assert report.values()[2:] == literal(1, 3, listed(2000)) and report.all_equal
 
 
 def test_pre_identity_small_grid():

@@ -149,8 +149,7 @@ def test_counting_does_not_enumerate(monkeypatch):
     assert [count_fast(spec) for spec in specs] == expected
 
     # an enumerator that visits nothing: the raw route sees empty sets, while
-    # the fast column must not notice; the memo still holds the real B(2) and
-    # B'(2) from the first pass, so it is emptied first
+    # the fast column must not notice
     calls = []
 
     def empty(n, which, visit=None):
@@ -158,7 +157,6 @@ def test_counting_does_not_enumerate(monkeypatch):
         return 0
 
     monkeypatch.setattr(lattice, "enumerate_quadruples", empty)
-    lattice._quadruple_memo.clear()
     report = verify_lm(2, 1, 2, 12, budget=1)
     assert [row.fast for row in report.rows] == [row.fast for row in expected_lm.rows]
     # only at n = 2 is a fast count (1) within the budget
@@ -249,16 +247,17 @@ def test_count_raw_refuses_to_list_past_the_limit(monkeypatch):
     assert row.skipped == COUNTERS and row.ok
 
 
-def test_pre_identity_reads_the_sets_the_counters_listed(monkeypatch):
-    # one memo serves both literal routes: B'(9), listed for Mprime, is not
-    # enumerated again by the pre-identity
-    assert count_raw(CountSpec("Mprime", 2, 1, 9)) == count_fast(CountSpec("Mprime", 2, 1, 9))
-
+def test_pre_identity_lists_no_set(monkeypatch):
+    # the four quadruple sums come from the moment core: no set is listed,
+    # streamed or split into divisors
     def refuse(*args):
-        raise AssertionError("enumerate_quadruples was called")
+        raise AssertionError("a solution set was enumerated")
 
-    monkeypatch.setattr(lattice, "enumerate_quadruples", refuse)
-    assert check_pre_identity(2, 1, 9).all_equal
+    for name in ("enumerate_quadruples", "quadruples", "divisors"):
+        monkeypatch.setattr(lattice, name, refuse)
+    monkeypatch.setattr(arith, "divisors", refuse)
+    for r, s, n in ((2, 1, 9), (3, 3, 40), (0, 0, 60)):
+        assert check_pre_identity(r, s, n).all_equal
 
 
 def test_verify_lm_enumerates_each_set_once_per_n(monkeypatch):
@@ -270,15 +269,14 @@ def test_verify_lm_enumerates_each_set_once_per_n(monkeypatch):
         return enumerate_quadruples(n, which, visit)
 
     monkeypatch.setattr(lattice, "enumerate_quadruples", counted)
-    # the first pass left every set in the memo; emptied, each is listed again
-    lattice._quadruple_memo.clear()
+    # L and M share B(n), Lprime and Mprime B'(n): one listing each per n
     assert verify_lm(2, 1, 2, 12) == expected
     assert calls == [(n, which) for n in range(2, 13) for which in ("B", "Bprime")]
-    # a pass that finds the sets held enumerates none
+    # nothing outlives the call: a second pass lists every set again
     calls.clear()
     assert verify_lm(2, 1, 2, 12) == expected
-    assert calls == []
-    lattice._quadruple_memo.clear()
+    assert calls == [(n, which) for n in range(2, 13) for which in ("B", "Bprime")]
+    calls.clear()
     assert verify_lm(2, 1, 2, 12, budget=1).skipped_any
     # a set is enumerated only where its fast count fits: at n = 2 it is 1
     assert calls == [(2, "B"), (2, "Bprime")]
@@ -325,7 +323,6 @@ def test_verify_lm_budget_refusals(monkeypatch):
         raise AssertionError("enumerate_quadruples was called")
 
     monkeypatch.setattr(lattice, "enumerate_quadruples", refuse)
-    lattice._quadruple_memo.clear()
     for r in (1, 2, 3):
         for s in (1, 2, 3):
             report = verify_lm(r, s, 3, 60, budget=1)
@@ -353,6 +350,33 @@ def test_sigma_of_a_power_from_the_factors_of_its_base():
         assert representations._sigma_powers(r, set(range(50, 200)), table) is sigmas
         assert sigmas == {u: sigma_k(1, u**r) for u in range(1, 200)}, r
     assert list(table) == [("sigma", r) for r in range(1, 7)]
+
+
+def test_raw_counts_leave_no_power_in_arith_caches(monkeypatch):
+    # the M scan lists the divisors of u**r from the factors of u, so every
+    # key count_raw and verify_lm pass to arith's divisors and factorize
+    # caches is below n, on runs whose M scans all go through
+    seen = []
+
+    def record(fn):
+        def recorded(m):
+            seen.append(m)
+            return fn(m)
+
+        return recorded
+
+    for module in (arith, lattice, representations):
+        for name in ("divisors", "factorize"):
+            monkeypatch.setattr(module, name, record(getattr(arith, name)), raising=False)
+    for which in COUNTERS:
+        assert count_raw(CountSpec(which, 3, 3, 12), budget=10**7) == count_fast(
+            CountSpec(which, 3, 3, 12)
+        )
+        assert seen and max(seen) < 12, which
+        seen.clear()
+    report = verify_lm(3, 2, 2, 14, budget=10**7)
+    assert report.all_pass and not report.skipped_any
+    assert seen and max(seen) < 14
 
 
 def test_raw_m_estimate_passes_no_power_to_arith(monkeypatch):
