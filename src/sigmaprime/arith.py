@@ -182,10 +182,13 @@ def sigma_k(k: int, n: int) -> int:
         return 0
     total = 1
     for p, e in factorize(n):
-        if k == 0:
-            total *= e + 1
-        else:
-            total *= (p ** (k * (e + 1)) - 1) // (p**k - 1)
+        # 1 + p**k + ... + p**(ke) by Horner's rule: a long division is quadratic at large k
+        pk = p**k
+        local = pk + 1
+        while e > 1:
+            local = local * pk + 1
+            e -= 1
+        total *= local
     return total
 
 

@@ -12,11 +12,15 @@ _IDENTITIES = "src/sigmaprime/identities.py"
 _PATTERNFIT = "src/sigmaprime/patternfit.py"
 _POWERSUMS = "src/sigmaprime/powersums.py"
 _REPRESENTATIONS = "src/sigmaprime/representations.py"
+_ARITH = "src/sigmaprime/arith.py"
 
 _TABLE_PARSE_DASH = '                " " not in value or value[:2] in ("-h", "--")'
 _SIEVE_DOWN = "    for p in range(isqrt(top - 1), 1, -1):"
 
 MUTANTS = [
+    # sigma_k of a prime power by Horner's rule
+    (_ARITH, "            local = local * pk + 1", "            local = local * pk",
+     "test_sigma_k_oracle"),
     # the least-prime table and the g tables of the moment core
     (_LATTICE, _SIEVE_DOWN, "    for p in range(2, isqrt(top - 1) + 1):",
      "test_factor_table_matches_factorize"),
@@ -44,12 +48,11 @@ MUTANTS = [
     (_LATTICE, "            memo = _product_memo(terms, top)",
      "            memo = [None] * (top + 1)",
      "test_moment_sums_takes_the_route_the_rule_picks"),
-    # the pre-identity's four sums from one call of the core
-    (_LATTICE, "    width = (r + s + 3) * n.bit_length()", "    width = (r + s + 1) * n.bit_length()",
-     "test_pre_identity_matches_the_literal_sums"),
-    (_LATTICE, "        moments[key] = moments.get(key, 0) + (1 << width * i)",
-     "        moments[key] = 1 << width * i",
-     "test_pre_identity_matches_the_literal_sums"),
+    # the pre-identity's one comparison and its gate
+    (_LATTICE, "all_equal=conv == moment", "all_equal=True",
+     "test_pre_identity_compares_its_two_routes"),
+    (_LATTICE, "rows=_SIGMA_PRIME_TERM_COST * n", "rows=n",
+     "test_pre_identity_refuses_over_budget_before_its_sums"),
     # the CLI's table parser, document writer and size check
     (_CLI, _TABLE_PARSE_DASH, '                " " not in value or value[:2] == "--"',
      "test_table_parse_is_argparse_where_it_answers"),

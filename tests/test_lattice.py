@@ -524,11 +524,33 @@ def test_pre_identity_refuses_over_budget_before_its_sums(monkeypatch):
     assert str(info.value) == (
         "the pre-identity at (1, 1, 38168) needs about 10000016 units of work, the limit is 10000000"
     )
-    # slots of (29 + 3) * 16 = 512 bits, at 512, count twice
+    # a moment of degree 32 over 16-bit n, 512 bits, counts twice
     with pytest.raises(BudgetExceededError, match="about 19999508 units"):
-        check_pre_identity(29, 0, 38167)
+        check_pre_identity(32, 0, 38167)
     with pytest.raises(AssertionError, match="enumerated"):
-        check_pre_identity(28, 0, 38167)
+        check_pre_identity(31, 0, 38167)
+
+
+def test_pre_identity_refuses_negative_exponents_before_its_gate(monkeypatch):
+    # before the gate, which would read a negative r + s as a degree
+    monkeypatch.setattr(lattice, "_moment_sums", _enumerated)
+    monkeypatch.setattr(lattice, "_sigma_prime_convolution", _enumerated)
+    for r, s, n in ((-30, 0, 10**6), (-1, 0, 10**9), (-1, 0, 5), (0, -1, 5)):
+        with pytest.raises(ValueError) as info:
+            check_pre_identity(r, s, n)
+        assert str(info.value) == f"check_pre_identity requires r, s >= 0, got ({r}, {s})"
+
+
+def test_pre_identity_compares_its_two_routes(monkeypatch):
+    convolution = lattice._sigma_prime_convolution
+
+    def off_by_one(r, s, n):
+        return convolution(r, s, n) + 1
+
+    monkeypatch.setattr(lattice, "_sigma_prime_convolution", off_by_one)
+    report = check_pre_identity(1, 3, 10)
+    assert not report.all_equal
+    assert report.conv_rs == report.xy_rs + 1
 
 
 def test_pre_identity_matches_the_literal_sums():
