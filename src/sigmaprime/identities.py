@@ -7,8 +7,10 @@ verification against the enumeration oracle, and the two classical
 convolution checks (besge_check, glaisher_check).
 The identity's left side pairs its six terms into binomial sums of
 quadruple moments, which lattice's moment core sums without walking the
-set; its right side is f at six literal rows per totative or divisor pair,
-summed as they are generated.  Nothing is listed or kept.
+set; its right side is, per monomial of f, at most six power sums
+Σ tᵘ(N − t)ᵛ over the totatives of N = n or over 0 < t < N = d for each
+divisor d of n, each (u, v) taken once per N in C-level maps.  Nothing is
+kept between calls.
 
 A test function f(a, b, x, y) qualifies for the identities when it
 satisfies, as a polynomial identity,
@@ -23,7 +25,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import repeat
 from math import comb, gcd
+from operator import mul
 from random import Random
 from typing import NamedTuple
 
@@ -225,11 +229,53 @@ def _identity_work(f: Poly4, n: int, which: str) -> int:
     moment core's estimate, weighted by deg(f), for at most (j+1)(k+1) +
     (i+1)(l+1) moments per monomial a^i b^j x^k y^l, plus one product per
     monomial for each right-side row, at most 6n over B'(n) and 6 sigma(n) <
-    6n bits(n) over B(n)."""
+    6n bits(n) over B(n).  The right side takes each monomial's rows as at
+    most six power sums per divisor d, each of d - 1 products at most, so that
+    term still bounds it."""
     degree = max(map(sum, f._terms), default=0)
     moments = sum((j + 1) * (k + 1) + (i + 1) * (l + 1) for i, j, k, l in f._terms)
     rows = 6 * n * len(f._terms) * (n.bit_length() if which == "B" else 1)
     return _moment_work(degree, (n,), moments, rows)
+
+
+def _power_sum(pts, rest, u: int, v: int) -> int:
+    """Σ x^u r^v over the pairs (x, r) of pts and rest, in C-level maps."""
+    return sum(map(mul, map(pow, pts, repeat(u)), map(pow, rest, repeat(v))))
+
+
+def _right_side(f: Poly4, d: int, e: int, pts) -> int:
+    """Σ over x in pts of the six rows
+    f(0,e,x,d) + f(e,0,d,x) + f(e,e,d-x,-x) - f(x,x-d,e,e) - f(x,d,0,e) - f(d,x,e,0),
+    for pts closed under x -> d - x.
+
+    With M(u, v) = Σ x^u (d-x)^v over pts, a monomial c a^i b^j x^k y^l gives
+    the rows c times e^j d^l M(k, 0) if i = 0, e^i d^k M(l, 0) if j = 0,
+    e^(i+j) (-1)^l M(l, k), -e^(k+l) (-1)^j M(i, j), -d^j e^l M(i, 0) if
+    k = 0 and -d^i e^k M(j, 0) if l = 0.  pts's symmetry makes M(u, v) =
+    M(v, u), and a memo local to the call takes each pair's sum once.
+    """
+    rest = [d - x for x in pts]
+    memo: dict[tuple[int, int], int] = {}
+
+    def m(u: int, v: int) -> int:
+        key = (u, v) if u >= v else (v, u)
+        if key not in memo:
+            memo[key] = _power_sum(pts, rest, *key)
+        return memo[key]
+
+    total = 0
+    for (i, j, k, l), c in f._terms.items():
+        row = (-1) ** l * e ** (i + j) * m(l, k) - (-1) ** j * e ** (k + l) * m(i, j)
+        if not i:
+            row += e**j * d**l * m(k, 0)
+        if not j:
+            row += e**i * d**k * m(l, 0)
+        if not k:
+            row -= d**j * e**l * m(i, 0)
+        if not l:
+            row -= d**i * e**k * m(j, 0)
+        total += c * row
+    return total
 
 
 def main_identity_sides(f: Poly4, n: int, which: str = "Bprime") -> tuple[int, int]:
@@ -243,13 +289,16 @@ def main_identity_sides(f: Poly4, n: int, which: str = "Bprime") -> tuple[int, i
 
     It is linear in f and the substitutions are linear, so it is a sum of
     moments Σ a**i b**j x**k y**l over the set, taken from lattice's moment
-    core.  The right side is f at six literal rows, summed over the
-    totatives t of n for B'(n) and over de = n, 0 < x < d for B(n):
+    core.  The right side is f at six rows, summed over the totatives t of n
+    for B'(n) and over de = n, 0 < x < d for B(n):
 
         f(1,0,n,t) + f(0,1,t,n) + f(1,1,n-t,-t) - f(n,t,1,0) - f(t,n,0,1) - f(n-t,-t,1,1),
         f(0,e,x,d) + f(e,0,d,x) + f(e,e,d-x,-x) - f(x,x-d,e,e) - f(x,d,0,e) - f(d,x,e,0).
 
-    Nothing is enumerated, listed or kept.  Raises ValueError if f fails the symmetry hypothesis or n < 2,
+    The first is the second at (d, e) = (n, 1) with x over the totatives, up
+    to t -> n - t, so _right_side sums both, each monomial's rows as power
+    sums Σ x^u (d-x)^v taken once per d.  Nothing is enumerated or kept
+    between calls.  Raises ValueError if f fails the symmetry hypothesis or n < 2,
     and BudgetExceededError, before anything is allocated, if
     _identity_work is above the work limit.
     """
@@ -261,19 +310,9 @@ def main_identity_sides(f: Poly4, n: int, which: str = "Bprime") -> tuple[int, i
     arith._check_work(work, "identity sides at n = {n} need about {work} units of work", n=n)
     lhs = _moment_sums(_left_moments(f), (n,), which)[0]
     if which == "Bprime":
-        rhs = sum(
-            f(1, 0, n, t) + f(0, 1, t, n) + f(1, 1, n - t, -t)
-            - f(n, t, 1, 0) - f(t, n, 0, 1) - f(n - t, -t, 1, 1)
-            for t in range(1, n)
-            if gcd(t, n) == 1
-        )
+        rhs = _right_side(f, n, 1, [t for t in range(1, n) if gcd(t, n) == 1])
     else:
-        rhs = sum(
-            f(0, e, x, d) + f(e, 0, d, x) + f(e, e, d - x, -x)
-            - f(x, x - d, e, e) - f(x, d, 0, e) - f(d, x, e, 0)
-            for d, e in ((d, n // d) for d in divisors(n))
-            for x in range(1, d)
-        )
+        rhs = sum(_right_side(f, d, n // d, range(1, d)) for d in divisors(n))
     return lhs, rhs
 
 

@@ -79,6 +79,23 @@ MUTANTS = [
      "test_poly_rejects_non_integer_terms"),
     (_IDENTITIES, "type(e) is int and e >= 0", "isinstance(e, int) and e >= 0",
      "test_poly_rejects_non_integer_terms"),
+    # the right side's power sums
+    (_IDENTITIES, "row = (-1) ** l * e ** (i + j) * m(l, k)", "row = e ** (i + j) * m(l, k)",
+     "test_right_side_matches_the_literal_rows_at_large_n"),
+    (_IDENTITIES, "- (-1) ** j * e ** (k + l) * m(i, j)", "- (-1) ** j * e ** (i + j) * m(i, j)",
+     "test_right_side_matches_the_literal_rows_at_large_n"),
+    (_IDENTITIES, "        if not k:\n", "        if True:\n",
+     "test_right_side_matches_the_literal_rows_at_large_n"),
+    (_IDENTITIES, "    rest = [d - x for x in pts]", "    rest = [d + x for x in pts]",
+     "test_right_side_matches_the_literal_rows_at_large_n"),
+    (_IDENTITIES, "map(pow, rest, repeat(v))", "map(pow, rest, repeat(u))",
+     "test_right_side_matches_the_literal_rows_at_large_n"),
+    (_IDENTITIES, "_right_side(f, d, n // d, range(1, d))", "_right_side(f, d, n // d, range(1, d + 1))",
+     "test_right_side_matches_the_literal_rows_at_large_n"),
+    (_IDENTITIES, "for d in divisors(n))", "for d in divisors(n)[:-1])",
+     "test_right_side_matches_the_literal_rows_at_large_n"),
+    (_IDENTITIES, "[t for t in range(1, n) if gcd(t, n) == 1]", "list(range(1, n))",
+     "test_right_side_matches_the_literal_rows_at_large_n"),
     # the exact fitter and its gates
     (_PATTERNFIT, "                g = gcd(*row) or 1", "                g = gcd(*row)",
      "test_fit_recovers_every_stored_theorem"),

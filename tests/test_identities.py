@@ -51,6 +51,13 @@ def six_term_oracle(f, n, which):
             + f(b - a, b, x, x + y)
             - f(a + b, b, x, x - y)
         )
+    return lhs, six_row_oracle(f, n, which)
+
+
+def six_row_oracle(f, n, which):
+    """The identity's right side by calling f at its six literal rows per
+    totative of n (B') or per de = n, 0 < x < d (B); it lists no quadruple,
+    so it stays cheap at large n."""
     rhs = 0
     if which == "Bprime":
         for t in range(1, n):
@@ -76,7 +83,7 @@ def six_term_oracle(f, n, which):
                     - f(x, d, 0, nd)
                     - f(d, x, nd, 0)
                 )
-    return lhs, rhs
+    return rhs
 
 
 def test_parser_round_trip():
@@ -242,6 +249,54 @@ def test_main_identity_sides_match_per_quadruple_oracle(which):
             assert main_identity_sides(f, n, which) == expected, (f.to_text(), n, "warm")
 
 
+# polynomials with a and b exponents, each qualified on its own or by its swap
+_FRONT_POLYS = tuple(
+    Poly4.from_text(text)
+    for text in (
+        "1a^4",
+        "1a^2b^2x^2y^4 - 5a^1b^1",
+        "3a^3b^1x^1y^1 + 3a^1b^1x^3y^1",
+        "2a^5x^1y^2 + 2a^1b^2x^5 - 7b^2y^2",
+    )
+)
+
+
+@pytest.mark.parametrize("which", SOLUTION_SETS)
+def test_right_side_matches_the_literal_rows_at_large_n(which):
+    rng = random.Random(3301)
+    family = [*PROOF_POLYNOMIALS, *_FRONT_POLYS, *(random_symmetric_poly(rng) for _ in range(8))]
+    for f in family:
+        assert symmetry_holds(f), f.to_text()
+        for n in (97, 210, 360, 997, 1000):
+            assert main_identity_sides(f, n, which)[1] == six_row_oracle(f, n, which), (f.to_text(), n)
+    for text in ("1x^190", "1x^100y^90"):
+        f = Poly4.from_text(text)
+        assert main_identity_sides(f, 200, which)[1] == six_row_oracle(f, 200, which), text
+
+
+def test_right_side_sums_stay_within_the_rows_term(monkeypatch):
+    # each monomial's rows are at most six power sums of at most n terms over
+    # B'(n), and of fewer than n bits(n) terms over B(n) as sigma(n) < n bits(n)
+    terms = []
+    power_sum = identities._power_sum
+
+    def counting(pts, rest, u, v):
+        terms.append(len(pts))
+        return power_sum(pts, rest, u, v)
+
+    monkeypatch.setattr(identities, "_power_sum", counting)
+    rng = random.Random(4409)
+    family = [*PROOF_POLYNOMIALS, *_FRONT_POLYS, *(random_symmetric_poly(rng) for _ in range(12))]
+    for f in family:
+        for which in SOLUTION_SETS:
+            for n in (2, 12, 97, 360, 1000):
+                terms.clear()
+                main_identity_sides(f, n, which)
+                bound = 6 * n * len(f.monomials) * (n.bit_length() if which == "B" else 1)
+                assert sum(terms) <= bound, (f.to_text(), n, which)
+                assert len(terms) <= 6 * len(f.monomials) * (len(divisors(n)) if which == "B" else 1)
+
+
 def test_swap_symmetric_polynomials_have_zero_sides():
     # f = f(x, y, a, b) adds nothing to either side: its left moments cancel
     # under the sets' (x, y, a, b) symmetry and the right side's rows pair off
@@ -314,18 +369,24 @@ def test_main_identity_enumerates_nothing(monkeypatch):
 
 def test_main_identity_large_n_is_small_in_memory():
     # B(2000) with the t111 proof polynomial: a table of the left side's
-    # argument rows, one per quadruple, would take about 100 MB; at B(20833),
-    # the largest admitted n for 1x^2y^2, a list of the right side's rows
-    # would take about 12 MB
-    for f, n, limit in ((PROOF_POLYNOMIALS[6], 2000, 16), (Poly4.from_text("1x^2y^2"), 20833, 4)):
+    # argument rows, one per quadruple, would take about 100 MB; at B(20833)
+    # and B'(25252), the largest admitted n for 1x^2y^2, the right side holds
+    # one list of the points and one of their complements d - x, at most a
+    # few hundred kB
+    edge = Poly4.from_text("1x^2y^2")
+    for f, n, which, limit in (
+        (PROOF_POLYNOMIALS[6], 2000, "B", 16),
+        (edge, 20833, "B", 4),
+        (edge, 25252, "Bprime", 4),
+    ):
         tracemalloc.start()
         try:
-            lhs, rhs = main_identity_sides(f, n, "B")
+            lhs, rhs = main_identity_sides(f, n, which)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert lhs == rhs
-        assert peak < limit * 2**20, (f.to_text(), n, peak)
+        assert peak < limit * 2**20, (f.to_text(), n, which, peak)
 
 
 def test_main_identity_ceiling_refuses_before_enumerating(monkeypatch):
