@@ -22,10 +22,10 @@ from .identities import (
     PROOF_POLYNOMIALS,
     THEOREM_RS,
     TheoremId,
+    _sides_over,
     besge_check,
     eval_theorem,
     glaisher_check,
-    main_identity_sides,
     random_symmetric_poly,
     verify_theorem,
 )
@@ -113,10 +113,11 @@ def _c03_t13_erratum(hi_printed: int, hi_corrected: int) -> tuple[bool, str]:
 def _c06_main_identity(hi_coprime: int, hi_plain: int, n_random: int) -> tuple[bool, str]:
     rng = Random(20250819)
     family = list(PROOF_POLYNOMIALS) + [random_symmetric_poly(rng) for _ in range(n_random)]
-    for which, hi in (("Bprime", hi_coprime), ("B", hi_plain)):
-        for n in range(2, hi + 1):
-            for idx, f in enumerate(family):
-                lhs, rhs = main_identity_sides(f, n, which)
+    # f outermost, so each (f, set) takes its whole range from one _sides_over call
+    for idx, f in enumerate(family):
+        for which, hi in (("Bprime", hi_coprime), ("B", hi_plain)):
+            ns = range(2, hi + 1)
+            for n, (lhs, rhs) in zip(ns, _sides_over(f, ns, which)):
                 if lhs != rhs:
                     return (
                         False,

@@ -7,7 +7,10 @@ verification against the enumeration oracle, and the two classical
 convolution checks (besge_check, glaisher_check).
 The identity's left side pairs its six terms into binomial sums of
 quadruple moments, which lattice's moment core sums without walking the
-set; its right side is, per monomial of f, at most six power sums
+set.  It depends on f alone, so it is expanded once per call, from
+binomial rows built by Pascal's recurrence and only at the terms whose
+sign factor is nonzero, and a range of n shares that expansion and one
+sieve.  The right side is, per monomial of f, at most six power sums
 Σ tᵘ(N − t)ᵛ over the totatives of N = n or over 0 < t < N = d for each
 divisor d of n, each (u, v) taken once per N in C-level maps.  Nothing is
 kept between calls.
@@ -26,10 +29,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import repeat
-from math import comb, gcd
+from math import gcd
 from operator import mul
 from random import Random
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from . import arith
 from .arith import divisors, sigma_convolution, sigma_k
@@ -194,6 +197,14 @@ def symmetry_holds(f: Poly4) -> bool:
     )
 
 
+def _pascal_row(k: int) -> list[int]:
+    """[C(k, 0), ..., C(k, k)] by the recurrence C(k, q+1) = C(k, q)(k-q)/(q+1)."""
+    row = [1]
+    for q in range(k):
+        row.append(row[q] * (k - q) // (q + 1))
+    return row
+
+
 def _left_moments(f: Poly4) -> dict[tuple[int, int, int, int], int]:
     """The left side as {(i, j, k, l): c}, Σ c M(i, j, k, l; n) for the moments M.
 
@@ -202,25 +213,33 @@ def _left_moments(f: Poly4) -> dict[tuple[int, int, int, int], int]:
     f(a,a-b,x+y,y) - f(a,a+b,y-x,y) makes (i+p, j-p, q, l+k-q) with
     c C(j,p) C(k,q) ((-1)^(j-p) - (-1)^q); and f(b-a,b,x,x+y) - f(a+b,b,x,x-y)
     makes (p, i-p+j, k+q, l-q) with c C(i,p) C(l,q) ((-1)^p - (-1)^(l-q)).
-    The sets are closed under (a, b, x, y) -> (b, a, y, x) and -> (x, y, a, b),
-    so a moment is kept under the least of its four images; moments that
-    cancel are dropped.
+    A sign factor is ±2 where its two exponents differ in parity and 0
+    elsewhere, so q steps by 2 from the parity that makes it nonzero.  Each
+    binomial row is built once per call from the Pascal recurrence.  The sets
+    are closed under (a, b, x, y) -> (b, a, y, x) and -> (x, y, a, b), so each
+    distinct key is then reduced once to the least of its four images;
+    moments that cancel are dropped.
     """
-    moments: dict[tuple[int, int, int, int], int] = {}
+    rows = {e: _pascal_row(e) for e in {e for expo in f._terms for e in expo}}
+    raw: dict[tuple[int, int, int, int], int] = {}
     for (i, j, k, l), c in f._terms.items():
-        paired = [((i, j, k, l), (-1) ** l - (-1) ** j)]
-        paired += (
-            ((i + p, j - p, q, l + k - q), comb(j, p) * comb(k, q) * ((-1) ** (j - p) - (-1) ** q))
-            for p in range(j + 1) for q in range(k + 1)
-        )
-        paired += (
-            ((p, i - p + j, k + q, l - q), comb(i, p) * comb(l, q) * ((-1) ** p - (-1) ** (l - q)))
-            for p in range(i + 1) for q in range(l + 1)
-        )
-        for (a, b, x, y), weight in paired:
-            if weight:
-                key = min((a, b, x, y), (b, a, y, x), (x, y, a, b), (y, x, b, a))
-                moments[key] = moments.get(key, 0) + c * weight
+        if (j - l) % 2:
+            raw[i, j, k, l] = raw.get((i, j, k, l), 0) + (2 * c if l % 2 == 0 else -2 * c)
+        row_k, row_l = rows[k], rows[l]
+        for p, binom in enumerate(rows[j]):
+            weight = 2 * c * binom if (j - p) % 2 == 0 else -2 * c * binom
+            for q in range((j - p + 1) % 2, k + 1, 2):
+                key = (i + p, j - p, q, l + k - q)
+                raw[key] = raw.get(key, 0) + weight * row_k[q]
+        for p, binom in enumerate(rows[i]):
+            weight = 2 * c * binom if p % 2 == 0 else -2 * c * binom
+            for q in range((l - p + 1) % 2, l + 1, 2):
+                key = (p, i - p + j, k + q, l - q)
+                raw[key] = raw.get(key, 0) + weight * row_l[q]
+    moments: dict[tuple[int, int, int, int], int] = {}
+    for (a, b, x, y), c in raw.items():
+        key = min((a, b, x, y), (b, a, y, x), (x, y, a, b), (y, x, b, a))
+        moments[key] = moments.get(key, 0) + c
     return {key: c for key, c in moments.items() if c}
 
 
@@ -278,6 +297,30 @@ def _right_side(f: Poly4, d: int, e: int, pts) -> int:
     return total
 
 
+def _sides_over(f: Poly4, ns: Sequence[int], which: str) -> list[tuple[int, int]]:
+    """main_identity_sides(f, n, which) for every n of the nonempty ns, in order.
+
+    f's symmetry and every n's gate are checked first, in the order and with
+    the messages of the one-n calls, so nothing is expanded or sieved for a
+    range with any n refused.  Then the left side is expanded once and one
+    moment-core call sums it for every n from one sieve; the right side is
+    summed per n.
+    """
+    if not symmetry_holds(f):
+        raise ValueError("polynomial does not satisfy the symmetry hypothesis")
+    for n in ns:
+        if n < 2:
+            raise ValueError(f"identity sides need n >= 2, got {n}")
+        work = _identity_work(f, n, which)
+        arith._check_work(work, "identity sides at n = {n} need about {work} units of work", n=n)
+    lhs = _moment_sums(_left_moments(f), ns, which)
+    if which == "Bprime":
+        rhs = [_right_side(f, n, 1, [t for t in range(1, n) if gcd(t, n) == 1]) for n in ns]
+    else:
+        rhs = [sum(_right_side(f, d, n // d, range(1, d)) for d in divisors(n)) for n in ns]
+    return list(zip(lhs, rhs))
+
+
 def main_identity_sides(f: Poly4, n: int, which: str = "Bprime") -> tuple[int, int]:
     """Evaluate both sides of the six-term identity for f at n; return (lhs, rhs).
 
@@ -288,32 +331,23 @@ def main_identity_sides(f: Poly4, n: int, which: str = "Bprime") -> tuple[int, i
         + f(b-a,b,x,x+y) - f(a+b,b,x,x-y).
 
     It is linear in f and the substitutions are linear, so it is a sum of
-    moments Σ a**i b**j x**k y**l over the set, taken from lattice's moment
-    core.  The right side is f at six rows, summed over the totatives t of n
-    for B'(n) and over de = n, 0 < x < d for B(n):
+    moments Σ a**i b**j x**k y**l over the set, expanded from f's monomials
+    with binomial rows built by Pascal's recurrence and taken from lattice's
+    moment core.  The right side is f at six rows, summed over the totatives
+    t of n for B'(n) and over de = n, 0 < x < d for B(n):
 
         f(1,0,n,t) + f(0,1,t,n) + f(1,1,n-t,-t) - f(n,t,1,0) - f(t,n,0,1) - f(n-t,-t,1,1),
         f(0,e,x,d) + f(e,0,d,x) + f(e,e,d-x,-x) - f(x,x-d,e,e) - f(x,d,0,e) - f(d,x,e,0).
 
     The first is the second at (d, e) = (n, 1) with x over the totatives, up
     to t -> n - t, so _right_side sums both, each monomial's rows as power
-    sums Σ x^u (d-x)^v taken once per d.  Nothing is enumerated or kept
-    between calls.  Raises ValueError if f fails the symmetry hypothesis or n < 2,
-    and BudgetExceededError, before anything is allocated, if
+    sums Σ x^u (d-x)^v taken once per d.  This is _sides_over at (n,): the
+    left side is expanded once per call, and nothing is enumerated or kept
+    between calls.  Raises ValueError if f fails the symmetry hypothesis or
+    n < 2, and BudgetExceededError, before anything is allocated, if
     _identity_work is above the work limit.
     """
-    if not symmetry_holds(f):
-        raise ValueError("polynomial does not satisfy the symmetry hypothesis")
-    if n < 2:
-        raise ValueError(f"identity sides need n >= 2, got {n}")
-    work = _identity_work(f, n, which)
-    arith._check_work(work, "identity sides at n = {n} need about {work} units of work", n=n)
-    lhs = _moment_sums(_left_moments(f), (n,), which)[0]
-    if which == "Bprime":
-        rhs = _right_side(f, n, 1, [t for t in range(1, n) if gcd(t, n) == 1])
-    else:
-        rhs = sum(_right_side(f, d, n // d, range(1, d)) for d in divisors(n))
-    return lhs, rhs
+    return _sides_over(f, (n,), which)[0]
 
 
 def random_symmetric_poly(

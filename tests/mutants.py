@@ -96,6 +96,31 @@ MUTANTS = [
      "test_right_side_matches_the_literal_rows_at_large_n"),
     (_IDENTITIES, "[t for t in range(1, n) if gcd(t, n) == 1]", "list(range(1, n))",
      "test_right_side_matches_the_literal_rows_at_large_n"),
+    # the left side's Pascal rows, parity steps, signs and key reduction
+    (_IDENTITIES, "        row.append(row[q] * (k - q) // (q + 1))",
+     "        row.append(row[q] * (k - q + 1) // (q + 1))",
+     "test_pascal_rows_match_comb"),
+    (_IDENTITIES, "for q in range((j - p + 1) % 2, k + 1, 2):", "for q in range((j - p) % 2, k + 1, 2):",
+     "test_left_moments_match_the_comb_oracle"),
+    (_IDENTITIES, "for q in range((l - p + 1) % 2, l + 1, 2):", "for q in range(0, l + 1, 2):",
+     "test_left_moments_match_the_comb_oracle"),
+    (_IDENTITIES, "(2 * c if l % 2 == 0 else -2 * c)", "(2 * c if l % 2 else -2 * c)",
+     "test_left_moments_match_the_comb_oracle"),
+    (_IDENTITIES, "weight = 2 * c * binom if (j - p) % 2 == 0 else -2 * c * binom",
+     "weight = 2 * c * binom",
+     "test_left_moments_match_the_comb_oracle"),
+    (_IDENTITIES, "weight = 2 * c * binom if p % 2 == 0 else -2 * c * binom",
+     "weight = 2 * c * binom if p % 2 else -2 * c * binom",
+     "test_left_moments_match_the_comb_oracle"),
+    (_IDENTITIES, "key = min((a, b, x, y), (b, a, y, x), (x, y, a, b), (y, x, b, a))",
+     "key = min((a, b, x, y), (b, a, y, x), (x, y, a, b))",
+     "test_left_moments_match_the_comb_oracle"),
+    (_IDENTITIES, "key = min((a, b, x, y), (b, a, y, x), (x, y, a, b), (y, x, b, a))",
+     "key = min((a, b, x, y), (x, y, a, b), (y, x, b, a))",
+     "test_left_moments_match_the_comb_oracle"),
+    # the range entry: every n's gate before any expansion
+    (_IDENTITIES, "work = _identity_work(f, n, which)", "work = _identity_work(f, ns[0], which)",
+     "test_sides_over_refuses_a_range_before_expanding"),
     # the exact fitter and its gates
     (_PATTERNFIT, "                g = gcd(*row) or 1", "                g = gcd(*row)",
      "test_fit_recovers_every_stored_theorem"),

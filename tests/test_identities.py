@@ -7,7 +7,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
@@ -84,6 +84,29 @@ def six_row_oracle(f, n, which):
                     - f(d, x, nd, 0)
                 )
     return rhs
+
+
+def comb_left_moments_oracle(f):
+    """The left side's moments {(i, j, k, l): c} by a fresh math.comb product
+    for every (p, q), zero sign factors included, each raw key reduced to the
+    least of its four images as it comes; the literal expansion that the
+    engine's Pascal rows and parity steps are checked against."""
+    moments = {}
+    for (i, j, k, l), c in f.monomials.items():
+        paired = [((i, j, k, l), (-1) ** l - (-1) ** j)]
+        paired += (
+            ((i + p, j - p, q, l + k - q), comb(j, p) * comb(k, q) * ((-1) ** (j - p) - (-1) ** q))
+            for p in range(j + 1) for q in range(k + 1)
+        )
+        paired += (
+            ((p, i - p + j, k + q, l - q), comb(i, p) * comb(l, q) * ((-1) ** p - (-1) ** (l - q)))
+            for p in range(i + 1) for q in range(l + 1)
+        )
+        for (a, b, x, y), weight in paired:
+            if weight:
+                key = min((a, b, x, y), (b, a, y, x), (x, y, a, b), (y, x, b, a))
+                moments[key] = moments.get(key, 0) + c * weight
+    return {key: c for key, c in moments.items() if c}
 
 
 def test_parser_round_trip():
@@ -342,6 +365,69 @@ def test_left_moments_are_the_six_terms_on_any_f(terms, point):
         for (i, j, k, l), c in moments.items()
         for a, b, x, y in _images(*point)
     )
+
+
+def test_pascal_rows_match_comb():
+    for k in range(301):
+        assert identities._pascal_row(k) == [comb(k, q) for q in range(k + 1)], k
+
+
+def test_left_moments_match_the_comb_oracle():
+    rng = random.Random(6113)
+    family = [
+        *PROOF_POLYNOMIALS,
+        *_FRONT_POLYS,
+        *(random_symmetric_poly(rng) for _ in range(50)),
+        Poly4.from_text("1x^200"),
+        Poly4.from_text("1a^37b^41x^3y^5"),
+    ]
+    for f in family:
+        assert identities._left_moments(f) == comb_left_moments_oracle(f), f.to_text()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.tuples(*[st.integers(0, 9)] * 4), st.integers(-9, 9), min_size=1, max_size=5))
+def test_left_moments_match_the_comb_oracle_on_any_f(terms):
+    # qualified or not: the expansion never reads the symmetry hypothesis
+    f = Poly4(terms)
+    assert identities._left_moments(f) == comb_left_moments_oracle(f)
+
+
+@pytest.mark.parametrize("which", SOLUTION_SETS)
+def test_sides_over_a_range_match_the_one_n_calls(which):
+    rng = random.Random(7919)
+    family = [*PROOF_POLYNOMIALS, *_FRONT_POLYS, *(random_symmetric_poly(rng) for _ in range(8))]
+    for f in family:
+        for ns in (range(2, 41), (40, 2, 17, 17, 3)):
+            expected = [main_identity_sides(f, n, which) for n in ns]
+            assert identities._sides_over(f, ns, which) == expected, (f.to_text(), ns)
+
+
+def test_sides_over_refuses_a_range_before_expanding(monkeypatch):
+    # every n's gate runs first, so a range ending one past the pinned edge is
+    # refused with that n's own message before any moment or sieve is built
+    def refuse(*args):
+        raise AssertionError("the moments were expanded")
+
+    monkeypatch.setattr(identities, "_left_moments", refuse)
+    monkeypatch.setattr(lattice, "_factor_table", refuse)
+    f = Poly4.from_text("1x^2y^2")
+    for which, top in (("B", 20833), ("Bprime", 25252)):
+        with pytest.raises(BudgetExceededError) as info:
+            identities._sides_over(f, range(top - 40, top + 2), which)
+        work = identities._identity_work(f, top + 1, which)
+        assert str(info.value) == (
+            f"identity sides at n = {top + 1} need about {work} units of work, the limit is 10000000"
+        )
+        with pytest.raises(AssertionError, match="expanded"):
+            identities._sides_over(f, range(top - 40, top + 1), which)
+    # symmetry first, then each n in order: n < 2 or its gate
+    with pytest.raises(ValueError, match="symmetry hypothesis"):
+        identities._sides_over(Poly4.from_text("1a"), (1, 10**6), "B")
+    with pytest.raises(ValueError, match="need n >= 2, got 1"):
+        identities._sides_over(f, (5, 1, 10**6), "B")
+    with pytest.raises(BudgetExceededError, match="at n = 1000000 need"):
+        identities._sides_over(f, (5, 10**6, 1), "B")
 
 
 def test_identities_defines_no_lru_cache():
