@@ -6,6 +6,9 @@ Everything is pure and exact.  Python ints are unbounded and Fraction keeps
 rationals in lowest terms, so no tolerance knobs appear anywhere.  The
 memoized functions use functools.lru_cache, whose get-or-insert is atomic
 under CPython; concurrent callers at worst duplicate a computation.
+divisors and sigma_k read a factorization ((p, e), ...) through two private
+kernels, _divisors_of and _sigma_of, which the raw M count and the Moebius
+power sum call on factors of their own.
 
 The package's budget rules are stated here once: BudgetExceededError, the
 one work limit with its bit weighting and its check, and the power-bits and
@@ -144,10 +147,15 @@ def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n >= 1, ascending."""
     if n < 1:
         raise ValueError(f"divisors requires n >= 1, got {n}")
+    return tuple(sorted(_divisors_of(factorize(n))))
+
+
+def _divisors_of(factors) -> list[int]:
+    # the divisors of the number with these factors ((p, e), ...), unordered
     divs = [1]
-    for p, e in factorize(n):
+    for p, e in factors:
         divs = [d * p**k for d in divs for k in range(e + 1)]
-    return tuple(sorted(divs))
+    return divs
 
 
 def mobius(n: int) -> int:
@@ -180,8 +188,13 @@ def sigma_k(k: int, n: int) -> int:
         raise ValueError(f"sigma_k requires k >= 0, got {k}")
     if n <= 0:
         return 0
+    return _sigma_of(k, factorize(n))
+
+
+def _sigma_of(k: int, factors) -> int:
+    # sigma_k of the number with these factors ((p, e), ...), e >= 1
     total = 1
-    for p, e in factorize(n):
+    for p, e in factors:
         # 1 + p**k + ... + p**(ke) by Horner's rule: a long division is quadratic at large k
         pk = p**k
         local = pk + 1

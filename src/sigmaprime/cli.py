@@ -11,21 +11,21 @@ Every subcommand is one row of a table: its help text, its handler and its
 option rows.  A plain well-formed argv is read straight from those rows and
 builds no parser, so a cold command never imports the locale module that
 argparse's messages pull in, and the acceptance checklist is imported by
-selftest alone.  A value in its own token may start with "-"
-where argparse too reads it as a value: a negative integer, or text with a
-space that starts with neither -h nor --, such as a polynomial with a
-negative leading coefficient.  Help, every usage error and every unusual
-form go to argparse, the one source of help and error text; a run then
-builds the subparser of the subcommand it names and no other, and with no
-arguments, -h or an unknown command it builds them all, so the usage
-message lists every subcommand.  A handler returns the document without
-its "command" key, its exit code, and its CSV rows (header first) or None;
-main adds "command" and alone writes stdout, so a run that errs writes
-nothing there.  One small writer gives a document exactly the bytes of
-json.dumps(doc, indent=2), each string through json's C escaper, as
-json.dumps itself runs its pure-Python encoder whenever indent is set.  CSV
-is joined by hand, as the csv module would drop the quotes that selftest
-puts around every detail.
+selftest alone.  A value in its own token may start with "-" where argparse
+too reads it as a value: a negative integer, or text with a space that
+starts with neither -h nor --, such as a polynomial with a negative leading
+coefficient.  Help, abbreviated options, every usage error and every unusual
+form go to argparse, the one source of help, of error text and of the
+abbreviation rule; a run then builds the subparser of the subcommand it
+names and no other, and with no arguments, -h or an unknown command it
+builds them all, so the usage message lists every subcommand.  A handler
+returns the document without its "command" key, its exit code, and its CSV
+rows (header first) or None; main adds "command" and alone writes stdout, so
+a run that errs writes nothing there.  One small writer gives a document
+exactly the bytes of json.dumps(doc, indent=2), each string through json's
+C escaper, as json.dumps itself runs its pure-Python encoder whenever indent
+is set.  CSV is joined by hand, as the csv module would drop the quotes that
+selftest puts around every detail.
 
 Exit codes: 0 success or verified, 1 verification failure or inconsistent
 fit, 2 usage error, 3 a budget refused the work before it started: arith's
@@ -280,8 +280,8 @@ def _cmd_fit(args):
 
 def _cmd_probe10(args):
     r, s = (int(part) for part in args.pair.split(","))
-    train = _parse_int_list(args.train) if args.train else DEFAULT_TRAIN_NS
-    test = _parse_int_list(args.test) if args.test else DEFAULT_TEST_NS
+    train = DEFAULT_TRAIN_NS if args.train is None else _parse_int_list(args.train)
+    test = DEFAULT_TEST_NS if args.test is None else _parse_int_list(args.test)
     report = probe_weight10(r, s, train, test)
     return _fit_body(report, {"pair": args.pair, "train": list(train), "test": list(test)})
 
@@ -374,12 +374,8 @@ def _parse_table(argv: list[str]) -> argparse.Namespace | None:
     for token in tokens:
         flag, eq, value = token.partition("=")
         if flag not in rows:
-            # a unique prefix names its option; argparse counts --help too.
-            # A token without "--" matches no option, or all of them.
-            matches = [f for f in (*rows, "--help") if f.startswith(flag)]
-            if len(matches) != 1 or matches == ["--help"]:
-                return None
-            flag = matches[0]
+            # an abbreviation, help or a stray token
+            return None
         kwargs = rows[flag]
         if kwargs.get("action") == "store_true":
             if eq:

@@ -31,7 +31,7 @@ from math import lcm, prod
 from typing import NamedTuple
 
 from . import arith
-from .arith import divisors, factorize, faulhaber_sum, mobius
+from .arith import _divisors_of, factorize, faulhaber_sum, mobius
 
 __all__ = [
     "psi",
@@ -265,12 +265,9 @@ def coprime_power_sum(k: int, n: int, method: str = "direct") -> int:
     if method == "moebius_faulhaber":
         work = _moebius_work(k, n)
         arith._check_work(work, "the Moebius-Faulhaber power sum needs about {work} units of work")
-        total = 0
-        for d in divisors(n):
-            mu = mobius(d)
-            if mu:
-                total += mu * d**k * faulhaber_sum(k, n // d)
-        return total
+        # mu(d) is 0 off the squarefree d, which are the divisors of n's primes
+        squarefree = _divisors_of([(p, 1) for p, _ in factorize(n)])
+        return sum(mobius(d) * d**k * faulhaber_sum(k, n // d) for d in squarefree)
     if method == "closed_table":
         if k > 12:
             raise ValueError(f"closed_table covers 0 <= k <= 12, got k = {k}")

@@ -17,16 +17,17 @@ quadruple, independent of the collapsing step and of the oracle, so the
 two routes check each other; it lists each set by lattice.quadruples
 once per call.  count_raw and verify_lm refuse raw work in the order
 count_raw states, each refusal before the work it guards.  The M estimate
-and scan read sigma(u**r) and the divisors of u**r from u's factors, so
+and scan read sigma(u**r) and the divisors of u**r from arith's kernels
+_sigma_of and _divisors_of, over u's factors with each exponent times r, so
 no u**r reaches arith's caches.
 """
 
 from __future__ import annotations
 
-from math import gcd, prod
+from math import gcd
 from typing import NamedTuple
 
-from .arith import factorize, sigma_convolution
+from .arith import _divisors_of, _sigma_of, factorize, sigma_convolution
 from .lattice import (
     SOLUTION_SETS,
     BudgetExceededError,
@@ -115,21 +116,16 @@ def count_raw(spec: CountSpec, budget: int = DEFAULT_BUDGET) -> int:
     return _raw_count(spec, count_fast(spec), budget, {})
 
 
-def _sigma_powers(r: int, bases: set[int], table: dict) -> dict[int, int]:
-    # u -> sigma(u**r) = Π (p**(r*e + 1) - 1) / (p - 1) over the factors p**e
-    # of u, for every u in bases, so only u < n reaches arith's caches; kept in
-    # the call's table under ("sigma", r)
-    known = table.setdefault(("sigma", r), {})
-    for u in bases - known.keys():
-        known[u] = prod((p ** (r * e + 1) - 1) // (p - 1) for p, e in factorize(u))
-    return known
+def _power_factors(u: int, r: int) -> list[tuple[int, int]]:
+    # the factors of u**r, from those of u, so only u < n reaches arith's caches
+    return [(p, r * e) for p, e in factorize(u)]
 
 
 def _raw_count(spec: CountSpec, fast: int, budget: int, splits: dict) -> int:
     # Every raw refusal is made here or by the listing, in count_raw's order;
     # (u, v) is the (a, b) of each quadruple of the set at spec.n.  splits
-    # maps (kind, w) to the splits of w, ("sigma", r) to sigma(u**r) by u and
-    # (n, set) to the listed set, for one count_raw or verify_lm call.
+    # maps (kind, w) to the splits of w and (n, set) to the listed set, for
+    # one count_raw or verify_lm call.
     label = f"{spec.which}({spec.r},{spec.s};{spec.n})"
     if fast > budget:
         raise BudgetExceededError(
@@ -144,8 +140,8 @@ def _raw_count(spec: CountSpec, fast: int, budget: int, splits: dict) -> int:
     else:
         # bounds the nested scan of the M splits, rejected ones included:
         # at most sigma(u**r) * (1 + sigma(v**s)) per quadruple
-        su = _sigma_powers(spec.r, {u for u, _, _, _ in quads}, splits)
-        sv = _sigma_powers(spec.s, {v for _, v, _, _ in quads}, splits)
+        su = {u: _sigma_of(1, _power_factors(u, spec.r)) for u in {q[0] for q in quads}}
+        sv = {v: _sigma_of(1, _power_factors(v, spec.s)) for v in {q[1] for q in quads}}
         est = sum(su[u] * (1 + sv[v]) for u, v, _, _ in quads)
         if est > budget:
             raise BudgetExceededError(
@@ -164,10 +160,7 @@ def _raw_count(spec: CountSpec, fast: int, budget: int, splits: dict) -> int:
                 for _a in range(w):  # c = w - a >= 1
                     count += 1
             else:
-                divs = [1]  # the divisors e of w, from the factors of u
-                for p, e in factorize(u):
-                    divs = [d * p**k for d in divs for k in range(r * e + 1)]
-                for e in divs:
+                for e in _divisors_of(_power_factors(u, r)):
                     for a in range(e):
                         if gcd(a, e - a) == 1:
                             count += 1

@@ -18,9 +18,13 @@ _TABLE_PARSE_DASH = '                " " not in value or value[:2] in ("-h", "--
 _SIEVE_DOWN = "    for p in range(isqrt(top - 1), 1, -1):"
 
 MUTANTS = [
-    # sigma_k of a prime power by Horner's rule
+    # the two kernels over a factorization, sigma_k's Horner rule among them
     (_ARITH, "            local = local * pk + 1", "            local = local * pk",
      "test_sigma_k_oracle"),
+    (_ARITH, "        while e > 1:", "        while e > 2:",
+     "test_kernels_match_enumeration_on_scaled_factorizations"),
+    (_ARITH, "for k in range(e + 1)]", "for k in range(e)]",
+     "test_kernels_match_enumeration_on_scaled_factorizations"),
     # the least-prime table and the g tables of the moment core
     (_LATTICE, _SIEVE_DOWN, "    for p in range(2, isqrt(top - 1) + 1):",
      "test_factor_table_matches_factorize"),
@@ -67,6 +71,11 @@ MUTANTS = [
     (_CLI, "def _cmd_selftest(args):\n    from .acceptance import run_all",
      "from .acceptance import run_all\n\n\ndef _cmd_selftest(args):",
      "test_cold_import_leaves_out_dataclasses_and_the_checklist"),
+    # probe10 reads an explicit empty list, not the default
+    (_CLI, "DEFAULT_TRAIN_NS if args.train is None else", "DEFAULT_TRAIN_NS if not args.train else",
+     "test_probe10_empty_list_is_a_usage_error"),
+    (_CLI, "DEFAULT_TEST_NS if args.test is None else", "DEFAULT_TEST_NS if not args.test else",
+     "test_probe10_empty_list_is_a_usage_error"),
     # the polynomial grammar
     (_IDENTITIES, "            if term.start() and not sign:", "            if False:",
      "test_parser_rejects_bad_input"),
@@ -150,12 +159,14 @@ MUTANTS = [
      "test_methods_agree_on_a_grid"),
     (_POWERSUMS, "b = max([0, *(-power for _, power, _ in terms)])", "b = 0",
      "test_evaluate_keeps_negative_powers_exact"),
+    (_POWERSUMS, "_divisors_of([(p, 1) for p, _ in factorize(n)])",
+     "_divisors_of(factorize(n))",
+     "test_moebius_route_expands_only_squarefree_divisors"),
     # the validating records, the raw count's listing, M estimate and M scan
     (_REPRESENTATIONS, "        if r < 1 or s < 1:", "        if r < 1:", "test_count_spec_refuses"),
-    (_REPRESENTATIONS, "(p ** (r * e + 1) - 1) // (p - 1)", "(p ** (r * e) - 1) // (p - 1)",
-     "test_sigma_of_a_power_from_the_factors_of_its_base"),
     (_REPRESENTATIONS, "    listing = (spec.n, spec.solution_set)", "    listing = (spec.n, spec.which)",
      "test_verify_lm_enumerates_each_set_once_per_n"),
-    (_REPRESENTATIONS, "for k in range(r * e + 1)]", "for k in range(e + 1)]",
+    (_REPRESENTATIONS, "    return [(p, r * e) for p, e in factorize(u)]",
+     "    return [(p, e) for p, e in factorize(u)]",
      "test_raw_matches_nested_tuple_loop"),
 ]

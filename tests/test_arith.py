@@ -4,11 +4,13 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sigmaprime.arith import (
     BudgetExceededError,
+    _divisors_of,
+    _sigma_of,
     bernoulli,
     divisors,
     factorize,
@@ -107,6 +109,27 @@ def test_sigma_k_oracle():
     for n in range(1, 300):
         for k in range(4):
             assert sigma_k(k, n) == sum(d**k for d in range(1, n + 1) if n % d == 0)
+
+
+_FACTORS = st.lists(
+    st.tuples(st.sampled_from((2, 3, 5, 7, 11)), st.integers(1, 2)),
+    max_size=3,
+    unique_by=lambda factor: factor[0],
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_FACTORS, st.integers(1, 4), st.integers(0, 3))
+def test_kernels_match_enumeration_on_scaled_factorizations(base, r, k):
+    # the raw M count hands the kernels u's factors with each exponent times r
+    factors = [(p, r * e) for p, e in sorted(base)]
+    n = 1
+    for p, e in factors:
+        n *= p**e
+    assume(n <= 20000)
+    divs = [d for d in range(1, n + 1) if n % d == 0]
+    assert sorted(_divisors_of(factors)) == divs
+    assert _sigma_of(k, factors) == sum(d**k for d in divs)
 
 
 def test_sigma_convolution_oracle():

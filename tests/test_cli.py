@@ -375,6 +375,14 @@ def test_probe10_rejects_other_pairs():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("option", ["--train", "--test"])
+def test_probe10_empty_list_is_a_usage_error(option, capsys):
+    # an explicit empty list is refused as fit refuses it, not read as the default
+    assert cli.main(["probe10", "--pair", "5,5", f"{option}="]) == 2
+    message = "error: expected a comma-separated integer list, got ''\n"
+    assert capsys.readouterr() == ("", message)
+
+
 def test_output_is_deterministic():
     first = run("verify", "--theorem", "t33", "--range", "2..8")
     second = run("verify", "--theorem", "t33", "--range", "2..8")
@@ -610,6 +618,61 @@ def test_main_parses_as_the_whole_table(argv, monkeypatch):
     monkeypatch.setitem(cli._COMMANDS, argv[0], (help_text, stub, options))
     cli.main(list(argv))
     assert seen == [cli._build_parser().parse_args(argv)]
+
+
+def _full_names(argv):
+    # argv with each abbreviated option spelled out by its unique prefix
+    flags = [flag for flag, _ in cli._COMMANDS[argv[0]][2]]
+    full = [argv[0]]
+    for token in argv[1:]:
+        flag, eq, value = token.partition("=")
+        if flag.startswith("--") and flag not in flags:
+            (flag,) = [name for name in flags if name.startswith(flag)]
+        full.append(flag + eq + value)
+    return full
+
+
+def _abbreviated(argv):
+    # argv with each option cut to its shortest prefix that names it alone
+    flags = [flag for flag, _ in cli._COMMANDS[argv[0]][2]] + ["--help"]
+    short = [argv[0]]
+    for token in argv[1:]:
+        if token in flags:
+            prefixes = (token[:end] for end in range(3, len(token)))
+            token = next(
+                (cut for cut in prefixes if [f for f in flags if f.startswith(cut)] == [token]),
+                token,
+            )
+        short.append(token)
+    return short
+
+
+# (abbreviated argv, full-name argv) of each FULL_ARGVS row and golden argv
+# with an option to abbreviate; psi and sigma-prime have none
+_ABBREVIATIONS = [
+    (short, full)
+    for short, full in [(argv, _full_names(argv)) for argv in FULL_ARGVS]
+    + [(_abbreviated(argv), argv) for argv, _, _ in GOLDEN]
+    if short != full
+]
+
+
+@pytest.mark.parametrize("short, full", _ABBREVIATIONS, ids=lambda argv: " ".join(argv))
+def test_abbreviations_run_as_the_full_names(short, full, monkeypatch, capsys):
+    # argparse alone reads an abbreviation, building only the named subparser;
+    # the full names stay on the table path, which builds none
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    expected = cli.main(list(full)), capsys.readouterr().out
+    assert built == []
+    assert (cli.main(list(short)), capsys.readouterr().out) == expected
+    assert built == ["sigmaprime", f"sigmaprime {short[0]}"]
 
 
 _INT_VALUES = {

@@ -275,6 +275,22 @@ def test_moebius_power_sum_refuses_large_k_before_expanding(monkeypatch):
         coprime_power_sum(615, 7, "moebius_faulhaber")
 
 
+def test_moebius_route_expands_only_squarefree_divisors(monkeypatch):
+    # each d of the route is n // upper; mu(d) = 0 off the squarefree d
+    uppers = []
+
+    def recorded(k, upper):
+        uppers.append(upper)
+        return faulhaber_sum(k, upper)
+
+    monkeypatch.setattr(powersums, "faulhaber_sum", recorded)
+    for n in (2, 12, 360, 2 * 3 * 5 * 7, 2**10, 3**4 * 5**2 * 7):
+        uppers.clear()
+        assert coprime_power_sum(3, n, "moebius_faulhaber") == coprime_power_sum(3, n)
+        squarefree = [d for d in divisors(n) if mobius(d)]
+        assert sorted(n // upper for upper in uppers) == squarefree, n
+
+
 def test_psi_refuses_huge_powers_before_factorizing(monkeypatch):
     # |s| * bit_length(n) bits against 2**20; psi(2**20, 2) stays cheap if the guard breaks
     assert psi(2**19, 2) == 1 - Fraction(2) ** 2**19

@@ -343,15 +343,6 @@ def test_count_spec_validation():
     assert CountSpec("M", 1, 1, 5).solution_set == "B"
 
 
-def test_sigma_of_a_power_from_the_factors_of_its_base():
-    table = {}
-    for r in range(1, 7):
-        sigmas = representations._sigma_powers(r, set(range(1, 100)), table)
-        assert representations._sigma_powers(r, set(range(50, 200)), table) is sigmas
-        assert sigmas == {u: sigma_k(1, u**r) for u in range(1, 200)}, r
-    assert list(table) == [("sigma", r) for r in range(1, 7)]
-
-
 def test_raw_counts_leave_no_power_in_arith_caches(monkeypatch):
     # the M scan lists the divisors of u**r from the factors of u, so every
     # key count_raw and verify_lm pass to arith's divisors and factorize
