@@ -1,10 +1,11 @@
 """Polynomial identity engine.
 
 Holds the exact four-variable polynomial type used as test functions, the
-six-term main identity and its divisor-sum analogue over B(n), the stored
-closed forms for the nine proven (r, s) convolution evaluations, range
-verification against the enumeration oracle, and the two classical
-convolution checks (besge_check, glaisher_check).
+six-term main identity and its divisor-sum analogue over B(n), the nine
+proven (r, s) convolution evaluations, each stored once as its (A, B, C, D)
+over the ansatz columns and read as ψ terms over B'(n) or as σ terms over
+B(n), range verification against the enumeration oracle, and the two
+classical convolution checks (besge_check, glaisher_check) on the σ terms.
 The identity's left side pairs its six terms into binomial sums of
 quadruple moments, which lattice's moment core sums without walking the
 set.  It depends on f alone, so it is expanded once per call, from
@@ -37,7 +38,7 @@ from typing import NamedTuple, Sequence
 from . import arith
 from .arith import divisors, sigma_convolution, sigma_k
 from .lattice import _convolutions, _moment_sums, _moment_work
-from .powersums import ClosedForm, _form
+from .powersums import ClosedForm
 
 __all__ = [
     "Poly4",
@@ -455,41 +456,47 @@ THEOREM_RS: dict[str, tuple[int, int]] = {
 THEOREM_BY_RS: dict[tuple[int, int], str] = {rs: tag for tag, rs in THEOREM_RS.items()}
 
 
-_FORMS: dict[tuple[str, str], ClosedForm] = {
-    ("t11", "printed"): _form((5, 12, 3, -1), (-6, 12, 1, -1), (1, 12, 1, 1)),
-    ("t13", "printed"): _form((7, 10, 5, -1), (-10, 10, 1, -1), (1, 3, 3, 1), (-1, 30, 1, 3)),
-    ("t13", "corrected"): _form((7, 80, 5, -1), (-10, 80, 1, -1), (1, 24, 3, 1), (-1, 240, 1, 3)),
-    ("t15", "printed"): _form(
-        (540, 13608, 7, -1), (-1134, 13608, 1, -1), (1, 24, 5, 1), (9, 4536, 1, 5)
-    ),
-    ("t33", "printed"): _form((1, 120, 7, -1), (-1, 120, 3, 3)),
-    ("t17", "printed"): _form(
-        (176, 7680, 9, -1), (-480, 7680, 1, -1), (1, 24, 7, 1), (-1, 480, 1, 7)
-    ),
-    ("t35", "printed"): _form((11, 5040, 9, -1), (-1, 240, 5, 3), (1, 504, 3, 5)),
-    ("t111", "printed"): _form(
-        (5223960, 495331200, 13, -1),
-        (-20638800, 495331200, 1, -1),
-        (1, 24, 11, 1),
-        (-691, 65520, 1, 11),
-    ),
-    ("t39", "printed"): _form((1, 2640, 13, -1), (-1, 240, 9, 3), (1, 264, 3, 9)),
-    ("t57", "printed"): _form((1, 10080, 13, -1), (1, 504, 7, 5), (-1, 480, 5, 7)),
-}
+def _columns(r: int, s: int) -> tuple[tuple[int, int], ...]:
+    # (n_power, psi_order) of the A, B, C and D columns of the ansatz
+    return ((r + s + 1, -1), (1, -1), (r, s), (s, r))
+
+
+def _ansatz_form(r: int, s: int, coefficients: Sequence[Fraction]) -> ClosedForm:
+    # Σ c n**p psi_o(n) over the ansatz columns, zero coefficients left out
+    return ClosedForm(tuple((c, p, o) for c, (p, o) in zip(coefficients, _columns(r, s)) if c))
+
+
+# (A, B, C, D) of each stored form over _columns(r, s), as the paper prints
+# them; t13's printed set, 8 times the oracle, is kept beside its exact refit.
+_COEFFICIENTS = {key: tuple(map(Fraction, row)) for key, row in {
+    ("t11", "printed"): ("5/12", "-6/12", "1/12", "0"),
+    ("t13", "printed"): ("7/10", "-10/10", "-1/30", "1/3"),
+    ("t13", "corrected"): ("7/80", "-10/80", "-1/240", "1/24"),
+    ("t15", "printed"): ("540/13608", "-1134/13608", "9/4536", "1/24"),
+    ("t33", "printed"): ("1/120", "0", "-1/120", "0"),
+    ("t17", "printed"): ("176/7680", "-480/7680", "-1/480", "1/24"),
+    ("t35", "printed"): ("11/5040", "0", "1/504", "-1/240"),
+    ("t111", "printed"): ("5223960/495331200", "-20638800/495331200", "-691/65520", "1/24"),
+    ("t39", "printed"): ("1/2640", "0", "1/264", "-1/240"),
+    ("t57", "printed"): ("1/10080", "0", "-1/480", "1/504"),
+}.items()}
+_FORMS = {key: _ansatz_form(*THEOREM_RS[key[0]], row) for key, row in _COEFFICIENTS.items()}
+
+
+def _key(tid: TheoremId | str) -> tuple[str, str]:
+    # the entry of an id or its text; a tag stored once keeps it under "printed"
+    name, variant = parse_theorem_id(tid) if isinstance(tid, str) else tid
+    return (name, variant if (name, "corrected") in _COEFFICIENTS else "printed")
 
 
 def theorem_form(tid: TheoremId) -> ClosedForm:
     """The stored ClosedForm for a theorem id (variant resolved)."""
-    # a tag with a single stored form keeps it under "printed" alone
-    variant = tid.variant if (tid.name, "corrected") in _FORMS else "printed"
-    return _FORMS[(tid.name, variant)]
+    return _FORMS[_key(tid)]
 
 
 def eval_theorem(tid: TheoremId | str, n: int) -> Fraction:
     """Evaluate a stored closed form at n >= 2, exactly."""
-    if isinstance(tid, str):
-        tid = parse_theorem_id(tid)
-    return theorem_form(tid).evaluate(n)
+    return _FORMS[_key(tid)].evaluate(n)
 
 
 class VerifyRow(NamedTuple):
@@ -540,21 +547,27 @@ def verify_theorem(tid: TheoremId | str, lo: int, hi: int, jobs: int = 1) -> Ver
     return VerifyReport(tid, tuple(rows), bad is None, bad)
 
 
+def _sigma_twin(tid: TheoremId | str, n: int) -> Fraction:
+    """The stored form's twin, its convolution over B(n): since Σ_{B(n)} =
+    Σ_{m|n} σ_{r+s}(n/m) Σ_{B'(m)} and n**p psi_o = (μ·id_{p+o}) ⋆ id_p, the
+    A, C and D columns n**p psi_o read as σ_p(n) and the B column n psi_{-1}
+    as n σ_{r+s-1}(n), for a form that vanishes at n = 1, as every one does."""
+    key = _key(tid)
+    r, s = THEOREM_RS[key[0]]
+    a, b, c, d = _COEFFICIENTS[key]
+    return (a * sigma_k(r + s + 1, n) + b * n * sigma_k(r + s - 1, n)
+            + c * sigma_k(r, n) + d * sigma_k(s, n))
+
+
 def besge_check(n: int) -> bool:
-    """Exact check of the classical sigma*sigma convolution evaluation at n."""
+    """Exact check of the classical sigma*sigma convolution evaluation at n, t11's twin."""
     if n < 2:
         raise ValueError(f"besge_check requires n >= 2, got {n}")
-    lhs = sigma_convolution(1, 1, n)
-    rhs = Fraction(5 * sigma_k(3, n) + (1 - 6 * n) * sigma_k(1, n), 12)
-    return lhs == rhs
+    return sigma_convolution(1, 1, n) == _sigma_twin("t11", n)
 
 
 def glaisher_check(n: int) -> bool:
-    """Exact check of the classical sigma*sigma_3 convolution evaluation at n."""
+    """Exact check of the classical sigma*sigma_3 convolution evaluation at n, t13's twin."""
     if n < 2:
         raise ValueError(f"glaisher_check requires n >= 2, got {n}")
-    lhs = sigma_convolution(1, 3, n)
-    rhs = Fraction(
-        21 * sigma_k(5, n) + (10 - 30 * n) * sigma_k(3, n) - sigma_k(1, n), 240
-    )
-    return lhs == rhs
+    return sigma_convolution(1, 3, n) == _sigma_twin("t13", n)

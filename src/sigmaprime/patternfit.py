@@ -6,8 +6,8 @@ Every proven convolution evaluation in this package matches the template
         = (A n**(r+s+1) + B n) psi_{-1}(n) + C n**r psi_s(n) + D n**s psi_r(n)
 
 with rational A, B, C, D.  The template is a ClosedForm over four
-(n_power, psi_order) columns, stated once in _columns; evaluation, the fit's
-design rows and the reading of stored forms all read them.  fit() recovers
+(n_power, psi_order) columns, stated once in identities._columns beside the
+stored (A, B, C, D) rows that theorem_pattern reads.  fit() recovers
 the coefficients from oracle values by Gauss-Jordan elimination on rows
 scaled to integers, reading each coefficient as one exact Fraction at the
 end (no floats anywhere), validate() replays a fitted ansatz against the
@@ -35,7 +35,7 @@ from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
 from . import arith
-from .identities import THEOREM_RS, TheoremId, parse_theorem_id, theorem_form
+from .identities import _COEFFICIENTS, THEOREM_RS, TheoremId, _ansatz_form, _columns, _key
 from .lattice import _convolution_work, _convolutions
 from .powersums import ClosedForm
 
@@ -84,23 +84,13 @@ class FitReport(NamedTuple):
     label: str | None = None  # set on weight-10 probes
 
 
-def _columns(r: int, s: int) -> tuple[tuple[int, int], ...]:
-    # (n_power, psi_order) of the A, B, C and D columns of the ansatz
-    return ((r + s + 1, -1), (1, -1), (r, s), (s, r))
-
-
 def pattern_value(coeffs: PatternCoeffs, r: int, s: int, n: int) -> Fraction:
     """Evaluate the ansatz at n >= 2, as the ClosedForm of its columns.
 
     In the degenerate case D is 0, and any D would add to C anyway.  Like
     every closed form, it refuses n < 2.
     """
-    return _pattern_form(coeffs, r, s).evaluate(n)
-
-
-def _pattern_form(coeffs: PatternCoeffs, r: int, s: int) -> ClosedForm:
-    coefficients = (coeffs.A, coeffs.B, coeffs.C, coeffs.D)
-    return ClosedForm(tuple((c, p, o) for c, (p, o) in zip(coefficients, _columns(r, s))))
+    return _ansatz_form(r, s, coeffs[:4]).evaluate(n)
 
 
 def _solve_exact(rows: list[list[Fraction]], rhs: list[int | Fraction]) -> list[Fraction] | None:
@@ -223,6 +213,19 @@ def fit(r: int, s: int, train_ns: tuple[int, ...] | list[int]) -> FitReport:
     return FitReport(r, s, coeffs, ns, (), (), "consistent")
 
 
+def _test_points(test_ns, train_ns) -> tuple[int, ...]:
+    # the sorted distinct test points, which validate() and fit_and_validate() refuse alike
+    ns = tuple(sorted(set(test_ns)))
+    if not ns:
+        raise ValueError("validation needs a nonempty test set")
+    if ns[0] < 2:
+        raise ValueError(f"test points must be >= 2, got {ns[0]}")
+    overlap = set(ns) & set(train_ns)
+    if overlap:
+        raise ValueError(f"test points {sorted(overlap)} overlap the training set")
+    return ns
+
+
 def validate(
     coeffs: PatternCoeffs,
     r: int,
@@ -237,15 +240,8 @@ def validate(
     with the training set is a usage error.  The oracle values of all
     points come from one call, which shares one pair of σ tables.
     """
-    ns = tuple(sorted(set(test_ns)))
-    if not ns:
-        raise ValueError("validation needs a nonempty test set")
-    if ns[0] < 2:
-        raise ValueError(f"test points must be >= 2, got {ns[0]}")
-    overlap = set(ns) & set(train_ns)
-    if overlap:
-        raise ValueError(f"test points {sorted(overlap)} overlap the training set")
-    form = _pattern_form(coeffs, r, s)
+    ns = _test_points(test_ns, train_ns)
+    form = _ansatz_form(r, s, coeffs[:4])
     residuals = tuple(
         oracle - form.evaluate(n) for n, oracle in zip(ns, _convolutions(r, s, ns, "Bprime"))
     )
@@ -259,10 +255,10 @@ def fit_and_validate(
     train_ns: tuple[int, ...] | list[int],
     test_ns: tuple[int, ...] | list[int],
 ) -> FitReport:
-    """fit() then validate(); an inconsistent training fit short-circuits."""
+    """fit() then validate(); an inconsistent fit checks the test points but skips their oracle."""
     report = fit(r, s, train_ns)
     if report.coefficients is None:
-        return report._replace(test_ns=tuple(sorted(set(test_ns))))
+        return report._replace(test_ns=_test_points(test_ns, report.train_ns))
     return validate(report.coefficients, r, s, test_ns, report.train_ns)
 
 
@@ -284,19 +280,8 @@ def probe_weight10(
 
 
 def theorem_pattern(tid: TheoremId | str) -> PatternCoeffs:
-    """Convert a stored closed form into ansatz coefficients.
-
-    Used to compare fresh fits against the stored theorem constants; each
-    term goes to the ansatz column with its (n_power, psi_order), the first
-    one when r == s, and a term outside the ansatz raises ValueError.
-    """
-    if isinstance(tid, str):
-        tid = parse_theorem_id(tid)
-    r, s = THEOREM_RS[tid.name]
-    columns = _columns(r, s)
-    coefficients = [Fraction(0)] * len(columns)
-    for coeff, power, order in theorem_form(tid).terms:
-        if (power, order) not in columns:
-            raise ValueError(f"term {(coeff, power, order)} does not fit the ansatz")
-        coefficients[columns.index((power, order))] += coeff
-    return PatternCoeffs(*coefficients, degenerate=r == s)
+    """The stored ansatz coefficients of a theorem id (variant resolved), to
+    compare fresh fits against."""
+    key = _key(tid)
+    r, s = THEOREM_RS[key[0]]
+    return PatternCoeffs(*_COEFFICIENTS[key], degenerate=r == s)

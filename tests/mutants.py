@@ -127,6 +127,15 @@ MUTANTS = [
     (_IDENTITIES, "key = min((a, b, x, y), (b, a, y, x), (x, y, a, b), (y, x, b, a))",
      "key = min((a, b, x, y), (x, y, a, b), (y, x, b, a))",
      "test_left_moments_match_the_comb_oracle"),
+    # the stored coefficient rows: their forms and their twins over B(n)
+    (_IDENTITIES, "zip(coefficients, _columns(r, s)) if c)", "zip(coefficients, _columns(r, s)))",
+     "test_stored_forms_hold_no_zero_term"),
+    (_IDENTITIES, "b * n * sigma_k(r + s - 1, n)", "b * sigma_k(r + s - 1, n)",
+     "test_sigma_twins_match_the_b_oracle"),
+    (_IDENTITIES, "b * n * sigma_k(r + s - 1, n)", "b * n * sigma_k(r + s + 1, n)",
+     "test_sigma_twins_match_the_b_oracle"),
+    (_IDENTITIES, "c * sigma_k(r, n) + d * sigma_k(s, n)", "c * sigma_k(s, n) + d * sigma_k(r, n)",
+     "test_twins_of_t11_and_t13_are_besge_and_glaisher"),
     # the range entry: every n's gate before any expansion
     (_IDENTITIES, "work = _identity_work(f, n, which)", "work = _identity_work(f, ns[0], which)",
      "test_sides_over_refuses_a_range_before_expanding"),
@@ -147,8 +156,11 @@ MUTANTS = [
     (_PATTERNFIT, "    return [[form.evaluate(n) for form in forms] for n in ns]",
      "    return [[form.evaluate(n) for form in reversed(forms)] for n in ns]",
      "test_fit_recovers_every_stored_theorem"),
-    (_PATTERNFIT, "    form = _pattern_form(coeffs, r, s)", "    form = _pattern_form(coeffs, s, r)",
+    (_PATTERNFIT, "    form = _ansatz_form(r, s, coeffs[:4])", "    form = _ansatz_form(s, r, coeffs[:4])",
      "test_fit_and_validate_zero_residuals"),
+    # an inconsistent fit still checks its test points
+    (_PATTERNFIT, "test_ns=_test_points(test_ns, report.train_ns)", "test_ns=tuple(sorted(set(test_ns)))",
+     "test_bad_test_points_are_a_usage_error_whatever_the_fit"),
     # power sums and closed forms
     (_POWERSUMS, "        work = n * arith._bit_weight(k, n) ** 2",
      "        work = n * arith._bit_weight(k, n)",

@@ -383,6 +383,21 @@ def test_probe10_empty_list_is_a_usage_error(option, capsys):
     assert capsys.readouterr() == ("", message)
 
 
+@pytest.mark.parametrize("test, message", [
+    ("2", "test points [2] overlap the training set"),
+    ("-3", "test points must be >= 2, got -3"),
+])
+@pytest.mark.parametrize("argv", [
+    ["probe10", "--pair", "5,5"],
+    ["fit", "--r", "5", "--s", "5", "--train", "2,3,4,5,7,9"],
+    ["fit", "--r", "1", "--s", "1", "--train", "2,3,4,5,7,9"],
+], ids=["probe10", "fit-inconsistent", "fit-consistent"])
+def test_bad_test_points_are_a_usage_error_whatever_the_fit(argv, test, message, capsys):
+    # an inconsistent fit refuses the test points that a consistent one refuses
+    assert cli.main([*argv, f"--test={test}"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_output_is_deterministic():
     first = run("verify", "--theorem", "t33", "--range", "2..8")
     second = run("verify", "--theorem", "t33", "--range", "2..8")

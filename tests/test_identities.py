@@ -15,13 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigmaprime import arith, cli, identities, lattice
-from sigmaprime.arith import divisors
+from sigmaprime.arith import divisors, sigma_convolution, sigma_k
 from sigmaprime.identities import (
     PROOF_POLYNOMIALS,
     THEOREM_BY_RS,
     THEOREM_RS,
     Poly4,
     TheoremId,
+    _sigma_twin,
     besge_check,
     eval_theorem,
     glaisher_check,
@@ -672,3 +673,44 @@ def test_besge_and_glaisher():
     for n in range(2, 51):
         assert besge_check(n)
         assert glaisher_check(n)
+
+
+def besge(n):
+    # Besge's sigma*sigma evaluation, as it is usually quoted
+    return Fraction(5 * sigma_k(3, n) + (1 - 6 * n) * sigma_k(1, n), 12)
+
+
+def glaisher(n):
+    # Glaisher's sigma*sigma_3 evaluation, as it is usually quoted
+    return Fraction(21 * sigma_k(5, n) + (10 - 30 * n) * sigma_k(3, n) - sigma_k(1, n), 240)
+
+
+def test_twins_of_t11_and_t13_are_besge_and_glaisher():
+    for n in range(1, 301):
+        assert _sigma_twin("t11", n) == besge(n), n
+        assert _sigma_twin("t13", n) == glaisher(n), n
+
+
+def test_sigma_twins_match_the_b_oracle():
+    # each stored form read as σ terms is the convolution over B(n)
+    for tag, (r, s) in THEOREM_RS.items():
+        for n in range(2, 301):
+            twin = _sigma_twin(tag, n)
+            assert twin == brute_convolution(r, s, n, "B") == sigma_convolution(r, s, n), (tag, n)
+
+
+def test_printed_t13_twin_overshoots_the_b_oracle_by_eight():
+    # the erratum shows over B(n) as over B'(n)
+    for n in range(2, 301):
+        assert _sigma_twin("t13:printed", n) == 8 * brute_convolution(1, 3, n, "B"), n
+
+
+def test_stored_forms_hold_no_zero_term():
+    # each form keeps only the nonzero columns of its (A, B, C, D) row
+    lengths = {
+        "t11": 3, "t13": 4, "t15": 4, "t33": 2, "t17": 4, "t35": 3, "t111": 4, "t39": 3, "t57": 3,
+    }
+    for tag, variant in identities._COEFFICIENTS:
+        terms = theorem_form(TheoremId(tag, variant)).terms
+        assert len(terms) == lengths[tag], (tag, variant)
+        assert all(coeff for coeff, _, _ in terms), (tag, variant)

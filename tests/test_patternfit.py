@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sigmaprime import arith, patternfit, powersums
-from sigmaprime.identities import THEOREM_RS, parse_theorem_id
+from sigmaprime.identities import THEOREM_RS, _columns, parse_theorem_id
 from sigmaprime.lattice import BudgetExceededError, _convolutions, _moment_work, brute_convolution
 from sigmaprime.patternfit import (
     DEFAULT_TEST_NS,
@@ -15,7 +15,6 @@ from sigmaprime.patternfit import (
     EVIDENCE_LABEL,
     WEIGHT10_PAIRS,
     PatternCoeffs,
-    _columns,
     _design_rows,
     _solve_exact,
     fit,
@@ -25,7 +24,7 @@ from sigmaprime.patternfit import (
     theorem_pattern,
     validate,
 )
-from sigmaprime.powersums import ClosedForm, psi
+from sigmaprime.powersums import psi
 
 
 def test_fit_recovers_every_stored_theorem():
@@ -89,13 +88,6 @@ def test_pattern_value_refuses_n_below_2():
         pattern_value(theorem_pattern("t13"), 1, 3, 1)
 
 
-def test_theorem_pattern_rejects_off_ansatz_term(monkeypatch):
-    form = ClosedForm(((Fraction(1), 5, -1), (Fraction(1), 2, 2)))
-    monkeypatch.setattr(patternfit, "theorem_form", lambda tid: form)
-    with pytest.raises(ValueError, match="does not fit the ansatz"):
-        theorem_pattern("t13")
-
-
 def test_printed_t13_residual_is_oracle_minus_ansatz():
     coeffs = theorem_pattern("t13:printed")
     report = validate(coeffs, 1, 3, (2,))
@@ -132,6 +124,15 @@ def test_validate_usage_errors():
         validate(coeffs, 1, 1, (5, 11), train_ns=(2, 3, 4, 5, 7))
     with pytest.raises(ValueError):
         validate(coeffs, 1, 1, (1, 11))
+
+
+def test_inconsistent_fit_checks_its_test_points():
+    # fit's refusals come first, then the test points' as validate() makes them
+    with pytest.raises(ValueError, match="at least 5 distinct training points"):
+        fit_and_validate(5, 5, (2, 3, 4, 5), (2,))
+    for test_ns, message in (((), "nonempty"), ((1, 11), ">= 2"), ((9, 11), r"\[9\] overlap")):
+        with pytest.raises(ValueError, match=message):
+            fit_and_validate(5, 5, DEFAULT_TRAIN_NS, test_ns)
 
 
 def test_probe_weight10_labeled_and_restricted():
