@@ -11,10 +11,11 @@ quadruple moments, which lattice's moment core sums without walking the
 set.  It depends on f alone, so it is expanded once per call, from
 binomial rows built by Pascal's recurrence and only at the terms whose
 sign factor is nonzero, and a range of n shares that expansion and one
-sieve.  The right side is, per monomial of f, at most six power sums
-Σ tᵘ(N − t)ᵛ over the totatives of N = n or over 0 < t < N = d for each
-divisor d of n, each (u, v) taken once per N in C-level maps.  Nothing is
-kept between calls.
+sieve.  The right side is a sum of power sums Σ tᵘ(N − t)ᵛ over the
+totatives of N = n or over 0 < t < N = d for each divisor d > 1 of n: the
+at most six rows of each monomial add their factors into one weight per
+pair (u, v), with (u, v) and (v, u) folded into one, and each distinct
+pair is summed once per N in C-level maps.  Nothing is kept between calls.
 
 A test function f(a, b, x, y) qualifies for the identities when it
 satisfies, as a polynomial identity,
@@ -249,8 +250,8 @@ def _identity_work(f: Poly4, n: int, which: str) -> int:
     moment core's estimate, weighted by deg(f), for at most (j+1)(k+1) +
     (i+1)(l+1) moments per monomial a^i b^j x^k y^l, plus one product per
     monomial for each right-side row, at most 6n over B'(n) and 6 sigma(n) <
-    6n bits(n) over B(n).  The right side takes each monomial's rows as at
-    most six power sums per divisor d, each of d - 1 products at most, so that
+    6n bits(n) over B(n).  The right side sums at most six distinct power
+    sums per monomial and divisor d, each of d - 1 products at most, so that
     term still bounds it."""
     degree = max(map(sum, f._terms), default=0)
     moments = sum((j + 1) * (k + 1) + (i + 1) * (l + 1) for i, j, k, l in f._terms)
@@ -259,7 +260,10 @@ def _identity_work(f: Poly4, n: int, which: str) -> int:
 
 
 def _power_sum(pts, rest, u: int, v: int) -> int:
-    """Σ x^u r^v over the pairs (x, r) of pts and rest, in C-level maps."""
+    """Σ x^u r^v over the pairs (x, r) of pts and rest, in C-level maps; for
+    v = 0, one pow map over pts."""
+    if not v:
+        return sum(map(pow, pts, repeat(u)))
     return sum(map(mul, map(pow, pts, repeat(u)), map(pow, rest, repeat(v))))
 
 
@@ -271,31 +275,30 @@ def _right_side(f: Poly4, d: int, e: int, pts) -> int:
     With M(u, v) = Σ x^u (d-x)^v over pts, a monomial c a^i b^j x^k y^l gives
     the rows c times e^j d^l M(k, 0) if i = 0, e^i d^k M(l, 0) if j = 0,
     e^(i+j) (-1)^l M(l, k), -e^(k+l) (-1)^j M(i, j), -d^j e^l M(i, 0) if
-    k = 0 and -d^i e^k M(j, 0) if l = 0.  pts's symmetry makes M(u, v) =
-    M(v, u), and a memo local to the call takes each pair's sum once.
+    k = 0 and -d^i e^k M(j, 0) if l = 0.  Each row adds its factor to one
+    weight per pair, and pts's symmetry makes M(u, v) = M(v, u), so (u, v)
+    and (v, u) share a weight.  Each distinct pair's sum is then taken once
+    and multiplied by its total weight.
     """
-    rest = [d - x for x in pts]
-    memo: dict[tuple[int, int], int] = {}
-
-    def m(u: int, v: int) -> int:
-        key = (u, v) if u >= v else (v, u)
-        if key not in memo:
-            memo[key] = _power_sum(pts, rest, *key)
-        return memo[key]
-
-    total = 0
+    weights: dict[tuple[int, int], int] = {}
     for (i, j, k, l), c in f._terms.items():
-        row = (-1) ** l * e ** (i + j) * m(l, k) - (-1) ** j * e ** (k + l) * m(i, j)
+        rows = [
+            (l, k, (-c if l % 2 else c) * e ** (i + j)),
+            (i, j, (c if j % 2 else -c) * e ** (k + l)),
+        ]
         if not i:
-            row += e**j * d**l * m(k, 0)
+            rows.append((k, 0, c * e**j * d**l))
         if not j:
-            row += e**i * d**k * m(l, 0)
+            rows.append((l, 0, c * e**i * d**k))
         if not k:
-            row -= d**j * e**l * m(i, 0)
+            rows.append((i, 0, -c * d**j * e**l))
         if not l:
-            row -= d**i * e**k * m(j, 0)
-        total += c * row
-    return total
+            rows.append((j, 0, -c * d**i * e**k))
+        for u, v, weight in rows:
+            key = (u, v) if u >= v else (v, u)
+            weights[key] = weights.get(key, 0) + weight
+    rest = [d - x for x in pts]
+    return sum(weight * _power_sum(pts, rest, u, v) for (u, v), weight in weights.items())
 
 
 def _sides_over(f: Poly4, ns: Sequence[int], which: str) -> list[tuple[int, int]]:
@@ -303,22 +306,26 @@ def _sides_over(f: Poly4, ns: Sequence[int], which: str) -> list[tuple[int, int]
 
     f's symmetry and every n's gate are checked first, in the order and with
     the messages of the one-n calls, so nothing is expanded or sieved for a
-    range with any n refused.  Then the left side is expanded once and one
-    moment-core call sums it for every n from one sieve; the right side is
-    summed per n.
+    range with any n refused.  _identity_work grows with n, so a range of
+    n >= 2 whose largest n is admitted is admitted whole by that one
+    estimate; only otherwise are the n walked in order to the first refused.
+    Then the left side is expanded once and one moment-core call sums it for
+    every n from one sieve; the right side is summed per n, over the divisors
+    d > 1 for B(n), as d = 1 has no point 0 < x < d.
     """
     if not symmetry_holds(f):
         raise ValueError("polynomial does not satisfy the symmetry hypothesis")
-    for n in ns:
-        if n < 2:
-            raise ValueError(f"identity sides need n >= 2, got {n}")
-        work = _identity_work(f, n, which)
-        arith._check_work(work, "identity sides at n = {n} need about {work} units of work", n=n)
+    if min(ns) < 2 or _identity_work(f, max(ns), which) > arith._WORK_LIMIT:
+        for n in ns:
+            if n < 2:
+                raise ValueError(f"identity sides need n >= 2, got {n}")
+            work = _identity_work(f, n, which)
+            arith._check_work(work, "identity sides at n = {n} need about {work} units of work", n=n)
     lhs = _moment_sums(_left_moments(f), ns, which)
     if which == "Bprime":
         rhs = [_right_side(f, n, 1, [t for t in range(1, n) if gcd(t, n) == 1]) for n in ns]
     else:
-        rhs = [sum(_right_side(f, d, n // d, range(1, d)) for d in divisors(n)) for n in ns]
+        rhs = [sum(_right_side(f, d, n // d, range(1, d)) for d in divisors(n)[1:]) for n in ns]
     return list(zip(lhs, rhs))
 
 
@@ -341,8 +348,8 @@ def main_identity_sides(f: Poly4, n: int, which: str = "Bprime") -> tuple[int, i
         f(0,e,x,d) + f(e,0,d,x) + f(e,e,d-x,-x) - f(x,x-d,e,e) - f(x,d,0,e) - f(d,x,e,0).
 
     The first is the second at (d, e) = (n, 1) with x over the totatives, up
-    to t -> n - t, so _right_side sums both, each monomial's rows as power
-    sums Σ x^u (d-x)^v taken once per d.  This is _sides_over at (n,): the
+    to t -> n - t, so _right_side sums both, as one weighted power sum
+    Σ x^u (d-x)^v per distinct pair (u, v) and d.  This is _sides_over at (n,): the
     left side is expanded once per call, and nothing is enumerated or kept
     between calls.  Raises ValueError if f fails the symmetry hypothesis or
     n < 2, and BudgetExceededError, before anything is allocated, if

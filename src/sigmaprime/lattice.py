@@ -200,15 +200,18 @@ def _factor_table(top: int) -> tuple[list[int], list[int]]:
     return least, power
 
 
-def _sigma_table(i: int, k: int, factors: tuple[list[int], list[int]]) -> list[int]:
-    # [0, g(1), ..., g(top - 1)] for the multiplicative g(m) = Σ_{ax = m} a**i x**k,
-    # one product per entry: g(m) = g(m / q) g(q) for q the full power of m's least
-    # prime p, and g(p**e) = p**(ie) + p**k g(p**(e-1)) with g(1) = 1; sigma_k is
-    # the case i = 0
+def _sigma_table(
+    i: int, k: int, factors: tuple[list[int], list[int]], size: int | None = None
+) -> list[int]:
+    # [0, g(1), ..., g(size - 1)] for the multiplicative g(m) = Σ_{ax = m} a**i x**k,
+    # size being the factor table's length unless given, one product per entry:
+    # g(m) = g(m / q) g(q) for q the full power of m's least prime p, and
+    # g(p**e) = p**(ie) + p**k g(p**(e-1)) with g(1) = 1; sigma_k is the case i = 0
     least, power = factors
-    table = [0] * len(least)
+    size = len(least) if size is None else size
+    table = [0] * size
     table[1] = 1
-    for m in range(2, len(least)):
+    for m in range(2, size):
         p, q = least[m], power[m]
         if q == m:
             table[m] = m**i + p**k * table[m // p]
@@ -283,7 +286,9 @@ def _moment_sums(moments: dict[tuple[int, ...], int], ns: Collection[int], which
     # M being Σ a**i b**j x**k y**l over the set; one factor table, one g table
     # per (i, k) and one memo of M_B(N) per (i + j, k + l) serve every n.  The
     # memo is filled N by N from dot products, or at once from one product per
-    # term where _product_is_cheaper says so
+    # term where _product_is_cheaper says so.  Both routes read g(m) for m < top
+    # only, so each g table stops there; the factor table keeps index top for
+    # B'(n)'s Möbius step
     coprime = _check_set(which)
     top = max(ns)
     factors = _factor_table(top + 1)
@@ -291,7 +296,7 @@ def _moment_sums(moments: dict[tuple[int, ...], int], ns: Collection[int], which
     groups: dict[tuple[int, int], list[tuple[int, list[int], list[int]]]] = {}
     for (i, j, k, l), c in moments.items():
         keys = (min(i, k), max(i, k)), (min(j, l), max(j, l))  # g_ik is g_ki
-        pair = [tables.get(key) or tables.setdefault(key, _sigma_table(*key, factors)) for key in keys]
+        pair = [tables.get(key) or tables.setdefault(key, _sigma_table(*key, factors, top)) for key in keys]
         groups.setdefault((i + j, k + l), []).append((c, *pair))
     if not coprime:
         factors = None  # B(n) factors nothing more; free the table before the sums

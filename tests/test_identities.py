@@ -300,15 +300,25 @@ def test_right_side_matches_the_literal_rows_at_large_n(which):
 
 def test_right_side_sums_stay_within_the_rows_term(monkeypatch):
     # each monomial's rows are at most six power sums of at most n terms over
-    # B'(n), and of fewer than n bits(n) terms over B(n) as sigma(n) < n bits(n)
+    # B'(n), and of fewer than n bits(n) terms over B(n) as sigma(n) < n bits(n);
+    # within one _right_side call each pair (u, v), taken up to order, is summed
+    # at most once, and no sum runs over an empty point set
     terms = []
+    pairs = []  # per _right_side call, the pairs it summed
     power_sum = identities._power_sum
+    right_side = identities._right_side
 
     def counting(pts, rest, u, v):
         terms.append(len(pts))
+        pairs[-1].append((min(u, v), max(u, v)))
         return power_sum(pts, rest, u, v)
 
+    def per_call(*args):
+        pairs.append([])
+        return right_side(*args)
+
     monkeypatch.setattr(identities, "_power_sum", counting)
+    monkeypatch.setattr(identities, "_right_side", per_call)
     rng = random.Random(4409)
     family = [*PROOF_POLYNOMIALS, *_FRONT_POLYS, *(random_symmetric_poly(rng) for _ in range(12))]
     for f in family:
@@ -319,6 +329,9 @@ def test_right_side_sums_stay_within_the_rows_term(monkeypatch):
                 bound = 6 * n * len(f.monomials) * (n.bit_length() if which == "B" else 1)
                 assert sum(terms) <= bound, (f.to_text(), n, which)
                 assert len(terms) <= 6 * len(f.monomials) * (len(divisors(n)) if which == "B" else 1)
+                assert all(terms), (f.to_text(), n, which)
+                assert all(len(set(summed)) == len(summed) for summed in pairs), (f.to_text(), n, which)
+                pairs.clear()
 
 
 def test_swap_symmetric_polynomials_have_zero_sides():
@@ -429,6 +442,25 @@ def test_sides_over_refuses_a_range_before_expanding(monkeypatch):
         identities._sides_over(f, (5, 1, 10**6), "B")
     with pytest.raises(BudgetExceededError, match="at n = 1000000 need"):
         identities._sides_over(f, (5, 10**6, 1), "B")
+
+
+def test_sides_over_admits_a_range_with_one_estimate(monkeypatch):
+    # the estimate grows with n, so an admitted range costs one call of it,
+    # at its largest n
+    calls = []
+    identity_work = identities._identity_work
+
+    def counting(f, n, which):
+        calls.append(n)
+        return identity_work(f, n, which)
+
+    monkeypatch.setattr(identities, "_identity_work", counting)
+    f = Poly4.from_text("1x^2y^2")
+    for which in SOLUTION_SETS:
+        for ns in (range(2, 41), (40, 2, 17, 17, 3), (7,)):
+            calls.clear()
+            identities._sides_over(f, ns, which)
+            assert calls == [max(ns)], (ns, which)
 
 
 def test_identities_defines_no_lru_cache():

@@ -423,6 +423,26 @@ def test_sigma_table_matches_sigma_k():
         assert table[1:] == [sigma_k(k, m) for m in range(1, 2000)], k
 
 
+def test_moment_sums_build_g_tables_only_below_the_largest_n(monkeypatch):
+    # both routes read g(m) for m < max(ns) only, so no table holds entry
+    # max(ns); at n = 2 the tables are [0, g(1)] and no power is taken
+    sizes = []
+    sigma_table = lattice._sigma_table
+
+    def spy(*args):
+        table = sigma_table(*args)
+        sizes.append(len(table))
+        return table
+
+    monkeypatch.setattr(lattice, "_sigma_table", spy)
+    moments = {(1, 0, 2, 1): 3, (0, 2, 1, 0): -2}
+    for which in SOLUTION_SETS:
+        for ns in ([2], [30], range(2, 151), [17, 5, 40]):
+            sizes.clear()
+            _moment_sums(moments, ns, which)
+            assert sizes and set(sizes) == {max(ns)}, (which, ns, sizes)
+
+
 def test_moment_tables_and_inversion_match_literal_sums():
     # g(m) = Σ_{ax = m} a**i x**k and h(m) = Σ_{de = m} μ(d) μ(e) d**u e**w,
     # each against its literal sum for m < 200
