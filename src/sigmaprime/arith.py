@@ -71,13 +71,14 @@ _POWER_BITS_LIMIT = 2**20
 # _bit_weight: 1 up to _WORD_BITS bits, and 1 more for each further _WORD_BITS.
 # That weight is 1 for every oracle call with r, s <= 12 under the limit.  The
 # limit admits single oracle n up to about 150000:
-# brute_convolution(1, 3, 150000, "B") takes 0.07-0.27 s and 16.1 MB above the
-# import's RSS, and over B' 0.09-0.30 s and 18.5 MB, the factor table being
-# held for the Möbius step (2-CPU container, Python 3.11.7, whose speed drifts
-# by about 2.5x).  It admits verify ranges up to about 2..4400 for every stored
-# form: 0.07-0.20 s each, the oracle taking its product route, where dot
-# products alone took 0.7-1.4 s.  It refuses brute_convolution(100000, 1, 600,
-# "B"), which ran 14.8 s at a 187 MB peak RSS unweighted.  The largest calls of
+# brute_convolution(1, 3, 150000, "B") takes 0.08-0.13 s and 15.9 MB above the
+# import's RSS, and over B' 0.11-0.13 s and 17.1 MB, the least-prime sieve
+# being held for the Möbius step (peak RSS, one call per process; 2-CPU
+# container, Python 3.11.7, whose speed drifts by about 2.5x).  It admits
+# verify ranges up to about 2..4400 for every stored form: 0.07-0.20 s each,
+# the oracle taking its product route, where dot products alone took 0.7-1.4
+# s.  It refuses brute_convolution(100000, 1, 600, "B"), which ran 14.8 s at a
+# 187 MB peak RSS unweighted.  The largest calls of
 # the tests, selftest and benchmark, B'(2310) and a few sparse points up to
 # 2310, cost under 2e5 units.
 _WORK_LIMIT = 10**7

@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import repeat
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from random import Random
 from typing import NamedTuple, Sequence
@@ -278,7 +278,8 @@ def _right_side(f: Poly4, d: int, e: int, pts) -> int:
     k = 0 and -d^i e^k M(j, 0) if l = 0.  Each row adds its factor to one
     weight per pair, and pts's symmetry makes M(u, v) = M(v, u), so (u, v)
     and (v, u) share a weight.  Each distinct pair's sum is then taken once
-    and multiplied by its total weight.
+    and multiplied by its total weight, unless that weight is 0, as every one
+    is for a swap-symmetric f, whose rows cancel under the swap.
     """
     weights: dict[tuple[int, int], int] = {}
     for (i, j, k, l), c in f._terms.items():
@@ -298,7 +299,7 @@ def _right_side(f: Poly4, d: int, e: int, pts) -> int:
             key = (u, v) if u >= v else (v, u)
             weights[key] = weights.get(key, 0) + weight
     rest = [d - x for x in pts]
-    return sum(weight * _power_sum(pts, rest, u, v) for (u, v), weight in weights.items())
+    return sum(weight * _power_sum(pts, rest, u, v) for (u, v), weight in weights.items() if weight)
 
 
 def _sides_over(f: Poly4, ns: Sequence[int], which: str) -> list[tuple[int, int]]:
@@ -561,9 +562,13 @@ def _sigma_twin(tid: TheoremId | str, n: int) -> Fraction:
     as n σ_{r+s-1}(n), for a form that vanishes at n = 1, as every one does."""
     key = _key(tid)
     r, s = THEOREM_RS[key[0]]
-    a, b, c, d = _COEFFICIENTS[key]
-    return (a * sigma_k(r + s + 1, n) + b * n * sigma_k(r + s - 1, n)
-            + c * sigma_k(r, n) + d * sigma_k(s, n))
+    row = _COEFFICIENTS[key]
+    # one integer sum over the row's common denominator, as ClosedForm.evaluate
+    common = lcm(*(coeff.denominator for coeff in row))
+    a, b, c, d = (coeff.numerator * (common // coeff.denominator) for coeff in row)
+    total = (a * sigma_k(r + s + 1, n) + b * n * sigma_k(r + s - 1, n)
+             + c * sigma_k(r, n) + d * sigma_k(s, n))
+    return Fraction(total, common)
 
 
 def besge_check(n: int) -> bool:

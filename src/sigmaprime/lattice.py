@@ -7,19 +7,21 @@ two-variable divisor sum sigma_prime and the moment core behind the
 identity engine, the pre-identity check (one sigma_prime convolution against
 one moment) and brute_convolution, the exact oracle every closed form is
 checked against.  The core never walks the set: a moment Σ a**i b**j x**k y**l
-over B(n) is a convolution of two multiplicative g tables from one
-least-prime sieve, and B'(n) follows by Möbius inversion.  It calls no arith
-kernel function, so it fills no process-wide cache, keeps nothing between
-calls, and serves a whole range of n from one sieve.  Each convolution M_B(N)
-is a dot product of the two tables, or, for a dense set of n, a slot of one
-big-integer product of the tables packed into fixed-width slots (Kronecker
-substitution), which gives every M_B(N) up to the largest n at once; one rule
-picks the cheaper route.  Every route here that can be asked for unbounded
+over B(n) is a convolution of two multiplicative g tables, and B'(n) follows
+by Möbius inversion.  One least-prime sieve, struck by primes only, serves
+both: the g tables are filled two per pass over m, and the inversion reads
+n's primes from it.  The core calls no arith kernel function, so it fills
+no process-wide cache, keeps nothing between calls, and serves a whole range
+of n from one sieve.  Each convolution M_B(N) is a dot product of the two
+tables, or, for a dense set of n, a slot of one big-integer product of the
+tables packed into fixed-width slots (Kronecker substitution), which gives
+every M_B(N) up to the largest n at once; one rule picks the cheaper route.  Every route here that can be asked for unbounded
 work is refused through arith's gate before that work starts.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from math import gcd, isqrt
 from operator import mul
 from typing import Callable, Collection, NamedTuple
@@ -182,59 +184,102 @@ def _moment_work(degree: int, ns: Collection[int], moments: int = 1, rows: int =
     return work
 
 
-def _factor_table(top: int) -> tuple[list[int], list[int]]:
-    # (least, power): for 2 <= m < top, least[m] is the least prime p of m and
-    # power[m] the full power of p in m.  Eratosthenes by slice assignment: for
-    # p from isqrt(top - 1) down to 2, prime or not, the multiples of p from p*p
-    # are struck with p, so each m is struck last by its least prime.  The
-    # strike holds a list of about top / 2 entries; least[1] = 1 ends each
-    # power chain.  No divisor list is built or cached.
+def _least_primes(top: int) -> list[int]:
+    # least[m] is the least prime of m for 2 <= m < top, and least[1] = 1.
+    # Eratosthenes by slice assignment: each prime p <= isqrt(top - 1), from the
+    # largest down, strikes its multiples from p*p with p, so each m is struck
+    # last by its least prime.  The primes are read from this sieve's own table
+    # up to isqrt(top - 1); the largest strike holds about top / 2 entries.  No
+    # divisor list is built or cached.
     least = list(range(top))
-    for p in range(isqrt(top - 1), 1, -1):
-        least[p * p :: p] = [p] * len(range(p * p, top, p))
-    power = least[:]
-    for m in range(2, top):
-        p = least[m]
-        if least[m // p] == p:
-            power[m] = power[m // p] * p
-    return least, power
+    root = isqrt(top - 1)
+    if root > 1:
+        small = _least_primes(root + 1)
+        for p in range(root, 1, -1):
+            if small[p] == p:
+                least[p * p :: p] = [p] * len(range(p * p, top, p))
+    return least
 
 
-def _sigma_table(
-    i: int, k: int, factors: tuple[list[int], list[int]], size: int | None = None
-) -> list[int]:
-    # [0, g(1), ..., g(size - 1)] for the multiplicative g(m) = Σ_{ax = m} a**i x**k,
-    # size being the factor table's length unless given, one product per entry:
-    # g(m) = g(m / q) g(q) for q the full power of m's least prime p, and
-    # g(p**e) = p**(ie) + p**k g(p**(e-1)) with g(1) = 1; sigma_k is the case i = 0
-    least, power = factors
-    size = len(least) if size is None else size
-    table = [0] * size
-    table[1] = 1
+def _g_tables(
+    keys: list[tuple[int, int]], least: list[int], size: int
+) -> dict[tuple[int, int], list[int]]:
+    # {(i, k): [0, g(1), ..., g(size - 1)]} for each distinct key, g being the
+    # multiplicative g(m) = Σ_{ax = m} a**i x**k (sigma_k is the case i = 0);
+    # the tables are filled two per pass over m, an odd one out alone
+    keys = list(dict.fromkeys(keys))
+    tables = {}
+    for first, second in zip(keys[::2], keys[1::2]):
+        tables[first], tables[second] = _g_pair(*first, *second, least, size)
+    if len(keys) % 2:
+        tables[keys[-1]] = _g_one(*keys[-1], least, size)
+    return tables
+
+
+def _g_pair(
+    i: int, k: int, j: int, l: int, least: list[int], size: int
+) -> tuple[list[int], list[int]]:
+    # the g tables of (i, k) and (j, l) from one pass, one product per entry.
+    # With p = least[m] and q = m / p, p divides m once when least[q] != p
+    # (least[1] = 1), so g(m) = g(p) g(q), or p**i + p**k for m = p prime.
+    # Otherwise p's full power p**e is divided out, so g(m) = g(p**e) g(m / p**e),
+    # or g(p**e) = p**(ie) + p**k g(p**(e-1)) for m = p**e
+    g, h = [0] * size, [0] * size
+    g[1] = h[1] = 1
     for m in range(2, size):
-        p, q = least[m], power[m]
-        if q == m:
-            table[m] = m**i + p**k * table[m // p]
+        p = least[m]
+        q = m // p
+        if least[q] != p:
+            if q > 1:
+                g[m] = g[p] * g[q]
+                h[m] = h[p] * h[q]
+            else:
+                g[m] = m**i + m**k
+                h[m] = m**j + m**l
         else:
-            table[m] = table[m // q] * table[q]
-    return table
+            power, rest = p * p, q // p
+            while least[rest] == p:
+                power, rest = power * p, rest // p
+            if rest > 1:
+                g[m] = g[power] * g[rest]
+                h[m] = h[power] * h[rest]
+            else:
+                g[m] = m**i + p**k * g[q]
+                h[m] = m**j + p**l * h[q]
+    return g, h
 
 
-def _inversion_terms(
-    u: int, w: int, n: int, factors: tuple[list[int], list[int]]
-) -> list[tuple[int, int]]:
+def _g_one(i: int, k: int, least: list[int], size: int) -> list[int]:
+    # the g table of (i, k) alone, by _g_pair's steps
+    g = [0] * size
+    g[1] = 1
+    for m in range(2, size):
+        p = least[m]
+        q = m // p
+        if least[q] != p:
+            g[m] = g[p] * g[q] if q > 1 else m**i + m**k
+        else:
+            power, rest = p * p, q // p
+            while least[rest] == p:
+                power, rest = power * p, rest // p
+            g[m] = g[power] * g[rest] if rest > 1 else m**i + p**k * g[q]
+    return g
+
+
+def _inversion_terms(u: int, w: int, n: int, least: list[int]) -> list[tuple[int, int]]:
     # [(m, h(m))] over the cube-free m | n, for the multiplicative h(m) = Σ_{de = m} μ(d) μ(e)
     # d**u e**w: h(p) = -(p**u + p**w), h(p**2) = p**(u + w), h(p**j) = 0 for j >= 3
-    least, power = factors
     terms = [(1, 1)]
     while n > 1:
-        p, q = least[n], power[n]
+        p = least[n]
+        n //= p
         p_u, p_w = p**u, p**w
         local = [(1, 1), (p, -p_u - p_w)]
-        if q > p:  # p**2 divides n
+        if least[n] == p:  # p**2 divided n
             local.append((p * p, p_u * p_w))
+            while least[n] == p:
+                n //= p
         terms = [(m * f, h * g) for m, h in terms for f, g in local]
-        n //= q
     return terms
 
 
@@ -283,23 +328,23 @@ def _product_memo(terms: list[tuple[int, list[int], list[int]]], top: int) -> li
 
 def _moment_sums(moments: dict[tuple[int, ...], int], ns: Collection[int], which: str) -> list[int]:
     # Σ c M(i, j, k, l; n) for every n of ns over the moments {(i, j, k, l): c},
-    # M being Σ a**i b**j x**k y**l over the set; one factor table, one g table
-    # per (i, k) and one memo of M_B(N) per (i + j, k + l) serve every n.  The
-    # memo is filled N by N from dot products, or at once from one product per
-    # term where _product_is_cheaper says so.  Both routes read g(m) for m < top
-    # only, so each g table stops there; the factor table keeps index top for
-    # B'(n)'s Möbius step
+    # M being Σ a**i b**j x**k y**l over the set; one least-prime sieve, one g
+    # table per (i, k), built two per pass, and one memo of M_B(N) per
+    # (i + j, k + l) serve every n.  The memo is filled N by N from dot
+    # products, or at once from one product per term where _product_is_cheaper
+    # says so.  Both routes read g(m) for m < top only, so each g table stops
+    # there; the sieve keeps index top for B'(n)'s Möbius step
     coprime = _check_set(which)
     top = max(ns)
-    factors = _factor_table(top + 1)
-    tables: dict[tuple[int, int], list[int]] = {}
+    least = _least_primes(top + 1)
+    # g_ik is g_ki, so each moment reads the tables of its sorted (i, k) and (j, l)
+    keys = [((min(i, k), max(i, k)), (min(j, l), max(j, l))) for i, j, k, l in moments]
+    tables = _g_tables([key for pair in keys for key in pair], least, top)
     groups: dict[tuple[int, int], list[tuple[int, list[int], list[int]]]] = {}
-    for (i, j, k, l), c in moments.items():
-        keys = (min(i, k), max(i, k)), (min(j, l), max(j, l))  # g_ik is g_ki
-        pair = [tables.get(key) or tables.setdefault(key, _sigma_table(*key, factors, top)) for key in keys]
-        groups.setdefault((i + j, k + l), []).append((c, *pair))
+    for ((i, j, k, l), c), (ik, jl) in zip(moments.items(), keys):
+        groups.setdefault((i + j, k + l), []).append((c, tables[ik], tables[jl]))
     if not coprime:
-        factors = None  # B(n) factors nothing more; free the table before the sums
+        least = None  # B(n) factors nothing more; free the sieve before the sums
     products = sum(set(ns))
     sums = []
     for weights, terms in groups.items():
@@ -314,14 +359,16 @@ def _moment_sums(moments: dict[tuple[int, ...], int], ns: Collection[int], which
         for weights, terms, memo in sums:
             # Over B'(n): [gcd(a, b) = 1] = Σ_{d | gcd(a, b)} μ(d), likewise e for (x, y), and
             # d·a', d·b', e·x', e·y' puts (a', b', x', y') in B(n / de) with weight d**u e**w
-            for m, h in _inversion_terms(*weights, n, factors) if coprime else ((1, 1),):
+            for m, h in _inversion_terms(*weights, n, least) if coprime else ((1, 1),):
                 big_n = n // m
                 value = memo[big_n]
                 if value is None:
-                    # M_B(N) = Σ_{0<m<N} g_ik(m) g_jl(N - m): each ax + by = N splits at m = ax
+                    # M_B(N) = Σ_{0<m<N} g_ik(m) g_jl(N - m): each ax + by = N splits at m = ax;
+                    # g_ik is read in place, g_jl as one reversed slice (islice would
+                    # step through the top - N entries above it one by one)
                     value = 0
                     for c, g_ik, g_jl in terms:
-                        value += c * sum(map(mul, g_ik[1:big_n], reversed(g_jl[1:big_n])))
+                        value += c * sum(map(mul, islice(g_ik, 1, big_n), g_jl[big_n - 1 : 0 : -1]))
                     memo[big_n] = value
                 total += h * value
         out.append(total)

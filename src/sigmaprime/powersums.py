@@ -26,7 +26,7 @@ the literal Fraction product, is the reference the tests hold it to.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
 from math import lcm, prod
 from typing import NamedTuple
 
@@ -191,7 +191,8 @@ def _direct_power_sum(k: int, n: int) -> int:
     The primes of n come from trial division here rather than arith, so the
     route stays independent of the kernel that the other two routes read.
     Each block of range(n) keeps a byte per residue; every multiple of a
-    prime of n (t = 0 among them) is struck, and t**k is summed over the rest.
+    prime of n (t = 0 among them) is struck, and t**k is summed over the rest
+    in one pow map, a power per kept residue.
     """
     primes = []
     m, p = n, 2
@@ -210,7 +211,7 @@ def _direct_power_sum(k: int, n: int) -> int:
         for p in primes:
             first = -lo % p
             keep[first::p] = bytes(len(range(first, size, p)))
-        total += sum(t**k for t in compress(range(lo, lo + size), keep))
+        total += sum(map(pow, compress(range(lo, lo + size), keep), repeat(k)))
     return total
 
 

@@ -348,6 +348,24 @@ def test_swap_symmetric_polynomials_have_zero_sides():
                 assert main_identity_sides(f, n, which) == (0, 0), (f.to_text(), n, which)
 
 
+def test_swap_symmetric_polynomials_sum_no_power(monkeypatch):
+    # every right-side weight of f = f(x, y, a, b) is 0, and no power sum is
+    # taken for a zero weight; an antisymmetric part brings its sums back
+    def refuse(*args):
+        raise AssertionError("a power sum was taken")
+
+    monkeypatch.setattr(identities, "_power_sum", refuse)
+    rng = random.Random(2207)
+    for _ in range(12):
+        g = Poly4({tuple(rng.randint(0, 3) for _ in range(4)): rng.randint(-9, 9) for _ in range(4)})
+        f = g + g.swapped()
+        for which in SOLUTION_SETS:
+            for n in (2, 12, 97, 360):
+                assert main_identity_sides(f, n, which) == (0, 0), (f.to_text(), n, which)
+    with pytest.raises(AssertionError, match="power sum"):
+        main_identity_sides(PROOF_POLYNOMIALS[0], 12, "B")
+
+
 def _images(a, b, x, y):
     # the point's orbit under the two symmetries of B(n) and B'(n)
     return (a, b, x, y), (b, a, y, x), (x, y, a, b), (y, x, b, a)
@@ -424,7 +442,7 @@ def test_sides_over_refuses_a_range_before_expanding(monkeypatch):
         raise AssertionError("the moments were expanded")
 
     monkeypatch.setattr(identities, "_left_moments", refuse)
-    monkeypatch.setattr(lattice, "_factor_table", refuse)
+    monkeypatch.setattr(lattice, "_least_primes", refuse)
     f = Poly4.from_text("1x^2y^2")
     for which, top in (("B", 20833), ("Bprime", 25252)):
         with pytest.raises(BudgetExceededError) as info:
@@ -515,7 +533,7 @@ def test_main_identity_ceiling_refuses_before_enumerating(monkeypatch):
         raise AssertionError("the moments were expanded")
 
     monkeypatch.setattr(identities, "_left_moments", refuse)
-    monkeypatch.setattr(lattice, "_factor_table", refuse)
+    monkeypatch.setattr(lattice, "_least_primes", refuse)
     f = Poly4.from_text("1x^2y^2")
     for which, top in (("B", 20833), ("Bprime", 25252)):
         with pytest.raises(BudgetExceededError) as info:

@@ -16,15 +16,17 @@ from sigmaprime.lattice import (
     BudgetExceededError,
     _convolution_work,
     _convolutions,
-    _factor_table,
+    _g_one,
+    _g_pair,
+    _g_tables,
     _inversion_terms,
+    _least_primes,
     _moment_sums,
     _moment_work,
     _packed,
     _product_is_cheaper,
     _product_memo,
     _quadruple_bound,
-    _sigma_table,
     brute_convolution,
     check_pre_identity,
     enumerate_quadruples,
@@ -321,8 +323,8 @@ def test_moment_sums_takes_the_route_the_rule_picks(monkeypatch):
 def test_product_memo_reads_every_slot():
     # slot N of the packed product is M_B(N) for N <= top, each term weighted
     # by its c; entries of 0 and of a full slot width keep their places
-    factors = _factor_table(31)
-    g, h = _sigma_table(0, 1, factors), _sigma_table(2, 3, factors)
+    tables = _g_tables([(0, 1), (2, 3)], _least_primes(31), 31)
+    g, h = tables[0, 1], tables[2, 3]
     dot = [sum(g[m] * h[n - m] for m in range(1, n)) for n in range(31)]
     assert _product_memo([(1, g, h)], 30) == dot
     assert _product_memo([(3, g, h), (-1, h, g)], 30) == [2 * v for v in dot]
@@ -360,8 +362,8 @@ def test_oracle_refuses_over_budget_before_building_tables(monkeypatch):
         raise AssertionError("a table was built")
 
     monkeypatch.setattr(arith, "_WORK_LIMIT", 1000)
-    monkeypatch.setattr(lattice, "_factor_table", no_tables)
-    monkeypatch.setattr(lattice, "_sigma_table", no_tables)
+    monkeypatch.setattr(lattice, "_least_primes", no_tables)
+    monkeypatch.setattr(lattice, "_g_tables", no_tables)
     monkeypatch.setattr(lattice, "divisors", no_tables)
     for which in SOLUTION_SETS:
         with pytest.raises(BudgetExceededError, match="limit is 1000"):
@@ -388,8 +390,10 @@ def test_oracle_names_no_arith_kernel_function():
         _convolutions,
         _convolution_work,
         _moment_sums,
-        _factor_table,
-        _sigma_table,
+        _least_primes,
+        _g_tables,
+        _g_pair,
+        _g_one,
         _inversion_terms,
         _product_is_cheaper,
         _product_memo,
@@ -406,35 +410,77 @@ def test_closed_forms_name_no_psi():
 
 
 def test_factor_table_matches_factorize():
-    # every top up to 300 covers the edges where top - 1 = p**2 (5, 10, 26, 50,
-    # 122, 170, ...), the last square the strike must reach
+    # the least-prime sieve: every top up to 300 covers the edges where
+    # top - 1 = p**2 (5, 10, 26, 50, 122, 170, ...), the last square the strike
+    # must reach, and 5000 a sieve whose own primes come from a sieve of a sieve
     for top in [*range(2, 301), 5000]:
-        least, power = _factor_table(top)
+        least = _least_primes(top)
+        assert least[:2] == [0, 1] and len(least) == top, top
         for m in range(2, top):
-            p, e = factorize(m)[0]
-            assert (least[m], power[m]) == (p, p**e), (top, m)
+            assert least[m] == factorize(m)[0][0], (top, m)
 
 
 def test_sigma_table_matches_sigma_k():
-    # k = 0 checks sigma_0(p**e) = e + 1
-    factors = _factor_table(2000)
+    # k = 0 checks sigma_0(p**e) = e + 1; the 13 keys take six two-key passes
+    # and one pass alone
+    tables = _g_tables([(0, k) for k in range(13)], _least_primes(2000), 2000)
     for k in range(13):
-        table = _sigma_table(0, k, factors)
-        assert table[1:] == [sigma_k(k, m) for m in range(1, 2000)], k
+        assert tables[0, k][1:] == [sigma_k(k, m) for m in range(1, 2000)], k
+
+
+def _literal_g(i, k, size):
+    # [0, g(1), ..., g(size - 1)] for g(m) = Σ_{ax = m} a**i x**k
+    return [0] + [sum(a**i * (m // a) ** k for a in divisors(m)) for m in range(1, size)]
+
+
+def test_g_tables_fill_two_keys_a_pass_and_one_alone(monkeypatch):
+    # each distinct key's table is built once: two keys share a pass, an odd
+    # one out takes its own, and a repeated key (r = s) takes no second pass;
+    # keys with i > 0 and i > k included, each against its literal sum
+    passes = []
+
+    def spy(name):
+        build = getattr(lattice, name)
+
+        def counting(*args):
+            passes.append((name, args[:-2]))
+            return build(*args)
+
+        monkeypatch.setattr(lattice, name, counting)
+
+    spy("_g_pair")
+    spy("_g_one")
+    least = _least_primes(601)
+    for keys, expected in (
+        ([(0, 3), (0, 3)], [("_g_one", (0, 3))]),
+        ([(1, 2), (0, 5)], [("_g_pair", (1, 2, 0, 5))]),
+        ([(2, 1), (0, 0), (2, 1), (3, 3), (0, 0)], [("_g_pair", (2, 1, 0, 0)), ("_g_one", (3, 3))]),
+    ):
+        passes.clear()
+        tables = _g_tables(keys, least, 600)
+        assert passes == expected, keys
+        assert list(tables) == list(dict.fromkeys(keys))
+        for i, k in tables:
+            assert tables[i, k] == _literal_g(i, k, 600), (i, k)
+    # the oracle builds its two σ tables in one pass, or one when r = s
+    passes.clear()
+    brute_convolution(1, 3, 300, "Bprime")
+    brute_convolution(2, 2, 300, "B")
+    assert passes == [("_g_pair", (0, 1, 0, 3)), ("_g_one", (0, 2))]
 
 
 def test_moment_sums_build_g_tables_only_below_the_largest_n(monkeypatch):
     # both routes read g(m) for m < max(ns) only, so no table holds entry
     # max(ns); at n = 2 the tables are [0, g(1)] and no power is taken
     sizes = []
-    sigma_table = lattice._sigma_table
+    g_tables = lattice._g_tables
 
     def spy(*args):
-        table = sigma_table(*args)
-        sizes.append(len(table))
-        return table
+        tables = g_tables(*args)
+        sizes.extend(map(len, tables.values()))
+        return tables
 
-    monkeypatch.setattr(lattice, "_sigma_table", spy)
+    monkeypatch.setattr(lattice, "_g_tables", spy)
     moments = {(1, 0, 2, 1): 3, (0, 2, 1, 0): -2}
     for which in SOLUTION_SETS:
         for ns in ([2], [30], range(2, 151), [17, 5, 40]):
@@ -446,18 +492,16 @@ def test_moment_sums_build_g_tables_only_below_the_largest_n(monkeypatch):
 def test_moment_tables_and_inversion_match_literal_sums():
     # g(m) = Σ_{ax = m} a**i x**k and h(m) = Σ_{de = m} μ(d) μ(e) d**u e**w,
     # each against its literal sum for m < 200
-    factors = _factor_table(200)
+    least = _least_primes(200)
+    tables = _g_tables([(i, k) for i in range(5) for k in range(5)], least, 200)
     for i in range(5):
         for k in range(5):
-            table = _sigma_table(i, k, factors)
-            assert table[1:] == [
-                sum(a**i * (m // a) ** k for a in divisors(m)) for m in range(1, 200)
-            ], (i, k)
+            assert tables[i, k] == _literal_g(i, k, 200), (i, k)
     for m in range(1, 200):
         for u in range(4):
             for w in range(4):
                 literal = sum(mobius(d) * mobius(m // d) * d**u * (m // d) ** w for d in divisors(m))
-                assert dict(_inversion_terms(u, w, m, factors)).get(m, 0) == literal, (m, u, w)
+                assert dict(_inversion_terms(u, w, m, least)).get(m, 0) == literal, (m, u, w)
 
 
 def test_moment_sums_match_literal_moments():
@@ -479,9 +523,9 @@ def test_moment_sums_match_literal_moments():
 def test_inversion_terms_match_literal_weights():
     # h(m) = Σ_{de = m} μ(d) μ(e) e**w; the terms of n list the cube-free
     # divisors m of n, each once, so h(n) is the term at m = n or 0
-    factors = _factor_table(2001)
+    least = _least_primes(2001)
     for n in range(1, 2001):
-        terms = [_inversion_terms(0, w, n, factors) for w in range(13)]
+        terms = [_inversion_terms(0, w, n, least) for w in range(13)]
         ms = [m for m, _ in terms[0]]
         assert sorted(ms) == [m for m in divisors(n) if all(e < 3 for _, e in factorize(m))]
         for w in range(13):
