@@ -530,14 +530,17 @@ def verify_theorem(tid: TheoremId | str, lo: int, hi: int, jobs: int = 1) -> Ver
     """Compare a stored closed form against the convolution oracle on [lo, hi].
 
     Every n is checked for exact equality, and rows are reported in
-    ascending n.  One oracle call covers the whole range, so one pair of σ
-    tables, built up to hi, serves every row; a range dense enough takes
-    every oracle value from one big-integer product of the two tables
-    rather than a dot product per n.  All rows run in this
-    process; ``jobs`` is accepted for compatibility and must lie in 1..256.
-    Raises ValueError, before any work, on an empty or out-of-domain range
-    (lo < 2 or hi < lo) and on jobs outside 1..256, and BudgetExceededError
-    when the range is beyond the oracle's work limit.
+    ascending n.  Each side is one call over the whole range.  The oracle's
+    one pair of σ tables, built up to hi, serves every row; a range dense
+    enough takes every M_B(N) from one big-integer product of the two
+    tables, and every B'(n) from those in one Dirichlet pass, rather than a
+    dot product and a Möbius step per n.  The closed form then evaluates the
+    range in one call, which reads its terms once and takes each distinct ψ
+    once per n.  All rows run in this process; ``jobs`` is accepted for
+    compatibility and must lie in 1..256.  Raises ValueError, before any
+    work, on an empty or out-of-domain range (lo < 2 or hi < lo) and on jobs
+    outside 1..256, and BudgetExceededError when the range is beyond the
+    oracle's work limit, before either side runs.
     """
     if isinstance(tid, str):
         tid = parse_theorem_id(tid)
@@ -547,12 +550,11 @@ def verify_theorem(tid: TheoremId | str, lo: int, hi: int, jobs: int = 1) -> Ver
         raise ValueError(f"jobs must be between 1 and {_MAX_JOBS}, got {jobs}")
     r, s = THEOREM_RS[tid.name]
     ns = range(lo, hi + 1)
-    rows = []
-    for n, oracle in zip(ns, _convolutions(r, s, ns, "Bprime")):
-        closed = eval_theorem(tid, n)
-        rows.append(VerifyRow(n, oracle, closed, closed == oracle))
+    oracles = _convolutions(r, s, ns, "Bprime")
+    closed = theorem_form(tid)._values(ns)
+    rows = tuple(VerifyRow(n, o, c, c == o) for n, o, c in zip(ns, oracles, closed))
     bad = next((row for row in rows if not row.ok), None)
-    return VerifyReport(tid, tuple(rows), bad is None, bad)
+    return VerifyReport(tid, rows, bad is None, bad)
 
 
 def _sigma_twin(tid: TheoremId | str, n: int) -> Fraction:

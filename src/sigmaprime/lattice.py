@@ -15,15 +15,18 @@ no process-wide cache, keeps nothing between calls, and serves a whole range
 of n from one sieve.  Each convolution M_B(N) is a dot product of the two
 tables, or, for a dense set of n, a slot of one big-integer product of the
 tables packed into fixed-width slots (Kronecker substitution), which gives
-every M_B(N) up to the largest n at once; one rule picks the cheaper route.  Every route here that can be asked for unbounded
-work is refused through arith's gate before that work starts.
+every M_B(N) up to the largest n at once; one rule picks the cheaper route.
+Where the product gave every M_B(N), B'(n) follows for the whole range in
+one Dirichlet pass over the Möbius weights; the dot route inverts n by n.
+Every route here that can be asked for unbounded work is refused through
+arith's gate before that work starts.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import islice, repeat
 from math import gcd, isqrt
-from operator import mul
+from operator import add, mul
 from typing import Callable, Collection, NamedTuple
 
 from . import arith
@@ -283,6 +286,41 @@ def _inversion_terms(u: int, w: int, n: int, least: list[int]) -> list[tuple[int
     return terms
 
 
+def _inversion_table(u: int, w: int, least: list[int], size: int) -> list[int]:
+    # [0, h(1), ..., h(size - 1)] for _inversion_terms' multiplicative h, by
+    # _g_pair's steps: with p = least[m], h(m) = h(p) h(m / p) where p divides m
+    # once, h(p**2) h(m / p**2) where p**2 divides it exactly, and 0 where p**3 does
+    h = [0] * size
+    h[1] = 1
+    for m in range(2, size):
+        p = least[m]
+        q = m // p
+        if least[q] != p:
+            h[m] = h[p] * h[q] if q > 1 else -(m**u + m**w)
+        else:
+            rest = q // p
+            if least[rest] != p:
+                h[m] = h[p * p] * h[rest] if rest > 1 else p ** (u + w)
+    return h
+
+
+def _inverted_memo(u: int, w: int, memo: list[int], lo: int, least: list[int]) -> list[int]:
+    # [M_B'(n) for n = 0 .. top] from memo = [M_B(N) for N = 0 .. top], exact for
+    # n >= lo: M_B'(n) = Σ_{mN = n} h(m) M_B(N), so one Dirichlet pass adds
+    # h(m) M_B(N) into every multiple n = mN >= lo by slice assignment.  B(1) is
+    # empty, so M_B(1) = 0 and m stops at top // 2
+    top = len(memo) - 1
+    h = _inversion_table(u, w, least, top // 2 + 1)
+    out = [0] * (top + 1)
+    for m in range(1, top // 2 + 1):
+        if h[m]:
+            first = -(-lo // m)
+            out[m * first :: m] = map(
+                add, out[m * first :: m], map(mul, repeat(h[m]), memo[first : top // m + 1])
+            )
+    return out
+
+
 # The product route's cost, in the dot route's products: packing and reading one
 # slot costs about _SLOT_COST of them, and multiplying two ints of d 30-bit
 # digits takes about d**log2(3) digit steps (CPython's Karatsuba), of which
@@ -328,13 +366,18 @@ def _product_memo(terms: list[tuple[int, list[int], list[int]]], top: int) -> li
 
 def _moment_sums(moments: dict[tuple[int, ...], int], ns: Collection[int], which: str) -> list[int]:
     # Σ c M(i, j, k, l; n) for every n of ns over the moments {(i, j, k, l): c},
-    # M being Σ a**i b**j x**k y**l over the set; one least-prime sieve, one g
-    # table per (i, k), built two per pass, and one memo of M_B(N) per
-    # (i + j, k + l) serve every n.  The memo is filled N by N from dot
-    # products, or at once from one product per term where _product_is_cheaper
-    # says so.  Both routes read g(m) for m < top only, so each g table stops
-    # there; the sieve keeps index top for B'(n)'s Möbius step
+    # M being Σ a**i b**j x**k y**l over the set; no moments sum to 0 with no
+    # sieve.  One least-prime sieve, one g table per (i, k), built two per
+    # pass, and one memo of M_B(N) per (i + j, k + l) serve every n.  The memo
+    # is filled N by N from dot products, or at once from one product per term
+    # where _product_is_cheaper says so.  Over B'(n) the dot route inverts each
+    # n from its own Möbius terms; a product memo holds every M_B(N) up to top,
+    # so one Dirichlet pass (_inverted_memo) gives every M_B'(n) from it.  Both
+    # routes read g(m) for m < top only, so each g table stops there; the sieve
+    # keeps index top for B'(n)'s Möbius step
     coprime = _check_set(which)
+    if not moments:
+        return [0] * len(ns)
     top = max(ns)
     least = _least_primes(top + 1)
     # g_ik is g_ki, so each moment reads the tables of its sorted (i, k) and (j, l)
@@ -346,17 +389,21 @@ def _moment_sums(moments: dict[tuple[int, ...], int], ns: Collection[int], which
     if not coprime:
         least = None  # B(n) factors nothing more; free the sieve before the sums
     products = sum(set(ns))
-    sums = []
+    # swept[n] sums the product route's groups, each set's M(n) for every n >= min(ns)
+    swept = None
+    dots = []
     for weights, terms in groups.items():
         if _product_is_cheaper(top, products, sum(weights)):
             memo = _product_memo(terms, top)
+            if coprime:
+                memo = _inverted_memo(*weights, memo, min(ns), least)
+            swept = memo if swept is None else list(map(add, swept, memo))
         else:
-            memo = [None] * (top + 1)
-        sums.append((weights, terms, memo))
+            dots.append((weights, terms, [None] * (top + 1)))
     out = []
     for n in ns:
-        total = 0
-        for weights, terms, memo in sums:
+        total = 0 if swept is None else swept[n]
+        for weights, terms, memo in dots:
             # Over B'(n): [gcd(a, b) = 1] = Σ_{d | gcd(a, b)} μ(d), likewise e for (x, y), and
             # d·a', d·b', e·x', e·y' puts (a', b', x', y') in B(n / de) with weight d**u e**w
             for m, h in _inversion_terms(*weights, n, least) if coprime else ((1, 1),):

@@ -18,12 +18,12 @@ than a theorem.
 The oracle is always the convolution oracle behind brute_convolution over
 B'(n), never a stored form.  fit() and validate() each call it once for
 their whole point set, so one pair of σ tables serves every point, in this
-process.  Both are bounded by the shared work limit: fit() first estimates
-its exact solve from the number of points and unknowns and the length of
-n**(r+s+1) at the largest point, and raises BudgetExceededError before
-any work when that estimate is over the limit; the oracle then checks its
-own estimate, and fit() the sum of the two, so a whole fit stays within one
-limit.
+process, and evaluate each ClosedForm in one call for the set.  Both are
+bounded by the shared work limit: fit() first estimates its exact solve
+from the number of points and unknowns and the length of n**(r+s+1) at
+the largest point, and raises BudgetExceededError before any work when
+that estimate is over the limit; the oracle then checks its own estimate,
+and fit() the sum of the two, so a whole fit stays within one limit.
 When r == s the C and D columns coincide; the fit then drops D, so C
 carries the combined coefficient and D is fixed at 0.
 """
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import sub
 from typing import NamedTuple
 
 from . import arith
@@ -173,7 +174,7 @@ def _solve_work(r: int, s: int, ns: tuple[int, ...], unknowns: int) -> int:
 def _design_rows(columns: tuple[tuple[int, int], ...], ns: tuple[int, ...]) -> list[list[Fraction]]:
     # a row of column values per point, each column one ClosedForm for every row
     forms = [ClosedForm(((Fraction(1), power, order),)) for power, order in columns]
-    return [[form.evaluate(n) for form in forms] for n in ns]
+    return [list(row) for row in zip(*[form._values(ns) for form in forms])]
 
 
 def fit(r: int, s: int, train_ns: tuple[int, ...] | list[int]) -> FitReport:
@@ -242,9 +243,7 @@ def validate(
     """
     ns = _test_points(test_ns, train_ns)
     form = _ansatz_form(r, s, coeffs[:4])
-    residuals = tuple(
-        oracle - form.evaluate(n) for n, oracle in zip(ns, _convolutions(r, s, ns, "Bprime"))
-    )
+    residuals = tuple(map(sub, _convolutions(r, s, ns, "Bprime"), form._values(ns)))
     verdict = "consistent" if all(res == 0 for res in residuals) else "inconsistent"
     return FitReport(r, s, coeffs, tuple(sorted(set(train_ns))), ns, residuals, verdict)
 

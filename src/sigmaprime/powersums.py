@@ -19,8 +19,9 @@ the tests.
 The closed forms are stored as ClosedForm values rather than code so the
 identity verifier and the pattern fitter share one representation.
 ClosedForm.evaluate factorizes n once and adds every term as a plain int
-over one common denominator, building a single Fraction at the end; psi,
-the literal Fraction product, is the reference the tests hold it to.
+over one common denominator, building a single Fraction at the end; a
+whole point set is evaluated in one call that reads the form's layout once.
+psi, the literal Fraction product, is the reference the tests hold it to.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress, repeat
 from math import lcm, prod
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from . import arith
 from .arith import _divisors_of, factorize, faulhaber_sum, mobius
@@ -81,8 +82,12 @@ class ClosedForm(_ClosedForm):
     largest negative n power, so the sum is one of plain ints.  A positive
     order o gives ψ_o(n) = Π (1 - p**o) and a negative one Π (p**-o - 1) /
     rad(n)**-o.  L, a, b and the scaled numerators depend on the form alone
-    and are computed once, when it is made.  It refuses what psi
-    refuses, in psi's order and words, for every term before n is factorized.
+    and are computed once, when it is made, as is the grouping of the terms
+    by psi order.  It refuses what psi refuses, in psi's order and words,
+    for every term before n is factorized.  evaluate(n) is the private
+    point-set call _values at (n,): over a whole set it checks the
+    refusals once at the largest n and takes each distinct order's ψ once
+    per n, so the ansatz's two ψ_{-1} columns share one product.
     """
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace runs __new__
@@ -95,31 +100,53 @@ class ClosedForm(_ClosedForm):
         a = max([0, *(-order for _, _, order in terms)])
         b = max([0, *(-power for _, power, _ in terms)])
         numerators = tuple(coeff.numerator * (common // coeff.denominator) for coeff, _, _ in terms)
-        self._scaled = (common, a, b, numerators)
+        # the terms grouped by psi order, in order of first appearance, each
+        # with its (numerator over L, n power + b) pairs
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for (_, power, order), numerator in zip(terms, numerators):
+            groups.setdefault(order, []).append((numerator, power + b))
+        self._scaled = (common, a, b, tuple(groups.items()))
         return self
 
     def evaluate(self, n: int) -> Fraction:
-        if n < 2:
-            raise ValueError(f"closed forms are defined for n >= 2, got {n}")
-        # psi's refusals, each term in turn, before n is factorized
-        for _, _, order in self.terms:
-            if order == 0:
-                raise ValueError("psi order s must be nonzero")
-            if abs(order) * n.bit_length() > arith._POWER_BITS_LIMIT:
-                arith._refuse_power_bits("psi", order, n)
-        if not self.terms:
-            return Fraction(0)
-        common, a, b, numerators = self._scaled
-        primes = [p for p, _ in factorize(n)]
-        rad = prod(primes)
-        total = 0
-        for (_, power, order), numerator in zip(self.terms, numerators):
-            if order > 0:
-                scaled_psi = prod(1 - p**order for p in primes) * rad**a
-            else:
-                scaled_psi = prod(p**-order - 1 for p in primes) * rad ** (a + order)
-            total += numerator * n ** (power + b) * scaled_psi
-        return Fraction(total, common * rad**a * n**b)
+        return self._values((n,))[0]
+
+    def _values(self, ns: Sequence[int]) -> list[Fraction]:
+        # evaluate(n) for every n of ns, in order.  psi's refusals, each term in
+        # turn (a refusal depends on the order alone, so each distinct order in
+        # turn), are checked before any n is factorized: a power's length grows
+        # with n, so they are checked once at max(ns), and only a set with a
+        # refusal is walked in order to name the first refused n
+        common, a, b, groups = self._scaled
+        limit = arith._POWER_BITS_LIMIT
+        if ns and (min(ns) < 2 or any(not o or abs(o) * max(ns).bit_length() > limit for o, _ in groups)):
+            for n in ns:
+                if n < 2:
+                    raise ValueError(f"closed forms are defined for n >= 2, got {n}")
+                for order, _ in groups:
+                    if order == 0:
+                        raise ValueError("psi order s must be nonzero")
+                    if abs(order) * n.bit_length() > limit:
+                        arith._refuse_power_bits("psi", order, n)
+        if not groups:
+            return [Fraction(0)] * len(ns)
+        out = []
+        for n in ns:
+            primes = [p for p, _ in factorize(n)]
+            rad = prod(primes)
+            scale = rad**a
+            total = 0
+            for order, pairs in groups:
+                if order > 0:
+                    scaled_psi = prod([1 - p**order for p in primes]) * scale
+                else:
+                    scaled_psi = prod([p**-order - 1 for p in primes]) * rad ** (a + order)
+                factor = 0
+                for numerator, power in pairs:
+                    factor += numerator * n**power
+                total += factor * scaled_psi
+            out.append(Fraction(total, common * scale * n**b))
+        return out
 
 
 def _form(*terms: tuple[int, int, int, int]) -> ClosedForm:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigmaprime import arith, cli, identities, lattice
+from sigmaprime import arith, cli, identities, lattice, powersums
 from sigmaprime.arith import divisors, sigma_convolution, sigma_k
 from sigmaprime.identities import (
     PROOF_POLYNOMIALS,
@@ -435,6 +435,27 @@ def test_sides_over_a_range_match_the_one_n_calls(which):
             assert identities._sides_over(f, ns, which) == expected, (f.to_text(), ns)
 
 
+def test_sides_over_a_b_prime_range_mixes_both_routes(monkeypatch):
+    # over these ranges the rule takes the product for the degree-4 group and
+    # dot products for the degree-30 ones, so one B' range sums its left side by
+    # the Dirichlet pass and by the per-n Möbius step at once
+    f = Poly4.from_text("1x^2y^2 + 1x^16y^14")
+    routes = set()
+    for name in ("_inverted_memo", "_inversion_terms"):
+        real = getattr(lattice, name)
+
+        def spy(*args, real=real, name=name):
+            routes.add(name)
+            return real(*args)
+
+        monkeypatch.setattr(lattice, name, spy)
+    for ns in (range(2, 151), range(40, 151)):
+        routes.clear()
+        sides = identities._sides_over(f, ns, "Bprime")
+        assert routes == {"_inverted_memo", "_inversion_terms"}, ns
+        assert sides == [main_identity_sides(f, n) for n in ns], ns
+
+
 def test_sides_over_refuses_a_range_before_expanding(monkeypatch):
     # every n's gate runs first, so a range ending one past the pinned edge is
     # refused with that n's own message before any moment or sieve is built
@@ -639,6 +660,18 @@ def test_verify_theorem_corrected_forms_small_range():
         assert report.all_pass
         assert report.first_counterexample is None
         assert len(report.rows) == 39
+
+
+def test_verify_past_the_oracle_limit_is_refused_before_the_closed_form(monkeypatch):
+    # the oracle's gate comes first, so no n is factorized for a refused range
+    def no_factorize(*args):
+        raise AssertionError("a closed form factorized n")
+
+    monkeypatch.setattr(powersums, "factorize", no_factorize)
+    with pytest.raises(BudgetExceededError, match="the convolution oracle needs"):
+        verify_theorem("t11", 2, 20000)
+    with pytest.raises(AssertionError, match="factorized"):
+        verify_theorem("t11", 2, 20)
 
 
 def test_verify_theorem_printed_t13_fails_with_factor_eight():

@@ -19,7 +19,9 @@ from sigmaprime.lattice import (
     _g_one,
     _g_pair,
     _g_tables,
+    _inversion_table,
     _inversion_terms,
+    _inverted_memo,
     _least_primes,
     _moment_sums,
     _moment_work,
@@ -294,6 +296,44 @@ def test_product_route_matches_per_n_route(lo_hi, r, s, which):
         assert _convolutions(r, s, ns, which) == per_n
 
 
+# n divisible by a cube, whose h(m) vanish at m = p**3, and a squarefree one
+CUBE_N = (8, 27, 72, 216, 432, 2310)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.one_of(st.integers(2, 500), st.sampled_from(CUBE_N)), min_size=1, max_size=8),
+        st.integers(3, 440).flatmap(lambda lo: st.integers(lo, lo + 120).map(lambda hi: range(lo, hi + 1))),
+    ),
+    st.integers(0, 5),
+    st.integers(0, 5),
+)
+@example([2310, 8, 432, 27, 8, 216, 72], 1, 3)
+@example(range(8, 73), 1, 3)
+@example(range(200, 433), 0, 2)
+@example(range(27, 28), 2, 1)
+def test_dirichlet_pass_matches_per_n_inversion(ns, r, s):
+    # the product route forced on sparse, unsorted and repeated lists and on
+    # ranges from lo > 2: every M_B'(n) comes from one Dirichlet pass over the
+    # memo, against brute_convolution's per-n Möbius step
+    per_n = [brute_convolution(r, s, n, "Bprime") for n in ns]
+    with mock.patch.object(lattice, "_product_is_cheaper", return_value=True):
+        assert _convolutions(r, s, ns, "Bprime") == per_n
+
+
+def test_moment_sums_of_no_moments_build_no_sieve(monkeypatch):
+    # no moments sum to 0 at every n before any sieve: the left side of every
+    # swap-symmetric f
+    def refuse(*args):
+        raise AssertionError("a sieve was built")
+
+    monkeypatch.setattr(lattice, "_least_primes", refuse)
+    for which in SOLUTION_SETS:
+        assert _moment_sums({}, [5, 2, 5, 300], which) == [0, 0, 0, 0]
+        assert _moment_sums({}, range(2, 151), which) == [0] * 149
+
+
 def test_product_route_rule_decisions():
     # decided on numbers alone: the largest n, Σn and the degree
     for n in (2, 25, 2046, 150000):
@@ -395,6 +435,8 @@ def test_oracle_names_no_arith_kernel_function():
         _g_pair,
         _g_one,
         _inversion_terms,
+        _inversion_table,
+        _inverted_memo,
         _product_is_cheaper,
         _product_memo,
         _packed,
@@ -405,7 +447,7 @@ def test_oracle_names_no_arith_kernel_function():
 def test_closed_forms_name_no_psi():
     # psi is the Fraction reference that evaluate is tested against, so the
     # integer route must not fall back to it
-    for func in (ClosedForm.evaluate, ClosedForm.__new__, _design_rows):
+    for func in (ClosedForm.evaluate, ClosedForm._values, ClosedForm.__new__, _design_rows):
         assert "psi" not in code_names(func.__code__), func.__qualname__
 
 
@@ -497,11 +539,13 @@ def test_moment_tables_and_inversion_match_literal_sums():
     for i in range(5):
         for k in range(5):
             assert tables[i, k] == _literal_g(i, k, 200), (i, k)
+    h = {(u, w): _inversion_table(u, w, least, 200) for u in range(4) for w in range(4)}
     for m in range(1, 200):
         for u in range(4):
             for w in range(4):
                 literal = sum(mobius(d) * mobius(m // d) * d**u * (m // d) ** w for d in divisors(m))
                 assert dict(_inversion_terms(u, w, m, least)).get(m, 0) == literal, (m, u, w)
+                assert h[u, w][m] == literal, (m, u, w)
 
 
 def test_moment_sums_match_literal_moments():

@@ -186,6 +186,52 @@ def test_evaluate_matches_fraction_route_on_random_forms(terms, n):
     assert value == fraction_route(form, n)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_TERMS, max_size=6), st.lists(st.integers(2, 10**6), max_size=8))
+@example([(Fraction(5, 12), 3, -1), (Fraction(-1, 2), 1, -1), (Fraction(1, 12), 1, 1)], [6, 2, 6, 97])
+@example([(Fraction(1, 3), -2, -3), (Fraction(2), 4, -3), (Fraction(-1, 7), 0, 2)], [30030, 2, 1024])
+def test_batched_values_match_psi_fractions_on_random_forms(terms, ns):
+    # one call over a sparse, unsorted point set with repeats, against psi's
+    # Fraction product n by n; orders and powers may be negative, and terms
+    # may share an order, as the ansatz's two ψ_{-1} columns do
+    form = ClosedForm(tuple(terms))
+    assert form._values(ns) == [fraction_route(form, n) for n in ns]
+
+
+def test_batched_refusals_name_the_first_refused_n(monkeypatch):
+    # a point set is refused as its first refused n would be alone, whatever
+    # comes after it, and before any n is factorized
+    def no_factorize(*args):
+        raise AssertionError("evaluate factorized n")
+
+    monkeypatch.setattr(powersums, "factorize", no_factorize)
+    one = Fraction(1)
+    order = 2**19  # its powers pass 2**20 bits from n = 4 on
+    cases = (
+        (((one, 1, 1),), (5, 1, 0), ValueError, "closed forms are defined for n >= 2, got 1"),
+        (((one, 1, 0),), (1, 5), ValueError, "closed forms are defined for n >= 2, got 1"),
+        (((one, 1, 0),), (5, 1), ValueError, "psi order s must be nonzero"),
+        (
+            ((one, 1, order),),
+            (3, 2, 9, 4, 1),
+            BudgetExceededError,
+            "psi(524288, 9) needs powers of more than 1048576 bits",
+        ),
+        (
+            ((one, 1, 3), (one, 1, -order)),
+            (2, 3, 5, 2**40),
+            BudgetExceededError,
+            "psi(-524288, 5) needs powers of more than 1048576 bits",
+        ),
+    )
+    for terms, ns, error, message in cases:
+        with pytest.raises(error) as info:
+            ClosedForm(terms)._values(ns)
+        assert type(info.value) is error
+        assert str(info.value) == message
+    assert ClosedForm(((one, 1, 1),))._values(()) == []
+
+
 def test_evaluate_refuses_as_psi_does_before_factorizing(monkeypatch):
     # n first, then each term in turn: a zero order, then an order whose
     # powers would pass 2**20 bits; no refusal needs n factorized
