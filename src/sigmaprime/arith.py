@@ -77,11 +77,11 @@ _POWER_BITS_LIMIT = 2**20
 # container, Python 3.11.7, whose speed drifts by about 2.5x).  It admits
 # verify ranges up to about 2..4400 for every stored form: 0.04-0.13 s each in
 # a fresh process, at about 2 MB above the import's RSS, the oracle taking its
-# product route and one Dirichlet pass for B', where dot products alone took
-# 0.7-1.4 s.  It refuses brute_convolution(100000, 1, 600, "B"), which ran
-# 14.8 s at a 187 MB peak RSS unweighted.  The largest calls of the tests,
-# selftest and benchmark, B'(2310) and a few sparse points up to 2310, cost
-# under 2e5 units.
+# product route and solving for B' from its σ twin table, where dot products
+# alone took 0.7-1.4 s.  It refuses brute_convolution(100000, 1, 600, "B"),
+# which ran 14.8 s at a 187 MB peak RSS unweighted.  The largest calls of the
+# tests, selftest and benchmark, B'(2310) and a few sparse points up to 2310,
+# cost under 2e5 units.
 _WORK_LIMIT = 10**7
 _WORD_BITS = 512
 

@@ -359,12 +359,14 @@ def main_identity_sides(f: Poly4, n: int, which: str = "Bprime") -> tuple[int, i
     return _sides_over(f, (n,), which)[0]
 
 
-def random_symmetric_poly(
-    rng: Random,
-    max_terms: int = 4,
-    max_exp: int = 3,
-    coeff_bound: int = 9,
-) -> Poly4:
+# random_symmetric_poly draws up to _RANDOM_TERMS terms of g, exponents up to
+# _RANDOM_EXP and coefficients of absolute value up to _RANDOM_COEFF
+_RANDOM_TERMS = 4
+_RANDOM_EXP = 3
+_RANDOM_COEFF = 9
+
+
+def random_symmetric_poly(rng: Random) -> Poly4:
     """Random nonzero Poly4 satisfying the symmetry hypothesis by construction.
 
     Built as g + g.swapped() for a random g (always qualifies), optionally
@@ -374,18 +376,18 @@ def random_symmetric_poly(
     """
     while True:
         g_terms: Monomials = {}
-        for _ in range(rng.randint(1, max_terms)):
-            expo = tuple(rng.randint(0, max_exp) for _ in range(4))
-            coeff = rng.randint(-coeff_bound, coeff_bound)
+        for _ in range(rng.randint(1, _RANDOM_TERMS)):
+            expo = tuple(rng.randint(0, _RANDOM_EXP) for _ in range(4))
+            coeff = rng.randint(-_RANDOM_COEFF, _RANDOM_COEFF)
             g_terms[expo] = g_terms.get(expo, 0) + coeff
         g = Poly4(g_terms)
         f = g + g.swapped()
         if rng.random() < 0.5:
             while True:
-                i, j, k, l = (rng.randint(0, max_exp) for _ in range(4))
+                i, j, k, l = (rng.randint(0, _RANDOM_EXP) for _ in range(4))
                 if (i + j) % 2 == 0 and (k + l) % 2 == 0:
                     break
-            f = f + Poly4({(i, j, k, l): rng.randint(1, coeff_bound)})
+            f = f + Poly4({(i, j, k, l): rng.randint(1, _RANDOM_COEFF)})
         if f:
             if not symmetry_holds(f):
                 raise AssertionError("generator produced an unqualified polynomial")
@@ -533,7 +535,8 @@ def verify_theorem(tid: TheoremId | str, lo: int, hi: int, jobs: int = 1) -> Ver
     ascending n.  Each side is one call over the whole range.  The oracle's
     one pair of σ tables, built up to hi, serves every row; a range dense
     enough takes every M_B(N) from one big-integer product of the two
-    tables, and every B'(n) from those in one Dirichlet pass, rather than a
+    tables, and every B'(n) from those by forward substitution in
+    M_B = σ_{r+s} ⋆ M_B', with σ_{r+s} built up to hi // 2, rather than a
     dot product and a Möbius step per n.  The closed form then evaluates the
     range in one call, which reads its terms once and takes each distinct ψ
     once per n.  All rows run in this process; ``jobs`` is accepted for

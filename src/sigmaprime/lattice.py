@@ -16,8 +16,10 @@ of n from one sieve.  Each convolution M_B(N) is a dot product of the two
 tables, or, for a dense set of n, a slot of one big-integer product of the
 tables packed into fixed-width slots (Kronecker substitution), which gives
 every M_B(N) up to the largest n at once; one rule picks the cheaper route.
-Where the product gave every M_B(N), B'(n) follows for the whole range in
-one Dirichlet pass over the Möbius weights; the dot route inverts n by n.
+Where the product gave every M_B(N), B'(n) follows for the whole range by
+forward substitution in the Dirichlet relation M_B = g ⋆ M_B' (gcd(a, b) and
+gcd(x, y) taken out of each quadruple), g being one more g table, up to half
+the largest n; the dot route inverts n by n.
 Every route here that can be asked for unbounded work is refused through
 arith's gate before that work starts.
 """
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from itertools import islice, repeat
 from math import gcd, isqrt
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Callable, Collection, NamedTuple
 
 from . import arith
@@ -286,38 +288,20 @@ def _inversion_terms(u: int, w: int, n: int, least: list[int]) -> list[tuple[int
     return terms
 
 
-def _inversion_table(u: int, w: int, least: list[int], size: int) -> list[int]:
-    # [0, h(1), ..., h(size - 1)] for _inversion_terms' multiplicative h, by
-    # _g_pair's steps: with p = least[m], h(m) = h(p) h(m / p) where p divides m
-    # once, h(p**2) h(m / p**2) where p**2 divides it exactly, and 0 where p**3 does
-    h = [0] * size
-    h[1] = 1
-    for m in range(2, size):
-        p = least[m]
-        q = m // p
-        if least[q] != p:
-            h[m] = h[p] * h[q] if q > 1 else -(m**u + m**w)
-        else:
-            rest = q // p
-            if least[rest] != p:
-                h[m] = h[p * p] * h[rest] if rest > 1 else p ** (u + w)
-    return h
-
-
-def _inverted_memo(u: int, w: int, memo: list[int], lo: int, least: list[int]) -> list[int]:
-    # [M_B'(n) for n = 0 .. top] from memo = [M_B(N) for N = 0 .. top], exact for
-    # n >= lo: M_B'(n) = Σ_{mN = n} h(m) M_B(N), so one Dirichlet pass adds
-    # h(m) M_B(N) into every multiple n = mN >= lo by slice assignment.  B(1) is
-    # empty, so M_B(1) = 0 and m stops at top // 2
-    top = len(memo) - 1
-    h = _inversion_table(u, w, least, top // 2 + 1)
-    out = [0] * (top + 1)
-    for m in range(1, top // 2 + 1):
-        if h[m]:
-            first = -(-lo // m)
-            out[m * first :: m] = map(
-                add, out[m * first :: m], map(mul, repeat(h[m]), memo[first : top // m + 1])
-            )
+def _deconvolved(memo: list[int], g: list[int]) -> list[int]:
+    # x with memo = g ⋆ x (Dirichlet), for memo = [M_B(N) for N = 0 .. top] and
+    # g = [0, g(1) = 1, ..., g(top // 2)] the twin table of the weights (u, w):
+    # M_B(N) = Σ_{mK = N} g(m) M_B'(K), so by forward substitution, with K in
+    # ascending order, out[K] is M_B'(K) once every proper divisor of K has
+    # taken its share, and g(m) M_B'(K) is then taken from every multiple mK
+    # by slice assignment.  B(1) is empty, so M_B(1) = M_B'(1) = 0, K starts
+    # at 2 and m stops at top // 2
+    out = memo.copy()
+    top = len(out) - 1
+    for big_k in range(2, top // 2 + 1):
+        out[2 * big_k :: big_k] = map(
+            sub, out[2 * big_k :: big_k], map(mul, repeat(out[big_k]), g[2 : top // big_k + 1])
+        )
     return out
 
 
@@ -372,9 +356,11 @@ def _moment_sums(moments: dict[tuple[int, ...], int], ns: Collection[int], which
     # is filled N by N from dot products, or at once from one product per term
     # where _product_is_cheaper says so.  Over B'(n) the dot route inverts each
     # n from its own Möbius terms; a product memo holds every M_B(N) up to top,
-    # so one Dirichlet pass (_inverted_memo) gives every M_B'(n) from it.  Both
-    # routes read g(m) for m < top only, so each g table stops there; the sieve
-    # keeps index top for B'(n)'s Möbius step
+    # and M_B = g_uw ⋆ M_B' (gcd(a, b) and gcd(x, y) taken out of each
+    # quadruple), so each product group's twin table g_uw, built up to top // 2
+    # two per pass like the others, solves for every M_B'(n) (_deconvolved).
+    # Both routes read g(m) for m < top only, so each g table stops there; the
+    # sieve keeps index top for the dot route's Möbius step
     coprime = _check_set(which)
     if not moments:
         return [0] * len(ns)
@@ -386,17 +372,25 @@ def _moment_sums(moments: dict[tuple[int, ...], int], ns: Collection[int], which
     groups: dict[tuple[int, int], list[tuple[int, list[int], list[int]]]] = {}
     for ((i, j, k, l), c), (ik, jl) in zip(moments.items(), keys):
         groups.setdefault((i + j, k + l), []).append((c, tables[ik], tables[jl]))
-    if not coprime:
-        least = None  # B(n) factors nothing more; free the sieve before the sums
     products = sum(set(ns))
-    # swept[n] sums the product route's groups, each set's M(n) for every n >= min(ns)
+    # the product route's groups, each with the sorted key of its twin table
+    by_product = {
+        (u, w): (min(u, w), max(u, w))
+        for u, w in groups
+        if _product_is_cheaper(top, products, u + w)
+    }
+    if coprime:
+        twins = _g_tables(list(by_product.values()), least, top // 2 + 1)
+    else:
+        least = None  # B(n) factors nothing more; free the sieve before the sums
+    # swept[n] sums the product route's groups, each set's M(n) for every n
     swept = None
     dots = []
     for weights, terms in groups.items():
-        if _product_is_cheaper(top, products, sum(weights)):
+        if weights in by_product:
             memo = _product_memo(terms, top)
             if coprime:
-                memo = _inverted_memo(*weights, memo, min(ns), least)
+                memo = _deconvolved(memo, twins[by_product[weights]])
             swept = memo if swept is None else list(map(add, swept, memo))
         else:
             dots.append((weights, terms, [None] * (top + 1)))

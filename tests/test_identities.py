@@ -438,10 +438,10 @@ def test_sides_over_a_range_match_the_one_n_calls(which):
 def test_sides_over_a_b_prime_range_mixes_both_routes(monkeypatch):
     # over these ranges the rule takes the product for the degree-4 group and
     # dot products for the degree-30 ones, so one B' range sums its left side by
-    # the Dirichlet pass and by the per-n Möbius step at once
+    # the twin table's forward substitution and by the per-n Möbius step at once
     f = Poly4.from_text("1x^2y^2 + 1x^16y^14")
     routes = set()
-    for name in ("_inverted_memo", "_inversion_terms"):
+    for name in ("_deconvolved", "_inversion_terms"):
         real = getattr(lattice, name)
 
         def spy(*args, real=real, name=name):
@@ -452,7 +452,7 @@ def test_sides_over_a_b_prime_range_mixes_both_routes(monkeypatch):
     for ns in (range(2, 151), range(40, 151)):
         routes.clear()
         sides = identities._sides_over(f, ns, "Bprime")
-        assert routes == {"_inverted_memo", "_inversion_terms"}, ns
+        assert routes == {"_deconvolved", "_inversion_terms"}, ns
         assert sides == [main_identity_sides(f, n) for n in ns], ns
 
 

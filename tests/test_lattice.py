@@ -16,12 +16,11 @@ from sigmaprime.lattice import (
     BudgetExceededError,
     _convolution_work,
     _convolutions,
+    _deconvolved,
     _g_one,
     _g_pair,
     _g_tables,
-    _inversion_table,
     _inversion_terms,
-    _inverted_memo,
     _least_primes,
     _moment_sums,
     _moment_work,
@@ -315,8 +314,8 @@ CUBE_N = (8, 27, 72, 216, 432, 2310)
 @example(range(27, 28), 2, 1)
 def test_dirichlet_pass_matches_per_n_inversion(ns, r, s):
     # the product route forced on sparse, unsorted and repeated lists and on
-    # ranges from lo > 2: every M_B'(n) comes from one Dirichlet pass over the
-    # memo, against brute_convolution's per-n Möbius step
+    # ranges from lo > 2: every M_B'(n) is solved from the memo and its twin
+    # table by forward substitution, against brute_convolution's per-n Möbius step
     per_n = [brute_convolution(r, s, n, "Bprime") for n in ns]
     with mock.patch.object(lattice, "_product_is_cheaper", return_value=True):
         assert _convolutions(r, s, ns, "Bprime") == per_n
@@ -435,8 +434,7 @@ def test_oracle_names_no_arith_kernel_function():
         _g_pair,
         _g_one,
         _inversion_terms,
-        _inversion_table,
-        _inverted_memo,
+        _deconvolved,
         _product_is_cheaper,
         _product_memo,
         _packed,
@@ -512,23 +510,28 @@ def test_g_tables_fill_two_keys_a_pass_and_one_alone(monkeypatch):
 
 
 def test_moment_sums_build_g_tables_only_below_the_largest_n(monkeypatch):
-    # both routes read g(m) for m < max(ns) only, so no table holds entry
-    # max(ns); at n = 2 the tables are [0, g(1)] and no power is taken
-    sizes = []
+    # both routes read g(m) for m < max(ns) only, so no moment table holds
+    # entry max(ns); at n = 2 the tables are [0, g(1)] and no power is taken.
+    # A B' range on the product route then builds one twin table per group
+    # (i + j, k + l), up to max(ns) // 2; the dot route and B build none
+    calls = []
     g_tables = lattice._g_tables
 
     def spy(*args):
         tables = g_tables(*args)
-        sizes.extend(map(len, tables.values()))
+        calls.append([len(table) for table in tables.values()])
         return tables
 
     monkeypatch.setattr(lattice, "_g_tables", spy)
+    # moment tables (1, 2), (0, 1) and (0, 2); groups, and so twins, (1, 3) and (2, 1)
     moments = {(1, 0, 2, 1): 3, (0, 2, 1, 0): -2}
     for which in SOLUTION_SETS:
         for ns in ([2], [30], range(2, 151), [17, 5, 40]):
-            sizes.clear()
+            calls.clear()
             _moment_sums(moments, ns, which)
-            assert sizes and set(sizes) == {max(ns)}, (which, ns, sizes)
+            twins = [[max(ns) // 2 + 1] * 2] if which == "Bprime" and ns == range(2, 151) else []
+            nonempty = [sizes for sizes in calls if sizes]
+            assert nonempty == [[max(ns)] * 3, *twins], (which, ns, calls)
 
 
 def test_moment_tables_and_inversion_match_literal_sums():
@@ -539,13 +542,42 @@ def test_moment_tables_and_inversion_match_literal_sums():
     for i in range(5):
         for k in range(5):
             assert tables[i, k] == _literal_g(i, k, 200), (i, k)
-    h = {(u, w): _inversion_table(u, w, least, 200) for u in range(4) for w in range(4)}
     for m in range(1, 200):
         for u in range(4):
             for w in range(4):
                 literal = sum(mobius(d) * mobius(m // d) * d**u * (m // d) ** w for d in divisors(m))
                 assert dict(_inversion_terms(u, w, m, least)).get(m, 0) == literal, (m, u, w)
-                assert h[u, w][m] == literal, (m, u, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-(10**6), 10**6) | st.just(0), min_size=1, max_size=160),
+    st.integers(0, 4),
+    st.integers(0, 4),
+)
+@example([0] * 40, 0, 0)
+@example([1], 3, 1)
+@example([-1, 0, 5, 0, 0, 0, 7, -2], 2, 2)
+def test_deconvolved_inverts_a_dirichlet_product(tail, u, w):
+    # memo = g ⋆ x by its literal divisor sum, for x with x(0) = x(1) = 0 and
+    # signed entries and zeros, and g a table from _g_tables up to top // 2
+    x = [0, 0, *tail]
+    top = len(x) - 1
+    g = _g_tables([(u, w)], _least_primes(top // 2 + 1), top // 2 + 1)[u, w]
+    memo = [0] + [sum(g[m] * x[n // m] for m in divisors(n) if m <= top // 2) for n in range(1, top + 1)]
+    assert _deconvolved(memo, g) == x
+
+
+def test_oracle_over_b_is_the_sigma_twin_of_the_oracle_over_b_prime():
+    # M_B(n) = Σ_{m | n, m >= 2} σ_{r+s}(n / m) M_B'(m): gcd(a, b) and gcd(x, y)
+    # taken out of each quadruple, read against arith's own σ kernel
+    ns = range(2, 301)
+    for r, s in ((0, 0), (1, 1), (1, 3), (2, 5), (4, 0), (3, 3)):
+        over_b = dict(zip(ns, _convolutions(r, s, ns, "B")))
+        over_b_prime = dict(zip(ns, _convolutions(r, s, ns, "Bprime")))
+        for n in ns:
+            twin = sum(sigma_k(r + s, n // m) * over_b_prime[m] for m in divisors(n) if m >= 2)
+            assert over_b[n] == twin, (r, s, n)
 
 
 def test_moment_sums_match_literal_moments():
