@@ -72,14 +72,13 @@ _POWER_BITS_LIMIT = 2**20
 # That weight is 1 for every oracle call with r, s <= 12 under the limit.  The
 # limit admits single oracle n up to about 150000:
 # brute_convolution(1, 3, 150000, "B") takes 0.08-0.13 s and 15.9 MB above the
-# import's RSS, and over B' 0.11-0.13 s and 17.1 MB, the least-prime sieve
-# being held for the Möbius step (peak RSS, one call per process; 2-CPU
-# container, Python 3.11.7, whose speed drifts by about 2.5x).  It admits
-# verify ranges up to about 2..4400 for every stored form: 0.04-0.13 s each in
-# a fresh process, at about 2 MB above the import's RSS, the oracle taking its
-# product route and solving for B' from its σ twin table, where dot products
-# alone took 0.7-1.4 s.  It refuses brute_convolution(100000, 1, 600, "B"),
-# which ran 14.8 s at a 187 MB peak RSS unweighted.  The largest calls of the
+# import's RSS, and over B' 0.11-0.13 s and 17.1 MB (peak RSS, one call per
+# process; 2-CPU container, Python 3.11.7, whose speed drifts by about 2.5x).
+# It admits verify ranges up to about 2..4400 for every stored form, one
+# oracle call for the whole set: 0.04-0.13 s each in a fresh process, at about
+# 2 MB above the import's RSS, where dot products alone took 0.7-1.4 s.  It
+# refuses brute_convolution(100000, 1, 600, "B"), which ran 14.8 s at a 187 MB
+# peak RSS unweighted.  The largest calls of the
 # tests, selftest and benchmark, B'(2310) and a few sparse points up to 2310,
 # cost under 2e5 units.
 _WORK_LIMIT = 10**7

@@ -211,33 +211,30 @@ def _left_moments(f: Poly4) -> dict[tuple[int, int, int, int], int]:
     """The left side as {(i, j, k, l): c}, Σ c M(i, j, k, l; n) for the moments M.
 
     The six terms pair off by the keys they make of c a^i b^j x^k y^l:
-    f(a,b,x,-y) - f(a,-b,x,y) keeps (i, j, k, l) with c((-1)^l - (-1)^j);
+    f(a,b,x,-y) - f(a,-b,x,y) keeps (i, j, k, l) with c((-1)^l - (-1)^j), and
     f(a,a-b,x+y,y) - f(a,a+b,y-x,y) makes (i+p, j-p, q, l+k-q) with
-    c C(j,p) C(k,q) ((-1)^(j-p) - (-1)^q); and f(b-a,b,x,x+y) - f(a+b,b,x,x-y)
-    makes (p, i-p+j, k+q, l-q) with c C(i,p) C(l,q) ((-1)^p - (-1)^(l-q)).
-    A sign factor is ±2 where its two exponents differ in parity and 0
-    elsewhere, so q steps by 2 from the parity that makes it nonzero.  Each
-    binomial row is built once per call from the Pascal recurrence.  The sets
-    are closed under (a, b, x, y) -> (b, a, y, x) and -> (x, y, a, b), so each
-    distinct key is then reduced once to the least of its four images;
-    moments that cancel are dropped.
+    c C(j,p) C(k,q) ((-1)^(j-p) - (-1)^q).  The sets are closed under
+    (a, b, x, y) -> (b, a, y, x) and -> (x, y, a, b), and the first map takes
+    the third pair, f(b-a,b,x,x+y) - f(a+b,b,x,x-y), to the second one's sum
+    for the mirror monomial c a^j b^i x^l y^k, so the second pair's expansion
+    runs for (i, j, k, l) and for (j, i, l, k).  A sign factor is ±2 where its
+    two exponents differ in parity and 0 elsewhere, so q steps by 2 from the
+    parity that makes it nonzero.  Each binomial row is built once per call
+    from the Pascal recurrence.  Each distinct key is then reduced once to
+    the least of its four images; moments that cancel are dropped.
     """
     rows = {e: _pascal_row(e) for e in {e for expo in f._terms for e in expo}}
     raw: dict[tuple[int, int, int, int], int] = {}
     for (i, j, k, l), c in f._terms.items():
         if (j - l) % 2:
             raw[i, j, k, l] = raw.get((i, j, k, l), 0) + (2 * c if l % 2 == 0 else -2 * c)
-        row_k, row_l = rows[k], rows[l]
-        for p, binom in enumerate(rows[j]):
-            weight = 2 * c * binom if (j - p) % 2 == 0 else -2 * c * binom
-            for q in range((j - p + 1) % 2, k + 1, 2):
-                key = (i + p, j - p, q, l + k - q)
-                raw[key] = raw.get(key, 0) + weight * row_k[q]
-        for p, binom in enumerate(rows[i]):
-            weight = 2 * c * binom if p % 2 == 0 else -2 * c * binom
-            for q in range((l - p + 1) % 2, l + 1, 2):
-                key = (p, i - p + j, k + q, l - q)
-                raw[key] = raw.get(key, 0) + weight * row_l[q]
+        for e_a, e_b, e_x, e_y in ((i, j, k, l), (j, i, l, k)):
+            row_x = rows[e_x]
+            for p, binom in enumerate(rows[e_b]):
+                weight = 2 * c * binom if (e_b - p) % 2 == 0 else -2 * c * binom
+                for q in range((e_b - p + 1) % 2, e_x + 1, 2):
+                    key = (e_a + p, e_b - p, q, e_y + e_x - q)
+                    raw[key] = raw.get(key, 0) + weight * row_x[q]
     moments: dict[tuple[int, int, int, int], int] = {}
     for (a, b, x, y), c in raw.items():
         key = min((a, b, x, y), (b, a, y, x), (x, y, a, b), (y, x, b, a))
@@ -532,15 +529,11 @@ def verify_theorem(tid: TheoremId | str, lo: int, hi: int, jobs: int = 1) -> Ver
     """Compare a stored closed form against the convolution oracle on [lo, hi].
 
     Every n is checked for exact equality, and rows are reported in
-    ascending n.  Each side is one call over the whole range.  The oracle's
-    one pair of σ tables, built up to hi, serves every row; a range dense
-    enough takes every M_B(N) from one big-integer product of the two
-    tables, and every B'(n) from those by forward substitution in
-    M_B = σ_{r+s} ⋆ M_B', with σ_{r+s} built up to hi // 2, rather than a
-    dot product and a Möbius step per n.  The closed form then evaluates the
-    range in one call, which reads its terms once and takes each distinct ψ
-    once per n.  All rows run in this process; ``jobs`` is accepted for
-    compatibility and must lie in 1..256.  Raises ValueError, before any
+    ascending n.  Each side is one call over the whole range: one oracle
+    call for the whole set (lattice states its route), then the closed form
+    evaluates the range in one call, which reads its terms once and takes
+    each distinct ψ once per n.  All rows run in this process; ``jobs`` is
+    accepted for compatibility and must lie in 1..256.  Raises ValueError, before any
     work, on an empty or out-of-domain range (lo < 2 or hi < lo) and on jobs
     outside 1..256, and BudgetExceededError when the range is beyond the
     oracle's work limit, before either side runs.

@@ -8,14 +8,15 @@ identity engine, the pre-identity check (one sigma_prime convolution against
 one moment) and brute_convolution, the exact oracle every closed form is
 checked against.  The core never walks the set: a moment Σ a**i b**j x**k y**l
 over B(n) is a convolution of two multiplicative g tables, and B'(n) follows
-by Möbius inversion.  One least-prime sieve, struck by primes only, serves
-both: the g tables are filled two per pass over m, and the inversion reads
-n's primes from it.  The core calls no arith kernel function, so it fills
-no process-wide cache, keeps nothing between calls, and serves a whole range
-of n from one sieve.  Each convolution M_B(N) is a dot product of the two
-tables, or, for a dense set of n, a slot of one big-integer product of the
-tables packed into fixed-width slots (Kronecker substitution), which gives
-every M_B(N) up to the largest n at once; one rule picks the cheaper route.
+by Möbius inversion.  One prime-factor table, from a single ascending sieve
+pass, serves both: it gives a prime of each m, the g tables are filled two
+per pass over m, and the inversion reads n's primes from it.  The core calls
+no arith kernel function, so it fills no process-wide cache, keeps nothing
+between calls, and serves a whole range of n from one sieve.  Each
+convolution M_B(N) is a dot product of the two tables, or, for a dense set of
+n, a slot of one big-integer product of the tables packed into fixed-width
+slots (Kronecker substitution), which gives every M_B(N) up to the largest n
+at once; one rule picks the cheaper route.
 Where the product gave every M_B(N), B'(n) follows for the whole range by
 forward substitution in the Dirichlet relation M_B = g ⋆ M_B' (gcd(a, b) and
 gcd(x, y) taken out of each quadruple), g being one more g table, up to half
@@ -160,8 +161,9 @@ def _sigma_prime_convolution(r: int, s: int, n: int) -> int:
 
 
 # A g-table index costs this many units of work, a product in an M(N) one.  The
-# sieve and g tables spend about one product per index, so it is generous; it
-# keeps the value set for earlier divisor-list tables, so no admission changed.
+# sieve and g tables spend about one product per index, so it is generous; the
+# value stands for the admitted edges the tests pin: identity sides up to B(20833)
+# and B'(25252) for 1x^2y^2, and the pre-identity up to n = 38167 at r + s = 31.
 _TABLE_ENTRY_COST = 64
 
 
@@ -189,25 +191,22 @@ def _moment_work(degree: int, ns: Collection[int], moments: int = 1, rows: int =
     return work
 
 
-def _least_primes(top: int) -> list[int]:
-    # least[m] is the least prime of m for 2 <= m < top, and least[1] = 1.
-    # Eratosthenes by slice assignment: each prime p <= isqrt(top - 1), from the
-    # largest down, strikes its multiples from p*p with p, so each m is struck
-    # last by its least prime.  The primes are read from this sieve's own table
-    # up to isqrt(top - 1); the largest strike holds about top / 2 entries.  No
-    # divisor list is built or cached.
-    least = list(range(top))
-    root = isqrt(top - 1)
-    if root > 1:
-        small = _least_primes(root + 1)
-        for p in range(root, 1, -1):
-            if small[p] == p:
-                least[p * p :: p] = [p] * len(range(p * p, top, p))
-    return least
+def _factor_table(top: int) -> list[int]:
+    # factor[m] is a prime of m for 2 <= m < top, and factor[1] = 1.  One ascending
+    # Eratosthenes pass by slice assignment: p <= isqrt(top - 1) is prime when no
+    # smaller prime struck it, and strikes its multiples from 2p, so factor[m]
+    # is the largest such prime of m, or m itself for m prime.  For q | m,
+    # factor[q] == factor[m] exactly when factor[m] divides q, all the g tables
+    # and the Möbius step ask of it.  No divisor list is built or cached.
+    factor = list(range(top))
+    for p in range(2, isqrt(top - 1) + 1):
+        if factor[p] == p:
+            factor[2 * p :: p] = [p] * len(range(2 * p, top, p))
+    return factor
 
 
 def _g_tables(
-    keys: list[tuple[int, int]], least: list[int], size: int
+    keys: list[tuple[int, int]], factor: list[int], size: int
 ) -> dict[tuple[int, int], list[int]]:
     # {(i, k): [0, g(1), ..., g(size - 1)]} for each distinct key, g being the
     # multiplicative g(m) = Σ_{ax = m} a**i x**k (sigma_k is the case i = 0);
@@ -215,26 +214,27 @@ def _g_tables(
     keys = list(dict.fromkeys(keys))
     tables = {}
     for first, second in zip(keys[::2], keys[1::2]):
-        tables[first], tables[second] = _g_pair(*first, *second, least, size)
+        tables[first], tables[second] = _g_pair(*first, *second, factor, size)
     if len(keys) % 2:
-        tables[keys[-1]] = _g_one(*keys[-1], least, size)
+        tables[keys[-1]] = _g_one(*keys[-1], factor, size)
     return tables
 
 
 def _g_pair(
-    i: int, k: int, j: int, l: int, least: list[int], size: int
+    i: int, k: int, j: int, l: int, factor: list[int], size: int
 ) -> tuple[list[int], list[int]]:
     # the g tables of (i, k) and (j, l) from one pass, one product per entry.
-    # With p = least[m] and q = m / p, p divides m once when least[q] != p
-    # (least[1] = 1), so g(m) = g(p) g(q), or p**i + p**k for m = p prime.
-    # Otherwise p's full power p**e is divided out, so g(m) = g(p**e) g(m / p**e),
-    # or g(p**e) = p**(ie) + p**k g(p**(e-1)) for m = p**e
+    # With p = factor[m], a prime of m, and q = m / p, p divides m once when
+    # factor[q] != p (factor[1] = 1), so g(m) = g(p) g(q), or p**i + p**k for
+    # m = p prime.  Otherwise p's full power p**e is divided out, so
+    # g(m) = g(p**e) g(m / p**e), or g(p**e) = p**(ie) + p**k g(p**(e-1)) for
+    # m = p**e
     g, h = [0] * size, [0] * size
     g[1] = h[1] = 1
     for m in range(2, size):
-        p = least[m]
+        p = factor[m]
         q = m // p
-        if least[q] != p:
+        if factor[q] != p:
             if q > 1:
                 g[m] = g[p] * g[q]
                 h[m] = h[p] * h[q]
@@ -243,7 +243,7 @@ def _g_pair(
                 h[m] = m**j + m**l
         else:
             power, rest = p * p, q // p
-            while least[rest] == p:
+            while factor[rest] == p:
                 power, rest = power * p, rest // p
             if rest > 1:
                 g[m] = g[power] * g[rest]
@@ -254,35 +254,35 @@ def _g_pair(
     return g, h
 
 
-def _g_one(i: int, k: int, least: list[int], size: int) -> list[int]:
+def _g_one(i: int, k: int, factor: list[int], size: int) -> list[int]:
     # the g table of (i, k) alone, by _g_pair's steps
     g = [0] * size
     g[1] = 1
     for m in range(2, size):
-        p = least[m]
+        p = factor[m]
         q = m // p
-        if least[q] != p:
+        if factor[q] != p:
             g[m] = g[p] * g[q] if q > 1 else m**i + m**k
         else:
             power, rest = p * p, q // p
-            while least[rest] == p:
+            while factor[rest] == p:
                 power, rest = power * p, rest // p
             g[m] = g[power] * g[rest] if rest > 1 else m**i + p**k * g[q]
     return g
 
 
-def _inversion_terms(u: int, w: int, n: int, least: list[int]) -> list[tuple[int, int]]:
+def _inversion_terms(u: int, w: int, n: int, factor: list[int]) -> list[tuple[int, int]]:
     # [(m, h(m))] over the cube-free m | n, for the multiplicative h(m) = Σ_{de = m} μ(d) μ(e)
     # d**u e**w: h(p) = -(p**u + p**w), h(p**2) = p**(u + w), h(p**j) = 0 for j >= 3
     terms = [(1, 1)]
     while n > 1:
-        p = least[n]
+        p = factor[n]
         n //= p
         p_u, p_w = p**u, p**w
         local = [(1, 1), (p, -p_u - p_w)]
-        if least[n] == p:  # p**2 divided n
+        if factor[n] == p:  # p**2 divided n
             local.append((p * p, p_u * p_w))
-            while least[n] == p:
+            while factor[n] == p:
                 n //= p
         terms = [(m * f, h * g) for m, h in terms for f, g in local]
     return terms
@@ -351,24 +351,25 @@ def _product_memo(terms: list[tuple[int, list[int], list[int]]], top: int) -> li
 def _moment_sums(moments: dict[tuple[int, ...], int], ns: Collection[int], which: str) -> list[int]:
     # Σ c M(i, j, k, l; n) for every n of ns over the moments {(i, j, k, l): c},
     # M being Σ a**i b**j x**k y**l over the set; no moments sum to 0 with no
-    # sieve.  One least-prime sieve, one g table per (i, k), built two per
-    # pass, and one memo of M_B(N) per (i + j, k + l) serve every n.  The memo
-    # is filled N by N from dot products, or at once from one product per term
-    # where _product_is_cheaper says so.  Over B'(n) the dot route inverts each
-    # n from its own Möbius terms; a product memo holds every M_B(N) up to top,
-    # and M_B = g_uw ⋆ M_B' (gcd(a, b) and gcd(x, y) taken out of each
-    # quadruple), so each product group's twin table g_uw, built up to top // 2
-    # two per pass like the others, solves for every M_B'(n) (_deconvolved).
-    # Both routes read g(m) for m < top only, so each g table stops there; the
-    # sieve keeps index top for the dot route's Möbius step
+    # sieve.  One prime-factor table (_factor_table), one g table per (i, k),
+    # built two per pass, and one memo of M_B(N) per (i + j, k + l) serve every
+    # n.  The memo is filled N by N from dot products, or at once from one
+    # product per term where _product_is_cheaper says so.  Over B'(n) the dot
+    # route inverts each n from its own Möbius terms; a product memo holds
+    # every M_B(N) up to top, and M_B = g_uw ⋆ M_B' (gcd(a, b) and gcd(x, y)
+    # taken out of each quadruple), so each product group's twin table g_uw,
+    # built up to top // 2 two per pass like the others, solves for every
+    # M_B'(n) (_deconvolved).  Both routes read g(m) for m < top only, so each
+    # g table stops there; the sieve keeps index top for the dot route's
+    # Möbius step
     coprime = _check_set(which)
     if not moments:
         return [0] * len(ns)
     top = max(ns)
-    least = _least_primes(top + 1)
+    factor = _factor_table(top + 1)
     # g_ik is g_ki, so each moment reads the tables of its sorted (i, k) and (j, l)
     keys = [((min(i, k), max(i, k)), (min(j, l), max(j, l))) for i, j, k, l in moments]
-    tables = _g_tables([key for pair in keys for key in pair], least, top)
+    tables = _g_tables([key for pair in keys for key in pair], factor, top)
     groups: dict[tuple[int, int], list[tuple[int, list[int], list[int]]]] = {}
     for ((i, j, k, l), c), (ik, jl) in zip(moments.items(), keys):
         groups.setdefault((i + j, k + l), []).append((c, tables[ik], tables[jl]))
@@ -380,9 +381,9 @@ def _moment_sums(moments: dict[tuple[int, ...], int], ns: Collection[int], which
         if _product_is_cheaper(top, products, u + w)
     }
     if coprime:
-        twins = _g_tables(list(by_product.values()), least, top // 2 + 1)
+        twins = _g_tables(list(by_product.values()), factor, top // 2 + 1)
     else:
-        least = None  # B(n) factors nothing more; free the sieve before the sums
+        factor = None  # B(n) factors nothing more; free the sieve before the sums
     # swept[n] sums the product route's groups, each set's M(n) for every n
     swept = None
     dots = []
@@ -400,7 +401,7 @@ def _moment_sums(moments: dict[tuple[int, ...], int], ns: Collection[int], which
         for weights, terms, memo in dots:
             # Over B'(n): [gcd(a, b) = 1] = Σ_{d | gcd(a, b)} μ(d), likewise e for (x, y), and
             # d·a', d·b', e·x', e·y' puts (a', b', x', y') in B(n / de) with weight d**u e**w
-            for m, h in _inversion_terms(*weights, n, least) if coprime else ((1, 1),):
+            for m, h in _inversion_terms(*weights, n, factor) if coprime else ((1, 1),):
                 big_n = n // m
                 value = memo[big_n]
                 if value is None:

@@ -16,10 +16,10 @@ weight-10 exponent pairs, labeling the outcome as numerical evidence rather
 than a theorem.
 
 The oracle is always the convolution oracle behind brute_convolution over
-B'(n), never a stored form.  fit() and validate() each call it once for
-their whole point set, so one pair of σ tables serves every point, in this
-process, and evaluate each ClosedForm in one call for the set.  Both are
-bounded by the shared work limit: fit() first estimates its exact solve
+B'(n), never a stored form.  fit() and validate() each make one oracle
+call for the whole point set, in this process (lattice states how that call
+serves every point), and evaluate each ClosedForm in one call for the set.
+Both are bounded by the shared work limit: fit() first estimates its exact solve
 from the number of points and unknowns and the length of n**(r+s+1) at
 the largest point, and raises BudgetExceededError before any work when
 that estimate is over the limit; the oracle then checks its own estimate,
@@ -186,9 +186,9 @@ def fit(r: int, s: int, train_ns: tuple[int, ...] | list[int]) -> FitReport:
     primes, a proper prime power and composite radicals keeps the system
     well conditioned; what fit() actually enforces is full column rank,
     raising a usage error when the basis degenerates.  The oracle values of
-    all points come from one call, which shares one pair of σ tables.  A
-    solve, an oracle or the two together estimated above the work limit
-    raise BudgetExceededError before either starts.
+    all points come from one oracle call for the whole set.  A solve, an
+    oracle or the two together estimated above the work limit raise
+    BudgetExceededError before either starts.
     """
     if r < 1 or s < 1:
         raise ValueError(f"fit requires r, s >= 1, got ({r}, {s})")
@@ -239,7 +239,7 @@ def validate(
     Residuals are oracle minus ansatz, exact; the verdict is "consistent"
     only when every residual is zero.  An empty test set or any overlap
     with the training set is a usage error.  The oracle values of all
-    points come from one call, which shares one pair of σ tables.
+    points come from one oracle call for the whole set.
     """
     ns = _test_points(test_ns, train_ns)
     form = _ansatz_form(r, s, coeffs[:4])

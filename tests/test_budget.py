@@ -17,7 +17,7 @@ def test_one_patch_of_the_limit_moves_every_bound(monkeypatch):
     monkeypatch.setattr(arith, "_WORK_LIMIT", 1000)
     # each route's first step of work fails the test if it is reached
     for module, name in (
-        (lattice, "_least_primes"),
+        (lattice, "_factor_table"),
         (identities, "_left_moments"),
         (powersums, "_direct_power_sum"),
         (powersums, "faulhaber_sum"),

@@ -463,7 +463,7 @@ def test_sides_over_refuses_a_range_before_expanding(monkeypatch):
         raise AssertionError("the moments were expanded")
 
     monkeypatch.setattr(identities, "_left_moments", refuse)
-    monkeypatch.setattr(lattice, "_least_primes", refuse)
+    monkeypatch.setattr(lattice, "_factor_table", refuse)
     f = Poly4.from_text("1x^2y^2")
     for which, top in (("B", 20833), ("Bprime", 25252)):
         with pytest.raises(BudgetExceededError) as info:
@@ -554,7 +554,7 @@ def test_main_identity_ceiling_refuses_before_enumerating(monkeypatch):
         raise AssertionError("the moments were expanded")
 
     monkeypatch.setattr(identities, "_left_moments", refuse)
-    monkeypatch.setattr(lattice, "_least_primes", refuse)
+    monkeypatch.setattr(lattice, "_factor_table", refuse)
     f = Poly4.from_text("1x^2y^2")
     for which, top in (("B", 20833), ("Bprime", 25252)):
         with pytest.raises(BudgetExceededError) as info:

@@ -21,7 +21,7 @@ from sigmaprime.lattice import (
     _g_pair,
     _g_tables,
     _inversion_terms,
-    _least_primes,
+    _factor_table,
     _moment_sums,
     _moment_work,
     _packed,
@@ -327,7 +327,7 @@ def test_moment_sums_of_no_moments_build_no_sieve(monkeypatch):
     def refuse(*args):
         raise AssertionError("a sieve was built")
 
-    monkeypatch.setattr(lattice, "_least_primes", refuse)
+    monkeypatch.setattr(lattice, "_factor_table", refuse)
     for which in SOLUTION_SETS:
         assert _moment_sums({}, [5, 2, 5, 300], which) == [0, 0, 0, 0]
         assert _moment_sums({}, range(2, 151), which) == [0] * 149
@@ -362,7 +362,7 @@ def test_moment_sums_takes_the_route_the_rule_picks(monkeypatch):
 def test_product_memo_reads_every_slot():
     # slot N of the packed product is M_B(N) for N <= top, each term weighted
     # by its c; entries of 0 and of a full slot width keep their places
-    tables = _g_tables([(0, 1), (2, 3)], _least_primes(31), 31)
+    tables = _g_tables([(0, 1), (2, 3)], _factor_table(31), 31)
     g, h = tables[0, 1], tables[2, 3]
     dot = [sum(g[m] * h[n - m] for m in range(1, n)) for n in range(31)]
     assert _product_memo([(1, g, h)], 30) == dot
@@ -401,7 +401,7 @@ def test_oracle_refuses_over_budget_before_building_tables(monkeypatch):
         raise AssertionError("a table was built")
 
     monkeypatch.setattr(arith, "_WORK_LIMIT", 1000)
-    monkeypatch.setattr(lattice, "_least_primes", no_tables)
+    monkeypatch.setattr(lattice, "_factor_table", no_tables)
     monkeypatch.setattr(lattice, "_g_tables", no_tables)
     monkeypatch.setattr(lattice, "divisors", no_tables)
     for which in SOLUTION_SETS:
@@ -429,7 +429,7 @@ def test_oracle_names_no_arith_kernel_function():
         _convolutions,
         _convolution_work,
         _moment_sums,
-        _least_primes,
+        _factor_table,
         _g_tables,
         _g_pair,
         _g_one,
@@ -450,20 +450,24 @@ def test_closed_forms_name_no_psi():
 
 
 def test_factor_table_matches_factorize():
-    # the least-prime sieve: every top up to 300 covers the edges where
+    # the ascending sieve: every top up to 300 covers the edges where
     # top - 1 = p**2 (5, 10, 26, 50, 122, 170, ...), the last square the strike
-    # must reach, and 5000 a sieve whose own primes come from a sieve of a sieve
+    # must reach, and 5000 one larger table.  factor[m] is a prime of m, and for
+    # each divisor q of m, factor[q] == factor[m] exactly when factor[m] divides q
     for top in [*range(2, 301), 5000]:
-        least = _least_primes(top)
-        assert least[:2] == [0, 1] and len(least) == top, top
+        factor = _factor_table(top)
+        assert factor[:2] == [0, 1] and len(factor) == top, top
         for m in range(2, top):
-            assert least[m] == factorize(m)[0][0], (top, m)
+            p = factor[m]
+            assert p in {prime for prime, _ in factorize(m)}, (top, m)
+            for q in divisors(m):
+                assert (factor[q] == p) == (q % p == 0), (top, m, q)
 
 
 def test_sigma_table_matches_sigma_k():
     # k = 0 checks sigma_0(p**e) = e + 1; the 13 keys take six two-key passes
     # and one pass alone
-    tables = _g_tables([(0, k) for k in range(13)], _least_primes(2000), 2000)
+    tables = _g_tables([(0, k) for k in range(13)], _factor_table(2000), 2000)
     for k in range(13):
         assert tables[0, k][1:] == [sigma_k(k, m) for m in range(1, 2000)], k
 
@@ -490,14 +494,14 @@ def test_g_tables_fill_two_keys_a_pass_and_one_alone(monkeypatch):
 
     spy("_g_pair")
     spy("_g_one")
-    least = _least_primes(601)
+    factor = _factor_table(601)
     for keys, expected in (
         ([(0, 3), (0, 3)], [("_g_one", (0, 3))]),
         ([(1, 2), (0, 5)], [("_g_pair", (1, 2, 0, 5))]),
         ([(2, 1), (0, 0), (2, 1), (3, 3), (0, 0)], [("_g_pair", (2, 1, 0, 0)), ("_g_one", (3, 3))]),
     ):
         passes.clear()
-        tables = _g_tables(keys, least, 600)
+        tables = _g_tables(keys, factor, 600)
         assert passes == expected, keys
         assert list(tables) == list(dict.fromkeys(keys))
         for i, k in tables:
@@ -537,8 +541,8 @@ def test_moment_sums_build_g_tables_only_below_the_largest_n(monkeypatch):
 def test_moment_tables_and_inversion_match_literal_sums():
     # g(m) = Σ_{ax = m} a**i x**k and h(m) = Σ_{de = m} μ(d) μ(e) d**u e**w,
     # each against its literal sum for m < 200
-    least = _least_primes(200)
-    tables = _g_tables([(i, k) for i in range(5) for k in range(5)], least, 200)
+    factor = _factor_table(200)
+    tables = _g_tables([(i, k) for i in range(5) for k in range(5)], factor, 200)
     for i in range(5):
         for k in range(5):
             assert tables[i, k] == _literal_g(i, k, 200), (i, k)
@@ -546,7 +550,7 @@ def test_moment_tables_and_inversion_match_literal_sums():
         for u in range(4):
             for w in range(4):
                 literal = sum(mobius(d) * mobius(m // d) * d**u * (m // d) ** w for d in divisors(m))
-                assert dict(_inversion_terms(u, w, m, least)).get(m, 0) == literal, (m, u, w)
+                assert dict(_inversion_terms(u, w, m, factor)).get(m, 0) == literal, (m, u, w)
 
 
 @settings(max_examples=60, deadline=None)
@@ -563,7 +567,7 @@ def test_deconvolved_inverts_a_dirichlet_product(tail, u, w):
     # signed entries and zeros, and g a table from _g_tables up to top // 2
     x = [0, 0, *tail]
     top = len(x) - 1
-    g = _g_tables([(u, w)], _least_primes(top // 2 + 1), top // 2 + 1)[u, w]
+    g = _g_tables([(u, w)], _factor_table(top // 2 + 1), top // 2 + 1)[u, w]
     memo = [0] + [sum(g[m] * x[n // m] for m in divisors(n) if m <= top // 2) for n in range(1, top + 1)]
     assert _deconvolved(memo, g) == x
 
@@ -599,9 +603,9 @@ def test_moment_sums_match_literal_moments():
 def test_inversion_terms_match_literal_weights():
     # h(m) = Σ_{de = m} μ(d) μ(e) e**w; the terms of n list the cube-free
     # divisors m of n, each once, so h(n) is the term at m = n or 0
-    least = _least_primes(2001)
+    factor = _factor_table(2001)
     for n in range(1, 2001):
-        terms = [_inversion_terms(0, w, n, least) for w in range(13)]
+        terms = [_inversion_terms(0, w, n, factor) for w in range(13)]
         ms = [m for m, _ in terms[0]]
         assert sorted(ms) == [m for m in divisors(n) if all(e < 3 for _, e in factorize(m))]
         for w in range(13):
