@@ -531,12 +531,16 @@ def verify_theorem(tid: TheoremId | str, lo: int, hi: int, jobs: int = 1) -> Ver
     Every n is checked for exact equality, and rows are reported in
     ascending n.  Each side is one call over the whole range: one oracle
     call for the whole set (lattice states its route), then the closed form
-    evaluates the range in one call, which reads its terms once and takes
-    each distinct ψ once per n.  All rows run in this process; ``jobs`` is
-    accepted for compatibility and must lie in 1..256.  Raises ValueError, before any
-    work, on an empty or out-of-domain range (lo < 2 or hi < lo) and on jobs
-    outside 1..256, and BudgetExceededError when the range is beyond the
-    oracle's work limit, before either side runs.
+    evaluates the range in one call, which reads its terms once.  A range
+    with hi <= 4 * (hi - lo + 1), every range from 2 among them, takes each
+    distinct ψ from one prime sieve to hi, the closed forms' own and not
+    the oracle's factor table, so no n is factorized and no process-wide
+    cache grows; a shorter range higher up factorizes each n.  All rows run
+    in this process; ``jobs`` is accepted for compatibility and must lie in
+    1..256.  Raises ValueError, before any work, on an empty or
+    out-of-domain range (lo < 2 or hi < lo) and on jobs outside 1..256,
+    and BudgetExceededError when the range is beyond the oracle's work
+    limit, before either side runs.
     """
     if isinstance(tid, str):
         tid = parse_theorem_id(tid)

@@ -663,15 +663,19 @@ def test_verify_theorem_corrected_forms_small_range():
 
 
 def test_verify_past_the_oracle_limit_is_refused_before_the_closed_form(monkeypatch):
-    # the oracle's gate comes first, so no n is factorized for a refused range
+    # the oracle's gate comes first, so no n is sieved or factorized for a
+    # refused range; a small dense range reaches the sieve, a sparse set factorize
     def no_factorize(*args):
-        raise AssertionError("a closed form factorized n")
+        raise AssertionError("a closed form sieved or factorized n")
 
     monkeypatch.setattr(powersums, "factorize", no_factorize)
+    monkeypatch.setattr(powersums, "_psi_sieve", no_factorize)
     with pytest.raises(BudgetExceededError, match="the convolution oracle needs"):
         verify_theorem("t11", 2, 20000)
-    with pytest.raises(AssertionError, match="factorized"):
+    with pytest.raises(AssertionError, match="sieved or factorized"):
         verify_theorem("t11", 2, 20)
+    with pytest.raises(AssertionError, match="sieved or factorized"):
+        theorem_form("t11")._values((2, 97))
 
 
 def test_verify_theorem_printed_t13_fails_with_factor_eight():

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sigmaprime import arith, patternfit, powersums
-from sigmaprime.identities import THEOREM_RS, _columns, parse_theorem_id
+from sigmaprime.arith import divisors, factorize
+from sigmaprime.identities import THEOREM_RS, _columns, parse_theorem_id, verify_theorem
 from sigmaprime.lattice import BudgetExceededError, _convolutions, _moment_work, brute_convolution
 from sigmaprime.patternfit import (
     DEFAULT_TEST_NS,
@@ -114,6 +115,16 @@ def test_fit_usage_errors():
         "training system is rank deficient (column 2 has no pivot); "
         "choose structurally more diverse training points"
     )
+
+
+def test_dense_closed_side_touches_no_factorize_cache():
+    # over a dense set the closed forms read one per-call ψ sieve, and the
+    # oracle its own factor table, so verify and validate neither read nor fill
+    # the process-wide factorize and divisors caches
+    before = factorize.cache_info(), divisors.cache_info()
+    assert verify_theorem("t111", 2, 400).all_pass
+    assert validate(theorem_pattern("t13"), 1, 3, range(2, 60)).verdict == "consistent"
+    assert (factorize.cache_info(), divisors.cache_info()) == before
 
 
 def test_validate_usage_errors():

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import code_names
-from sigmaprime import arith, powersums
+from sigmaprime import arith, lattice, powersums
 from sigmaprime.arith import BudgetExceededError, divisors, faulhaber_sum, mobius, totient
 from sigmaprime.identities import _FORMS
 from sigmaprime.powersums import COPRIME_POWER_FORMS, ClosedForm, coprime_power_sum, psi
@@ -118,6 +118,7 @@ def test_direct_names_no_other_route():
         "bernoulli",
         "COPRIME_POWER_FORMS",
         "psi",
+        "_psi_sieve",
     }
     assert not code_names(powersums._direct_power_sum.__code__) & others
 
@@ -163,11 +164,52 @@ def test_evaluate_keeps_negative_powers_exact():
         assert value == fraction_route(form, n)
 
 
-def test_evaluate_matches_fraction_route_on_stored_forms():
-    # the theorem forms (both t13 variants) and the power-sum table
+def test_evaluate_matches_fraction_route_on_stored_forms(monkeypatch):
+    # the theorem forms (both t13 variants) and the power-sum table, n by n
+    # and over 2..599 from one sieve and from factorize n by n
+    ns = range(2, 600)
     for form in (*_FORMS.values(), *COPRIME_POWER_FORMS.values()):
-        for n in range(2, 600):
-            assert form.evaluate(n) == fraction_route(form, n)
+        expected = [fraction_route(form, n) for n in ns]
+        assert [form.evaluate(n) for n in ns] == expected
+        monkeypatch.setattr(powersums, "_DENSE", len(ns))
+        assert form._values(ns) == expected
+        monkeypatch.setattr(powersums, "_DENSE", 0)
+        assert form._values(ns) == expected
+
+
+def test_density_rule_sieves_up_to_its_boundary(monkeypatch):
+    # a set is dense up to max(ns) == _DENSE * len(ns) inclusive: there the
+    # sieve runs and no n is factorized, one past it each n is factorized
+    def refuse(*args):
+        raise AssertionError("the other path ran")
+
+    form = _FORMS[("t13", "corrected")]
+    at = (9, 2, 4 * powersums._DENSE, 3)
+    past = (9, 2, 4 * powersums._DENSE + 1, 3)
+    expected = {ns: [fraction_route(form, n) for n in ns] for ns in (at, past)}
+    monkeypatch.setattr(powersums, "factorize", refuse)
+    assert form._values(at) == expected[at]
+    monkeypatch.undo()
+    monkeypatch.setattr(powersums, "_psi_sieve", refuse)
+    assert form._values(past) == expected[past]
+
+
+def test_closed_forms_name_no_oracle_function():
+    # the closed side is what the convolution oracle checks, so neither of its
+    # paths may read the oracle's factor table or any other lattice function
+    own = {
+        name
+        for name, obj in vars(lattice).items()
+        if getattr(obj, "__module__", None) == lattice.__name__
+    }
+    assert "_factor_table" in own
+    for func in (
+        ClosedForm._values,
+        powersums._psi_sieve,
+        powersums._factored_columns,
+        powersums._column_factor,
+    ):
+        assert not code_names(func.__code__) & (own | {"lattice"})
 
 
 _TERMS = st.tuples(
@@ -186,25 +228,36 @@ def test_evaluate_matches_fraction_route_on_random_forms(terms, n):
     assert value == fraction_route(form, n)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(_TERMS, max_size=6), st.lists(st.integers(2, 10**6), max_size=8))
+# unsorted point sets with repeats, of about top / 4 points below a top: most
+# are dense, some fall just past the density rule
+_DENSE_SETS = st.integers(2, 400).flatmap(
+    lambda top: st.lists(st.integers(2, top), min_size=max(1, top // 4 - 3), max_size=top // 4 + 3)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_TERMS, max_size=6), st.lists(st.integers(2, 10**6), max_size=8) | _DENSE_SETS)
 @example([(Fraction(5, 12), 3, -1), (Fraction(-1, 2), 1, -1), (Fraction(1, 12), 1, 1)], [6, 2, 6, 97])
 @example([(Fraction(1, 3), -2, -3), (Fraction(2), 4, -3), (Fraction(-1, 7), 0, 2)], [30030, 2, 1024])
+@example([(Fraction(1, 3), -2, -3), (Fraction(2), 4, -3), (Fraction(-1, 7), 0, 2)], [16, 2, 16, 9])
+@example([(Fraction(7, 5), 2, 5), (Fraction(1, 2), 1, -1), (Fraction(-3), 3, -1)], [17, 3, 8, 2])
+@example([(Fraction(1, 6), 1, 1)], [2])
 def test_batched_values_match_psi_fractions_on_random_forms(terms, ns):
-    # one call over a sparse, unsorted point set with repeats, against psi's
-    # Fraction product n by n; orders and powers may be negative, and terms
-    # may share an order, as the ansatz's two ψ_{-1} columns do
+    # one call over an unsorted point set with repeats, sparse or dense, against
+    # psi's Fraction product n by n; orders and powers may be negative, and
+    # terms may share an order, as the ansatz's two ψ_{-1} columns do
     form = ClosedForm(tuple(terms))
     assert form._values(ns) == [fraction_route(form, n) for n in ns]
 
 
 def test_batched_refusals_name_the_first_refused_n(monkeypatch):
     # a point set is refused as its first refused n would be alone, whatever
-    # comes after it, and before any n is factorized
+    # comes after it, and before any n is sieved or factorized
     def no_factorize(*args):
-        raise AssertionError("evaluate factorized n")
+        raise AssertionError("evaluate sieved or factorized n")
 
     monkeypatch.setattr(powersums, "factorize", no_factorize)
+    monkeypatch.setattr(powersums, "_psi_sieve", no_factorize)
     one = Fraction(1)
     order = 2**19  # its powers pass 2**20 bits from n = 4 on
     cases = (
@@ -234,11 +287,12 @@ def test_batched_refusals_name_the_first_refused_n(monkeypatch):
 
 def test_evaluate_refuses_as_psi_does_before_factorizing(monkeypatch):
     # n first, then each term in turn: a zero order, then an order whose
-    # powers would pass 2**20 bits; no refusal needs n factorized
+    # powers would pass 2**20 bits; no refusal needs n sieved or factorized
     def no_factorize(*args):
-        raise AssertionError("evaluate factorized n")
+        raise AssertionError("evaluate sieved or factorized n")
 
     monkeypatch.setattr(powersums, "factorize", no_factorize)
+    monkeypatch.setattr(powersums, "_psi_sieve", no_factorize)
     one = Fraction(1)
     cases = (
         (((one, 1, 1),), 1, ValueError, "closed forms are defined for n >= 2, got 1"),
